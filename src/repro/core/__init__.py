@@ -1,8 +1,9 @@
 """The paper's contribution: optimistic checkpointing with selective logging.
 
 * :mod:`~repro.core.state_machine` — Figures 3 & 4 as a pure state machine;
-* :mod:`~repro.core.host` — the DES binding (flushes, timers, verification
-  bookkeeping);
+* :mod:`~repro.core.driver` — the one effect interpreter plus the selective
+  log / window bookkeeping, shared by every runtime;
+* :mod:`~repro.core.host` — the DES binding (network, flushes, timers);
 * :mod:`~repro.core.config` — run configuration incl. flush policies;
 * :mod:`~repro.core.types` — ``Status`` / ``Piggyback`` / checkpoints.
 """
@@ -15,6 +16,7 @@ from .config import (
     FlushUniformDelay,
     OptimisticConfig,
 )
+from .driver import ProtocolAnomalyError, ProtocolDriver
 from .effects import (
     Anomaly,
     ArmTimer,
@@ -25,7 +27,7 @@ from .effects import (
     SendControl,
     TakeTentative,
 )
-from .host import OptimisticProcess, OptimisticRuntime, ProtocolAnomalyError
+from .host import OptimisticProcess, OptimisticRuntime
 from .invariants import InvariantMonitor, InvariantViolation
 from .state_machine import COORDINATOR, MachineConfig, OptimisticStateMachine
 from .types import (
@@ -64,6 +66,7 @@ __all__ = [
     "OptimisticStateMachine",
     "Piggyback",
     "ProtocolAnomalyError",
+    "ProtocolDriver",
     "SendControl",
     "Status",
     "TakeTentative",

@@ -2,7 +2,8 @@
 
 The state machine (:mod:`repro.core.state_machine`) is pure logic: it never
 touches the simulator, network or storage.  Every handler returns a list of
-effects; the host (:mod:`repro.core.host`) executes them.  This command
+effects; the one interpreter, :class:`repro.core.driver.ProtocolDriver`,
+executes them against whichever runtime it is bound to.  This command
 split is what makes the Figure 3/4 case analysis unit-testable in isolation
 — the protocol tests assert on effect lists, not on simulated side effects.
 """

@@ -1,21 +1,16 @@
 """DES host for the optimistic checkpointing protocol.
 
-:class:`OptimisticProcess` binds one :class:`OptimisticStateMachine` to the
-simulation substrates: it executes the machine's effects against the network
-(control messages), stable storage (flushes), local store (tentative state +
-log buffering) and trace.  :class:`OptimisticRuntime` is the per-run context
-shared by all hosts (network, storage, config) plus the verification surface
-experiments consume.
-
-Responsibilities kept *out* of the state machine on purpose:
-
-* message-log byte accounting (``logSet`` contents — §3.1's selective log);
-* the send/receive *windows* used for consistency verification — for each
-  finalized ``C_{i,k}`` the host records exactly which application-message
-  uids the checkpoint captures (everything between ``CFE_{i,k-1}`` and
-  ``CFE_{i,k}``, minus the paper's excluded trigger message);
-* periodic initiation scheduling ("basic checkpoints at scheduled times");
-* tentative-state flush timing (:class:`~repro.core.config.FlushPolicy`).
+:class:`OptimisticProcess` is the simulator's adapter over the shared
+:class:`~repro.core.driver.ProtocolDriver`: the driver runs the state
+machine, interprets its effects and keeps the ``logSet`` / window
+bookkeeping; this module supplies what only the simulator has —
+``Network.send`` with the interned piggyback, the volatile
+:class:`~repro.storage.local_store.LocalStore` and stable-storage flushes
+(:class:`~repro.core.config.FlushPolicy`, space ledger, garbage
+collection), the initiation phase and horizon, and ``sim.trace``.
+:class:`OptimisticRuntime` is the per-run context shared by all hosts
+(network, storage, config) plus the verification surface experiments
+consume.
 """
 
 from __future__ import annotations
@@ -34,69 +29,13 @@ from ..net.network import Network
 from ..storage.local_store import LocalStore
 from ..storage.stable_storage import StableStorage
 from .config import OptimisticConfig
-from .effects import (
-    Anomaly,
-    ArmTimer,
-    BroadcastControl,
-    CancelTimer,
-    Effect,
-    Finalize,
-    SendControl,
-    TakeTentative,
-)
-from .state_machine import OptimisticStateMachine
+from .driver import ProtocolDriver, RuntimePort
 from .types import (
     ControlMessage,
     FinalizedCheckpoint,
-    LogEntry,
-    Status,
     TentativeCheckpoint,
     piggyback_bytes,
 )
-
-
-class ProtocolAnomalyError(RuntimeError):
-    """Raised in strict mode when a proven-impossible message arrives."""
-
-
-# Hoisted enum members: the per-message paths test these constantly and a
-# module global loads cheaper than Status.<member>.
-_NORMAL = Status.NORMAL
-_TENTATIVE = Status.TENTATIVE
-
-
-def _receive_case(mstat: Status, pstat: Status, pcsn: int, mcsn: int) -> str:
-    """§3.4.3 case label for an app receive, from the receiver's view.
-
-    Mirrors the dispatch order of
-    :meth:`OptimisticStateMachine.on_app_receive` (and the inlined fast
-    paths in :meth:`OptimisticProcess.on_message`) without mutating any
-    state: ``1`` normal/normal, ``2a``–``2d`` tentative/tentative,
-    ``3a``–``3c`` tentative/normal, ``4a``–``4c`` normal/tentative.
-    ``1x`` is the normal/normal future-csn anomaly.
-    """
-    if mstat is _NORMAL:
-        if pstat is _TENTATIVE:
-            if pcsn == mcsn + 1:
-                return "4b"
-            if pcsn > mcsn + 1:
-                return "4c"
-            return "4a"
-        return "1" if pcsn <= mcsn else "1x"
-    if pstat is _NORMAL:
-        if pcsn == mcsn:
-            return "3b"
-        if pcsn > mcsn:
-            return "3c"
-        return "3a"
-    if pcsn == mcsn:
-        return "2b"
-    if pcsn == mcsn + 1:
-        return "2c"
-    if pcsn > mcsn + 1:
-        return "2d"
-    return "2a"
-
 
 class OptimisticRuntime:
     """Shared context for one simulated run of the optimistic protocol."""
@@ -238,43 +177,29 @@ class OptimisticRuntime:
                 f"finalized_seqs={self.finalized_seqs()})")
 
 
-class OptimisticProcess(SimProcess):
-    """One process running the paper's protocol (state machine + substrates)."""
+class OptimisticProcess(SimProcess, RuntimePort):
+    """One simulated process: a :class:`ProtocolDriver` bound to the DES
+    substrates (and the driver's :class:`~repro.core.driver.RuntimePort`)."""
 
     def __init__(self, pid: int, sim: Simulator, runtime: OptimisticRuntime,
                  app: Any = None) -> None:
         super().__init__(pid, sim)
         self.runtime = runtime
-        self.config = runtime.config
-        self.machine = OptimisticStateMachine(pid, runtime.n,
-                                              config=runtime.config.machine)
+        self.config = config = runtime.config
+        self.driver = driver = ProtocolDriver(
+            pid, runtime.n, self, config.machine,
+            log_all=config.log_all_messages, strict=config.strict,
+            reset_schedule=config.reset_schedule_on_checkpoint)
+        self.machine = driver.machine
         self.app = app
-        self.local = LocalStore(pid)
+        self._local = LocalStore(pid)
         # Checkpoint objects ---------------------------------------------------
         self.tentatives: dict[int, TentativeCheckpoint] = {}
         self.finalized: dict[int, FinalizedCheckpoint] = {}
-        self.current_tentative: TentativeCheckpoint | None = None
-        # Selective message log + verification windows -------------------------
-        self._log_entries: list[LogEntry] = []
-        #: Running byte total of ``_log_entries`` — maintained incrementally
-        #: (summing the window per append is O(window²) over a round).
-        self._log_bytes = 0
-        self._window_sent: list[int] = []
-        self._window_recv: list[int] = []
-        # Bound appends for the per-message window bookkeeping.  Valid for
-        # the host's lifetime because the window lists are cleared in place
-        # (never replaced) by _do_finalize / rollback_to.
-        self._ws_append = self._window_sent.append
-        self._wr_append = self._window_recv.append
-        #: Cached LocalStore item for the "log" label — the log re-put per
-        #: logged message mutates it in place (LocalStore.put semantics,
-        #: inlined); reset wherever the item leaves the store.
-        self._log_item = None
-        # Hot-path constants (per-run invariants, hoisted out of app_send /
-        # on_message): the piggyback wire cost, the logging-mode switch and
-        # the bound network send (one attribute chain less per message).
+        # Hot-path constants (per-run invariants, hoisted out of app_send):
+        # the piggyback wire cost and the bound network send (one attribute
+        # chain less per message).
         self._pb_bytes = piggyback_bytes(runtime.n)
-        self._log_all = runtime.config.log_all_messages
         self._net = runtime.network
         self._net_send = runtime.network.send
         # Interned (piggyback, meta-dict) pair: between protocol transitions
@@ -296,19 +221,24 @@ class OptimisticProcess(SimProcess):
         # Timers ----------------------------------------------------------------
         self._conv_timer = sim.timer(self._on_conv_timer)
         self._init_timer = sim.timer(self._on_init_timer)
-        # Diagnostics ------------------------------------------------------------
-        self.anomalies: list[str] = []
-        self.ctl_sent: dict[str, int] = {}
-        self.finalize_reasons: dict[str, int] = {}
-        #: §3.4.3 receive-case histogram, populated only when a harness
-        #: (the fuzzer's coverage map) switches it on by assigning a dict;
-        #: ``None`` keeps the app-receive hot path to a single attribute
-        #: load + identity check.
-        self.case_counts: dict[str, int] | None = None
-        #: Simulated application state: a fold over processed message uids
-        #: (see :func:`repro.core.types.fold_digest`) — makes recovery's
-        #: restore-and-replay semantics checkable.
-        self.state_digest = 0
+        # Diagnostics (the driver's tallies, shared by reference) ------------------
+        self.anomalies = driver.anomalies
+        self.ctl_sent = driver.ctl_sent
+        self.finalize_reasons = driver.finalize_reasons
+
+    @property
+    def local(self) -> LocalStore:
+        """The volatile store, with the message log's size settled in.
+
+        Held bytes only grow while messages are being logged, so the
+        high-water mark stays exact when the log's running size is written
+        through each time the store is touched or read — no per-message
+        accounting.
+        """
+        nbytes = self.driver.log_bytes
+        if nbytes:
+            self._local.put("log", nbytes, self.sim.now)
+        return self._local
 
     # -- lifecycle -------------------------------------------------------------
 
@@ -324,17 +254,21 @@ class OptimisticProcess(SimProcess):
             finalized_at=self.sim.now, reason="initial")
         if self.app is not None:
             self.app.on_start(self)
-        self._arm_first_initiation()
+        self.arm_initiation_timer(first=True)
 
-    def _arm_first_initiation(self) -> None:
+    def arm_initiation_timer(self, first: bool = False) -> None:
+        """Schedule the next basic checkpoint one interval out (RuntimePort);
+        the ``first`` one of an execution adds the configured phase offset.
+        Nothing is scheduled past the horizon."""
         interval = self.config.checkpoint_interval
         if interval is None:
             return
         horizon = self.runtime.horizon
         if horizon is not None and self.sim.now + interval > horizon:
+            self._init_timer.cancel()
             return
         phase = self.config.initiation_phase
-        if phase == "aligned":
+        if not first or phase == "aligned":
             offset = 0.0
         elif phase == "staggered":
             offset = interval * self.pid / self.runtime.n
@@ -344,32 +278,24 @@ class OptimisticProcess(SimProcess):
         self._init_timer.start(interval + offset)
 
     def _on_init_timer(self) -> None:
-        """Scheduled basic-checkpoint initiation (§3.4.1)."""
-        if self.halted:
-            return
-        self._execute(self.machine.initiate())
-        interval = self.config.checkpoint_interval
-        horizon = self.runtime.horizon
-        if interval is not None and (
-                horizon is None or self.sim.now + interval <= horizon):
-            self._init_timer.start(interval)
+        if not self.halted:
+            self.driver.on_initiation_timer()
+
+    def _on_conv_timer(self) -> None:
+        if not self.halted:
+            self.driver.on_timer()
 
     def initiate_checkpoint(self) -> bool:
         """Manually initiate a consistent global checkpoint (scenarios use
         this).  Returns whether a tentative checkpoint was actually taken."""
-        before = self.machine.csn
-        self._execute(self.machine.initiate())
-        return self.machine.csn == before + 1
+        return self.driver.initiate()
 
     # -- application-facing API ---------------------------------------------------
 
     def app_send(self, dst: int, payload: Any = None,
                  size: int = 0) -> Message:
         """Send an application message with the protocol piggyback (§3.4.2)."""
-        machine = self.machine
-        pb = machine._pb
-        if pb is None:
-            pb = machine.piggyback()
+        pb = self.machine.piggyback()
         if self._net._track_deliveries:
             meta = {"pb": pb}  # faults in play: meta must be per-message
         else:
@@ -381,27 +307,7 @@ class OptimisticProcess(SimProcess):
                 self._pb_meta = (pb, meta)
         msg = self._net_send(self.pid, dst, payload, size, "app",
                              meta, self._pb_bytes)
-        self._ws_append(msg.uid)
-        if machine.stat is _TENTATIVE or self._log_all:
-            now = self.sim.now
-            nbytes = size + self._pb_bytes
-            self._log_entries.append(LogEntry(
-                uid=msg.uid, nbytes=nbytes, direction="sent", time=now))
-            self._log_bytes = lb = self._log_bytes + nbytes
-            # Re-buffer the grown log: LocalStore.put's replacement
-            # accounting inlined against the cached "log" item (keep in
-            # sync with LocalStore.put and the twin block in on_message).
-            item = self._log_item
-            if item is None:
-                self._log_item = self.local.put("log", lb, now)
-            else:
-                local = self.local
-                local._bytes += lb - item.nbytes
-                item.nbytes = lb
-                item.stored_at = now
-                local.total_buffered += lb
-                if local._bytes > local.max_bytes:
-                    local.max_bytes = local._bytes
+        self.driver.app_sent(msg.uid, size + self._pb_bytes)
         return msg
 
     # -- message dispatch -----------------------------------------------------------
@@ -416,64 +322,8 @@ class OptimisticProcess(SimProcess):
             app_on_message = self._app_on_message
             if app_on_message is not None:
                 app_on_message(self, msg)
-            uid = msg.uid
-            # fold_digest inlined (keep in sync with types.fold_digest) —
-            # one call per delivered app message is measurable.
-            self.state_digest = ((self.state_digest * 1_000_003 + uid
-                                  + 0x9E3779B9) % (1 << 61))
-            self._wr_append(uid)
-            machine = self.machine
-            mstat = machine.stat
-            if mstat is _TENTATIVE or self._log_all:
-                now = self.sim.now
-                nbytes = msg.size + msg.overhead_bytes
-                self._log_entries.append(LogEntry(
-                    uid=uid, nbytes=nbytes, direction="recv", time=now))
-                self._log_bytes = lb = self._log_bytes + nbytes
-                # Twin of the app_send log re-buffer block; keep all three
-                # (here, app_send, LocalStore.put) in sync.
-                item = self._log_item
-                if item is None:
-                    self._log_item = self.local.put("log", lb, now)
-                else:
-                    local = self.local
-                    local._bytes += lb - item.nbytes
-                    item.nbytes = lb
-                    item.stored_at = now
-                    local.total_buffered += lb
-                    if local._bytes > local.max_bytes:
-                        local.max_bytes = local._bytes
-            pb = msg.meta["pb"]
-            pcsn = pb.csn
-            mcsn = machine.csn
-            cc = self.case_counts
-            if cc is not None:
-                label = _receive_case(mstat, pb.stat, pcsn, mcsn)
-                cc[label] = cc.get(label, 0) + 1
-            # §3.4.3's no-effect and merge-only cases inlined — the
-            # overwhelming majority of receives both outside and inside
-            # checkpoint rounds; every state-changing case (take, finalize,
-            # anomaly) still goes through the state machine.  Keep in sync
-            # with OptimisticStateMachine.on_app_receive.
-            if mstat is _NORMAL:
-                if pcsn <= mcsn:
-                    return  # Cases 1 / 4(a): stale or current ⇒ nothing.
-            elif pb.stat is _TENTATIVE and pcsn == mcsn:
-                # Case 2(b): merge knowledge (interned pb invalidated only
-                # on growth); finalize — via the state machine, the merge
-                # is idempotent — only once tentSet is complete.
-                ts = machine.tent_set
-                before = len(ts)
-                ts |= pb.tent_set
-                if len(ts) != before:
-                    machine._pb = None
-                if len(ts) != machine.n:
-                    return
-            elif pcsn < mcsn:
-                return  # Cases 2(a) / 3(a): stale piggyback ⇒ nothing.
-            effects = machine.on_app_receive(pb, uid)
-            if effects:
-                self._execute(effects)
+            self.driver.app_received(msg.meta["pb"], msg.uid,
+                                     msg.size + msg.overhead_bytes)
             return
         if kind == "ctl":
             cm: ControlMessage = msg.payload
@@ -481,145 +331,78 @@ class OptimisticProcess(SimProcess):
             if tr.enabled:
                 tr.record(self.sim.now, "ctl.recv", self.pid,
                           ctype=cm.ctype.value, csn=cm.csn, src=msg.src)
-            self._execute(self.machine.on_control(cm, msg.src))
+            self.driver.on_control(cm, msg.src)
             return
         raise ValueError(f"unexpected message kind {kind!r}")
 
-    # -- effect execution --------------------------------------------------------------
+    # -- RuntimePort: what the driver asks of the simulator ------------------------------
 
-    def _execute(self, effects: list[Effect]) -> None:
-        for eff in effects:
-            if isinstance(eff, TakeTentative):
-                self._do_take_tentative(eff.csn)
-            elif isinstance(eff, Finalize):
-                self._do_finalize(eff)
-            elif isinstance(eff, SendControl):
-                self._send_control(eff.dst, ControlMessage(eff.ctype, eff.csn))
-            elif isinstance(eff, BroadcastControl):
-                cm = ControlMessage(eff.ctype, eff.csn)
-                for dst in range(self.runtime.n):
-                    if dst != self.pid:
-                        self._send_control(dst, cm)
-            elif isinstance(eff, ArmTimer):
-                self._conv_timer.start(self.config.timeout)
-            elif isinstance(eff, CancelTimer):
-                self._conv_timer.cancel()
-            elif isinstance(eff, Anomaly):
-                self.anomalies.append(eff.description)
-                self.trace("ckpt.anomaly", description=eff.description)
-                if self.config.strict:
-                    raise ProtocolAnomalyError(eff.description)
-            else:  # pragma: no cover - future-proofing
-                raise TypeError(f"unknown effect {eff!r}")
-
-    def _send_control(self, dst: int, cm: ControlMessage) -> None:
-        ctype = cm.ctype.value
-        self.ctl_sent[ctype] = self.ctl_sent.get(ctype, 0) + 1
+    def send_control(self, dst: int, cm: ControlMessage) -> None:
         tr = self.sim.trace
         if tr.enabled:
-            tr.record(self.sim.now, "ctl.send", self.pid, ctype=ctype,
-                      csn=cm.csn, dst=dst)
+            tr.record(self.sim.now, "ctl.send", self.pid,
+                      ctype=cm.ctype.value, csn=cm.csn, dst=dst)
         self.network.send(self.pid, dst, cm, kind="ctl",
                           overhead_bytes=ControlMessage.ENCODED_BYTES)
 
-    def _on_conv_timer(self) -> None:
-        if self.halted:
-            return
-        self._execute(self.machine.on_timer())
+    def arm_convergence_timer(self) -> None:
+        self._conv_timer.start(self.config.timeout)
 
-    # -- checkpoint actions -------------------------------------------------------------
+    def cancel_convergence_timer(self) -> None:
+        self._conv_timer.cancel()
 
-    def _do_take_tentative(self, csn: int) -> None:
+    def report_anomaly(self, description: str) -> None:
+        self.trace("ckpt.anomaly", description=description)
+
+    def capture_tentative(self, csn: int, digest: int) -> TentativeCheckpoint:
         state_bytes = self.config.capture_bytes_for(self.pid, csn)
         ckpt = TentativeCheckpoint(pid=self.pid, csn=csn,
                                    taken_at=self.sim.now,
-                                   state_bytes=state_bytes,
-                                   digest=self.state_digest,
+                                   state_bytes=state_bytes, digest=digest,
                                    full=self.config.is_full_checkpoint(csn))
         self.tentatives[csn] = ckpt
-        self.current_tentative = ckpt
-        if not self._log_all:
-            self._log_entries = []
-            self._log_bytes = 0
         self.local.put("ct", state_bytes, self.sim.now)
         self.trace("ckpt.tentative", csn=csn, bytes=state_bytes)
-        # A checkpoint taken for any reason satisfies the scheduled
-        # requirement (paper §1: at most one checkpoint per interval).
-        if (self.config.reset_schedule_on_checkpoint
-                and self.config.checkpoint_interval is not None):
-            interval = self.config.checkpoint_interval
-            horizon = self.runtime.horizon
-            if horizon is None or self.sim.now + interval <= horizon:
-                self._init_timer.start(interval)
-            else:
-                self._init_timer.cancel()
         self.config.flush_policy.on_tentative(self, ckpt)
+        return ckpt
 
-    def flush_tentative(self, ckpt: TentativeCheckpoint) -> None:
-        """Write ``CT_{i,k}`` to stable storage (idempotent; §3.1: "usually
-        saved in memory first and then flushed to stable storage")."""
+    def _claim_ct_flush(self, ckpt: TentativeCheckpoint) -> Any:
+        """First flush of ``CT_{i,k}`` only: claim its stable space and
+        return the write-completion callback (``None`` if already flushed)."""
         if ckpt.csn in self._flush_submitted:
-            return
+            return None
         self._flush_submitted.add(ckpt.csn)
         self.runtime.storage.space.retain(self.pid, f"ct:{ckpt.csn}",
                                           ckpt.state_bytes, self.sim.now)
-        self.trace("ckpt.flush.ct", csn=ckpt.csn, bytes=ckpt.state_bytes)
 
         def done(req) -> None:
             ckpt.flushed_at = req.finish
             self.local.discard("ct")
 
+        return done
+
+    def flush_tentative(self, ckpt: TentativeCheckpoint) -> None:
+        """Write ``CT_{i,k}`` to stable storage (idempotent; §3.1: "usually
+        saved in memory first and then flushed to stable storage")."""
+        done = self._claim_ct_flush(ckpt)
+        if done is None:
+            return
+        self.trace("ckpt.flush.ct", csn=ckpt.csn, bytes=ckpt.state_bytes)
         self.runtime.storage.write(self.pid, ckpt.state_bytes,
                                    label=f"ct:{self.pid}:{ckpt.csn}",
                                    callback=done)
 
-    def _do_finalize(self, eff: Finalize) -> None:
-        ckpt = self.current_tentative
-        assert ckpt is not None and ckpt.csn == eff.csn, (
-            f"P{self.pid} finalizing csn={eff.csn} but current tentative "
-            f"is {ckpt}")
-        exclude = eff.exclude_uid
-        entries = [e for e in self._log_entries if e.uid != exclude]
-        excluded_entries = [e for e in self._log_entries if e.uid == exclude]
-        new_sent = frozenset(self._window_sent)
-        new_recv = frozenset(self._window_recv)
-        if exclude is not None:
-            new_recv = new_recv - {exclude}
-        fc = FinalizedCheckpoint(
-            pid=self.pid, csn=eff.csn, tentative=ckpt,
-            finalized_at=self.sim.now, log_entries=entries,
-            new_sent_uids=new_sent, new_recv_uids=new_recv,
-            reason=eff.reason)
-        self.finalized[eff.csn] = fc
-        self.finalize_reasons[eff.reason] = (
-            self.finalize_reasons.get(eff.reason, 0) + 1)
-        # Reset the verification windows; the excluded message belongs to the
-        # *next* checkpoint's window (it is part of the state at CT_{i,k+1}).
-        self._window_sent.clear()
-        self._window_recv.clear()
-        if exclude is not None:
-            self._window_recv.append(exclude)
-        # Selective logging resets at the next CT; pessimistic (ablation)
-        # logging keeps the excluded entry alive for the next log.
-        self._log_entries = excluded_entries if self._log_all else []
-        self._log_bytes = sum(e.nbytes for e in self._log_entries)
+    def store_finalized(self, fc: FinalizedCheckpoint,
+                        exclude_uid: int | None) -> None:
+        ckpt = fc.tentative
+        self.finalized[fc.csn] = fc
         # Flush: the message log always goes to stable storage now; the
         # tentative state is bundled in unless a FlushPolicy already sent it.
         space = self.runtime.storage.space
         nbytes = fc.log_bytes
-        if ckpt.csn not in self._flush_submitted:
-            self._flush_submitted.add(ckpt.csn)
+        callback = self._claim_ct_flush(ckpt)
+        if callback is not None:
             nbytes += ckpt.state_bytes
-            space.retain(self.pid, f"ct:{ckpt.csn}", ckpt.state_bytes,
-                         self.sim.now)
-
-            def done_ct(req) -> None:
-                ckpt.flushed_at = req.finish
-                self.local.discard("ct")
-
-            callback = done_ct
-        else:
-            callback = None
         space.retain(self.pid, f"log:{ckpt.csn}", fc.log_bytes, self.sim.now)
         # Garbage collection (paper §1): finalizing C_{i,k} certifies that
         # S_{k-1} is committed system-wide, so generations that can never
@@ -627,8 +410,8 @@ class OptimisticProcess(SimProcess):
         # floor is simply k-1 (delete k-2 and older); with incremental
         # checkpointing, restoring S_{k-1} needs the delta chain back to
         # the last FULL capture at or before k-1, so the chain stays.
-        self._held_gens.add(eff.csn)
-        floor = eff.csn - 1
+        self._held_gens.add(fc.csn)
+        floor = fc.csn - 1
         while floor >= 1 and not self.config.is_full_checkpoint(floor):
             floor -= 1
         released = sorted(g for g in self._held_gens if 0 < g < floor)
@@ -638,28 +421,24 @@ class OptimisticProcess(SimProcess):
             space.release(self.pid, f"log:{g}", self.sim.now)
             self.trace("ckpt.gc", csn=g)
         self.local.discard("log")
-        self._log_item = None
-        self.trace("ckpt.finalize", csn=eff.csn, reason=eff.reason,
-                   log_msgs=len(entries), log_bytes=fc.log_bytes,
+        self.trace("ckpt.finalize", csn=fc.csn, reason=fc.reason,
+                   log_msgs=len(fc.log_entries), log_bytes=fc.log_bytes,
                    flush_bytes=nbytes)
         self.runtime.storage.write(self.pid, nbytes,
-                                   label=f"fin:{self.pid}:{eff.csn}",
+                                   label=f"fin:{self.pid}:{fc.csn}",
                                    callback=callback)
-        self.current_tentative = None
 
     # -- rollback recovery ------------------------------------------------------------------
 
     def rollback_to(self, csn: int, restart_app: bool = True) -> None:
         """Restore this process to its finalized checkpoint ``C_{i,csn}``.
 
-        Executes the paper's recovery at one process: the stable state
-        ``CT_{i,csn}`` plus a replay of ``logSet_{i,csn}`` reconstructs the
-        state at ``CFE_{i,csn}``.  Everything after that point is discarded:
-        later tentative/finalized checkpoints, the current log, the
-        verification windows, control-plane dedup state for later rounds,
-        and any timers.  Called on *every* process by
-        :class:`repro.recovery.restart.RecoveryManager` (system-wide
-        rollback to the last committed global checkpoint, §1).
+        :meth:`ProtocolDriver.rollback` restores the protocol; here
+        everything the simulator holds for the discarded execution goes
+        too: later tentative/finalized checkpoints and their stable-space
+        claims, the volatile store, and the initiation schedule.  Called
+        on *every* process by :class:`repro.recovery.restart.RecoveryManager`
+        (system-wide rollback to the last committed global checkpoint, §1).
         """
         if csn not in self.finalized:
             raise ValueError(
@@ -668,13 +447,10 @@ class OptimisticProcess(SimProcess):
         # Kill every continuation chain of the discarded execution (app
         # send loops, flush polls, ...).
         self.incarnation += 1
-        # Protocol state back to "just finalized csn".
-        m = self.machine
-        m.restore(csn, Status.NORMAL, set())
-        m._suppressed_csn = None
-        m._ck_req_sent = {c for c in m._ck_req_sent if c <= csn}
-        m._ck_end_sent = {c for c in m._ck_end_sent if c <= csn}
-        m._ck_bgn_sent = {c for c in m._ck_bgn_sent if c <= csn}
+        # The store first: clearing it settles the log the driver is about
+        # to drop into the high-water mark.
+        self.local.clear()
+        self.driver.rollback(self.finalized[csn])
         # Discard rolled-back checkpoints and their stable-space claims.
         space = self.runtime.storage.space
         for k in [k for k in self.finalized if k > csn]:
@@ -687,22 +463,11 @@ class OptimisticProcess(SimProcess):
             if k in self._flush_submitted:
                 self._flush_submitted.discard(k)
                 space.release(self.pid, f"ct:{k}", self.sim.now)
-        self.current_tentative = None
-        self._log_entries = []
-        self._log_bytes = 0
-        self._window_sent.clear()
-        self._window_recv.clear()
-        self.local.clear()
-        self._log_item = None
-        self._conv_timer.cancel()
-        self._init_timer.cancel()
-        # Restore the application state recovery reconstructs: CT's digest
-        # plus the selective log's replay.
-        self.state_digest = self.finalized[csn].replay_digest()
-        self.trace("ckpt.rollback", csn=csn, digest=self.state_digest)
+        self.trace("ckpt.rollback", csn=csn,
+                   digest=self.driver.state_digest)
         # Resume: scheduled checkpointing restarts; the application is
         # restarted from the recovered state (re-execution of lost work).
-        self._arm_first_initiation()
+        self.arm_initiation_timer(first=True)
         if restart_app and self.app is not None:
             self.app.on_start(self)
 

@@ -2,8 +2,9 @@
 
 Pure logic: every handler consumes an input (an application-message
 piggyback, a control message, a timer expiry, an initiation request) and
-returns a list of :mod:`~repro.core.effects` commands for the host to
-execute.  No simulator, network or storage access happens here.
+returns a list of :mod:`~repro.core.effects` commands for the
+:class:`~repro.core.driver.ProtocolDriver` to execute.  No simulator,
+network or storage access happens here.
 
 Each branch is annotated with the paper case it implements (§3.4.3's
 Cases 1–4 with sub-cases, §3.5.1's control-message rules).  The two
@@ -53,6 +54,49 @@ COORDINATOR = 0  # the paper's pre-specified process P_0
 #: list avoids an allocation per delivered message.
 _NO_EFFECTS: list[Effect] = []
 
+# Hoisted enum members: the per-message dispatch tests these constantly and
+# a module global loads cheaper than Status.<member>.
+_NORMAL = Status.NORMAL
+_TENTATIVE = Status.TENTATIVE
+
+#: :meth:`OptimisticStateMachine.control_state` — the csns for which
+#: CK_REQ / CK_END / CK_BGN went out, and the last suppressed csn.
+ControlState = tuple[frozenset[int], frozenset[int], frozenset[int],
+                     int | None]
+
+
+def receive_case(mstat: Status, pstat: Status, pcsn: int, mcsn: int) -> str:
+    """§3.4.3 case label for an app receive, from the receiver's view.
+
+    The label of the branch :meth:`OptimisticStateMachine.on_app_receive`
+    takes for a machine at ``(mstat, mcsn)`` receiving a piggyback
+    ``(pstat, pcsn)``, computed without touching any state: ``1``
+    normal/normal, ``2a``–``2d`` tentative/tentative, ``3a``–``3c``
+    tentative/normal, ``4a``–``4c`` normal/tentative; ``1x`` is the
+    normal/normal future-csn anomaly.
+    """
+    if mstat is _NORMAL:
+        if pstat is _TENTATIVE:
+            if pcsn == mcsn + 1:
+                return "4b"
+            if pcsn > mcsn + 1:
+                return "4c"
+            return "4a"
+        return "1" if pcsn <= mcsn else "1x"
+    if pstat is _NORMAL:
+        if pcsn == mcsn:
+            return "3b"
+        if pcsn > mcsn:
+            return "3c"
+        return "3a"
+    if pcsn == mcsn:
+        return "2b"
+    if pcsn == mcsn + 1:
+        return "2c"
+    if pcsn > mcsn + 1:
+        return "2d"
+    return "2a"
+
 
 @dataclass
 class MachineConfig:
@@ -90,7 +134,6 @@ class OptimisticStateMachine:
         self.pid = pid
         self.n = n
         self.config = config if config is not None else MachineConfig()
-        self.all_pset = frozenset(range(n))
         # §3.3 data structures -------------------------------------------------
         self.csn = 0                       # csn_i  (initial checkpoint = 0)
         self.stat = Status.NORMAL          # stat_i
@@ -136,17 +179,46 @@ class OptimisticStateMachine:
         if len(ts) != before:
             self._pb = None
 
-    def restore(self, csn: int, stat: Status, tent_set: set[int]) -> None:
-        """Overwrite the §3.3 triple in one step (rollback / state import).
+    def restore(self, csn: int, stat: Status, tent_set: set[int],
+                control: ControlState | None = None) -> None:
+        """Overwrite the §3.3 triple in one step (state import).
 
-        External callers (recovery, the model checker's state explorer,
-        the live runtime) must use this instead of assigning the fields
-        directly so the interned piggyback is invalidated.
+        External callers (the model checker's state explorer, the live
+        runtime's restart) must use this instead of assigning the fields
+        directly so the interned piggyback is invalidated.  ``control``
+        also overwrites the control-plane bookkeeping with a
+        :meth:`control_state` snapshot.
         """
         self.csn = csn
         self.stat = stat
         self.tent_set = tent_set
         self._pb = None
+        if control is not None:
+            req, end, bgn, self._suppressed_csn = control
+            self._ck_req_sent = set(req)
+            self._ck_end_sent = set(end)
+            self._ck_bgn_sent = set(bgn)
+
+    def control_state(self) -> ControlState:
+        """Hashable snapshot of the control-plane bookkeeping."""
+        return (frozenset(self._ck_req_sent), frozenset(self._ck_end_sent),
+                frozenset(self._ck_bgn_sent), self._suppressed_csn)
+
+    def rollback(self, csn: int) -> None:
+        """Back to "just finalized ``csn``" (rollback recovery): normal,
+        empty tentSet, and no memory of control waves for later rounds."""
+        self.restore(csn, _NORMAL, set())
+        self._suppressed_csn = None
+        self._ck_req_sent = {c for c in self._ck_req_sent if c <= csn}
+        self._ck_end_sent = {c for c in self._ck_end_sent if c <= csn}
+        self._ck_bgn_sent = {c for c in self._ck_bgn_sent if c <= csn}
+
+    def clone(self) -> "OptimisticStateMachine":
+        """Independent copy (the model checker takes one per transition)."""
+        new = OptimisticStateMachine(self.pid, self.n, self.config)
+        new.restore(self.csn, self.stat, set(self.tent_set),
+                    control=self.control_state())
+        return new
 
     # -- §3.4.1: initiation ----------------------------------------------------
 
@@ -177,7 +249,7 @@ class OptimisticStateMachine:
     def _maybe_fast_finalize(self) -> list[Effect]:
         """Optional fast path after a take-and-merge (see MachineConfig)."""
         if (self.config.finalize_on_complete_knowledge
-                and self.tentative and self.tent_set == self.all_pset):
+                and self.tentative and len(self.tent_set) == self.n):
             return self._finalize(exclude_uid=None,
                                   reason="piggyback.fastpath")
         return _NO_EFFECTS
@@ -212,72 +284,71 @@ class OptimisticStateMachine:
         The *host* has already (a) delivered the payload to the application
         and (b) appended the message to the current log window — both per
         the paper's "process the message first" rule.
+
+        The no-effect cases — the overwhelming majority of receives, inside
+        and outside checkpoint rounds — exit first with the shared
+        ``_NO_EFFECTS``; :func:`receive_case` labels the same branches.
         """
-        if self.stat is Status.NORMAL:
-            if pb.stat is Status.TENTATIVE:
-                if pb.csn == self.csn + 1:
+        csn = self.csn
+        pcsn = pb.csn
+        if self.stat is _NORMAL:
+            if pcsn <= csn:
+                # Cases 1 / 4(a): stale or current piggyback ⇒ nothing.
+                return _NO_EFFECTS
+            if pb.stat is _TENTATIVE:
+                if pcsn == csn + 1:
                     # Case 4(b): first news of a new initiation — take a
                     # tentative checkpoint and absorb the sender's knowledge.
                     effects = self._take_tentative()
                     self._merge_tent_set(pb.tent_set)
                     effects += self._maybe_fast_finalize()
                     return effects
-                if pb.csn > self.csn + 1:
-                    # Case 4(c)/2(d): proven impossible in a failure-free run.
-                    return [Anomaly(
-                        f"P{self.pid} normal at csn={self.csn} received "
-                        f"tentative pb with csn={pb.csn}")]
-                # Case 4(a) (pb.csn <= csn): nothing.
-                return _NO_EFFECTS
-            if pb.csn > self.csn:
-                # Peer finalized a checkpoint we never took — impossible.
+                # Case 4(c): proven impossible in a failure-free run.
                 return [Anomaly(
-                    f"P{self.pid} normal at csn={self.csn} received "
-                    f"normal pb with csn={pb.csn}")]
-            # Case 1 (both normal, pb.csn <= csn): nothing.
-            return _NO_EFFECTS
+                    f"P{self.pid} normal at csn={csn} received "
+                    f"tentative pb with csn={pcsn}")]
+            # Peer finalized a checkpoint we never took — impossible.
+            return [Anomaly(
+                f"P{self.pid} normal at csn={csn} received "
+                f"normal pb with csn={pcsn}")]
         # stat_i == tentative; host already logged the message.
-        if pb.stat is Status.NORMAL:
-            if pb.csn == self.csn:
-                # Case 3(b): sender finalized C_{j,csn} ⇒ everyone took
-                # the tentative ckpt ⇒ finalize, excluding M itself.
-                return self._finalize(exclude_uid=uid,
-                                      reason="piggyback.peer_normal")
-            if pb.csn > self.csn:
-                # Case 3(c): impossible.
-                return [Anomaly(
-                    f"P{self.pid} tentative at csn={self.csn} received "
-                    f"normal pb with csn={pb.csn}")]
-            # Case 3(a) (pb.csn < csn): nothing.
+        if pcsn < csn:
+            # Cases 2(a) / 3(a): stale piggyback ⇒ nothing.
             return _NO_EFFECTS
-        # Both tentative — Case 2.
-        if pb.csn == self.csn:
-            # Case 2(b): merge knowledge; finalize if complete.  The
-            # completeness check must not be gated on the merge having
-            # changed anything: with finalize_on_complete_knowledge off,
-            # a 4(b)/2(c) merge can leave tentSet complete *without*
-            # finalizing, and the next same-csn receive must finalize.
-            self._merge_tent_set(pb.tent_set)
-            if len(self.tent_set) == self.n:
+        if pb.stat is _TENTATIVE:
+            if pcsn == csn:
+                # Case 2(b): merge knowledge; finalize if complete.  The
+                # completeness check must not be gated on the merge having
+                # changed anything: with finalize_on_complete_knowledge off,
+                # a 4(b)/2(c) merge can leave tentSet complete *without*
+                # finalizing, and the next same-csn receive must finalize.
+                self._merge_tent_set(pb.tent_set)
+                if len(self.tent_set) != self.n:
+                    return _NO_EFFECTS
                 return self._finalize(exclude_uid=None,
                                       reason="piggyback.allset")
-            return _NO_EFFECTS
-        if pb.csn == self.csn + 1:
-            # Case 2(c): sender finalized csn and moved on ⇒ finalize
-            # ours (excluding M), then join the new initiation.
-            effects = self._finalize(exclude_uid=uid,
-                                     reason="piggyback.next_csn")
-            effects += self._take_tentative()
-            self._merge_tent_set(pb.tent_set)
-            effects += self._maybe_fast_finalize()
-            return effects
-        if pb.csn > self.csn + 1:
+            if pcsn == csn + 1:
+                # Case 2(c): sender finalized csn and moved on ⇒ finalize
+                # ours (excluding M), then join the new initiation.
+                effects = self._finalize(exclude_uid=uid,
+                                         reason="piggyback.next_csn")
+                effects += self._take_tentative()
+                self._merge_tent_set(pb.tent_set)
+                effects += self._maybe_fast_finalize()
+                return effects
             # Case 2(d): impossible.
             return [Anomaly(
-                f"P{self.pid} tentative at csn={self.csn} received "
-                f"tentative pb with csn={pb.csn}")]
-        # pb.csn < csn — Case 2(a): nothing.
-        return _NO_EFFECTS
+                f"P{self.pid} tentative at csn={csn} received "
+                f"tentative pb with csn={pcsn}")]
+        if pcsn == csn:
+            # Case 3(b): sender finalized C_{j,csn} ⇒ everyone took the
+            # tentative ckpt ⇒ finalize, excluding M itself.
+            return self._finalize(exclude_uid=uid,
+                                  reason="piggyback.peer_normal")
+        # Case 3(c): impossible.
+        return [Anomaly(
+            f"P{self.pid} tentative at csn={csn} received "
+            f"normal pb with csn={pcsn}")]
 
     # -- §3.5.1: the convergence timer ----------------------------------------
 

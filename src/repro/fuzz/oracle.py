@@ -106,7 +106,7 @@ def run_input(inp: FuzzInput, mutation: str | None = None,
                                      recovery_delay=CRASH_RECOVERY_DELAY)
             holder["recovery"] = rm
         for host in runtime.hosts.values():
-            host.case_counts = {}
+            host.driver.case_counts = {}
 
     result = run_experiment(cfg, tracer=tracer, before_run=before_run)
     runtime = result.runtime
@@ -118,7 +118,7 @@ def run_input(inp: FuzzInput, mutation: str | None = None,
     finalize_reasons: dict[str, int] = {}
     ctl_sent: dict[str, int] = {}
     for host in runtime.hosts.values():
-        for k, v in (host.case_counts or {}).items():
+        for k, v in (host.driver.case_counts or {}).items():
             case_counts[k] = case_counts.get(k, 0) + v
         for k, v in host.finalize_reasons.items():
             finalize_reasons[k] = finalize_reasons.get(k, 0) + v

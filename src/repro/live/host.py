@@ -1,31 +1,33 @@
 """LiveHost: the optimistic protocol on real time, sockets, and disk.
 
-The pure :class:`~repro.core.state_machine.OptimisticStateMachine` is
-reused *unchanged* — this module is the second host implementation (next
-to the simulator's :mod:`repro.core.host`), executing every protocol
-:class:`~repro.core.effects.Effect` against live substrates:
+The live adapter over the shared :class:`~repro.core.driver.ProtocolDriver`
+(the simulator's is :mod:`repro.core.host`, the model checker's is
+:mod:`repro.verify.explore`).  The driver runs the state machine,
+interprets every :class:`~repro.core.effects.Effect` and keeps the
+selective log, the ``logSet - {M}`` windows and the digest, so the
+conformance layer holds live executions to the same Theorem 2 standard as
+simulated ones by construction.  This module is the driver's
+:class:`~repro.core.driver.RuntimePort` on live substrates:
 
-========================  ====================================================
-Effect                    Live execution
-========================  ====================================================
-``TakeTentative``         capture digest, optimistic flush to the worker's
-                          file-backed stable-storage directory
-``Finalize``              write the versioned ``C_{i,k}`` checkpoint file
-                          (CT ∪ selective log), GC old generations
-``SendControl``           wire frame through the transport endpoint
-``BroadcastControl``      one frame per peer
-``ArmTimer``              ``loop.call_later(timeout, ...)`` on the real clock
-``CancelTimer``           cancel the pending callback
-``Anomaly``               journal + collect
-========================  ====================================================
+==============================  ==============================================
+Port member                     Live execution
+==============================  ==============================================
+``now``                         the running loop's clock
+``send_control``                wire frame through the transport endpoint
+``arm/cancel_convergence_…``    ``loop.call_later(timeout, ...)`` / cancel
+``arm_initiation_timer``        ``loop.call_later(checkpoint_interval, ...)``
+``capture_tentative``           optimistic flush to the worker's file-backed
+                                stable-storage directory, journal, span
+``store_finalized``             write the versioned ``C_{i,k}`` checkpoint
+                                file (CT ∪ selective log), GC old generations
+``report_anomaly``              journal + trace point
+==============================  ==============================================
 
-Bookkeeping (selective log windows, digest folding, the ``logSet - {M}``
-exclusion, rollback) mirrors :class:`repro.core.host.OptimisticProcess`
-line for line so the conformance layer can hold live executions to the
-same Theorem 2 standard as simulated ones.  Recovery epochs guard against
-in-flight messages of a discarded execution: every data frame carries the
-sender's epoch, receivers drop older epochs and park newer ones until
-their own ``recover`` frame arrives.
+What is genuinely live stays here: frames, journal-before-send, receive
+dedup, and recovery epochs, which guard against in-flight messages of a
+discarded execution — every data frame carries the sender's epoch,
+receivers drop older epochs and park newer ones until their own
+``recover`` frame arrives.
 """
 
 from __future__ import annotations
@@ -33,26 +35,14 @@ from __future__ import annotations
 import asyncio
 from typing import Any
 
-from ..core.effects import (
-    Anomaly,
-    ArmTimer,
-    BroadcastControl,
-    CancelTimer,
-    Effect,
-    Finalize,
-    SendControl,
-    TakeTentative,
-)
-from ..core.state_machine import MachineConfig, OptimisticStateMachine
-from ..obs import NULL_TRACER, Tracer
+from ..core.driver import ProtocolDriver, RuntimePort
+from ..core.state_machine import MachineConfig
 from ..core.types import (
     ControlMessage,
     FinalizedCheckpoint,
-    LogEntry,
-    Status,
     TentativeCheckpoint,
-    fold_digest,
 )
+from ..obs import NULL_TRACER, Tracer
 from ..storage.serialize import checkpoint_to_dict
 from .journal import Journal
 from .storage import FileStableStorage
@@ -60,7 +50,7 @@ from .transport import Endpoint
 from .wire import app_frame, ctl_frame, frame_control, frame_piggyback, make_uid
 
 
-class LiveHost:
+class LiveHost(RuntimePort):
     """One live worker: state machine + transport + disk + journal."""
 
     def __init__(self, pid: int, n: int, endpoint: Endpoint,
@@ -79,19 +69,14 @@ class LiveHost:
         #: no-op tracer so every emission site can guard on ``.enabled``
         #: without a None check — zero cost when tracing is off.
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        self.machine = OptimisticStateMachine(pid, n, config=machine_config)
+        self.driver = ProtocolDriver(pid, n, self, machine_config)
+        self.machine = self.driver.machine
         self.checkpoint_interval = checkpoint_interval
         self.timeout = timeout
         self.epoch = epoch
         self.incarnation = incarnation
         self.state_bytes = state_bytes
-        # Selective log + verification windows (mirrors core/host.py) ------
-        self._log_entries: list[LogEntry] = []
-        self._window_sent: list[int] = []
-        self._window_recv: list[int] = []
-        self._current_tent: dict[str, Any] | None = None
         self.finalized: dict[int, FinalizedCheckpoint] = {}
-        self.state_digest = 0
         # Real-time machinery ----------------------------------------------
         self._conv_timer: asyncio.TimerHandle | None = None
         self._init_timer: asyncio.TimerHandle | None = None
@@ -99,7 +84,7 @@ class LiveHost:
         #: Frames from a *newer* epoch, parked until our recover arrives.
         self._future_frames: list[dict[str, Any]] = []
         # Diagnostics -------------------------------------------------------
-        self.anomalies: list[str] = []
+        self.anomalies = self.driver.anomalies
         self.sent_count = 0
         self.recv_count = 0
         self.stale_dropped = 0
@@ -126,7 +111,7 @@ class LiveHost:
         self.storage.write_finalized(0, checkpoint_to_dict(fc))
         self.journal.log("finalize", csn=0, reason="initial", exclude=None,
                          new_sent=[], new_recv=[], logged=[], digest=0)
-        self._arm_initiation()
+        self.arm_initiation_timer()
 
     def resume(self, seq: int) -> None:
         """Restart-from-disk after a crash: the paper's recovery at one
@@ -138,12 +123,10 @@ class LiveHost:
         if seq not in self.finalized:
             raise ValueError(
                 f"P{self.pid} cannot resume: no finalized C{seq} on disk")
-        m = self.machine
-        m.restore(seq, m.stat, m.tent_set)
-        self.state_digest = self.finalized[seq].replay_digest()
+        self.driver.rollback(self.finalized[seq])
         self.journal.log("rollback", seq=seq, epoch=self.epoch,
-                         digest=self.state_digest)
-        self._arm_initiation()
+                         digest=self.driver.state_digest)
+        self.arm_initiation_timer()
 
     async def run(self) -> None:
         """Receive loop: dispatch frames until stopped or disconnected.
@@ -172,27 +155,10 @@ class LiveHost:
 
     def _teardown(self) -> None:
         """Cancel real-time callbacks (safe to call repeatedly)."""
-        if self._conv_timer is not None:
-            self._conv_timer.cancel()
-            self._conv_timer = None
+        self.cancel_convergence_timer()
         if self._init_timer is not None:
             self._init_timer.cancel()
             self._init_timer = None
-
-    # -- scheduled initiation (§3.4.1) ----------------------------------------
-
-    def _arm_initiation(self) -> None:
-        loop = asyncio.get_running_loop()
-        if self._init_timer is not None:
-            self._init_timer.cancel()
-        self._init_timer = loop.call_later(self.checkpoint_interval,
-                                           self._on_init_timer)
-
-    def _on_init_timer(self) -> None:
-        if self.stopped.is_set():
-            return
-        self._execute(self.machine.initiate())
-        self._arm_initiation()
 
     # -- application-facing API -----------------------------------------------
 
@@ -207,10 +173,7 @@ class LiveHost:
         # buffered journals the transport's pre_flush hook (Journal.flush)
         # preserves this ordering through to the disk.
         self.journal.log("send", uid=uid, dst=dst, size=size)
-        self._window_sent.append(uid)
-        if self.machine.tentative:
-            self._log_entries.append(LogEntry(
-                uid=uid, nbytes=size, direction="sent", time=0.0))
+        self.driver.app_sent(uid, size)
         self.endpoint.send(app_frame(self.pid, dst, uid, size, pb,
                                      self.epoch))
         self.sent_count += 1
@@ -261,22 +224,15 @@ class LiveHost:
         self._seen_app_uids.add(uid)
         self.recv_count += 1
         self.journal.log("recv", uid=uid, src=frame["src"], size=size)
-        # Paper §3.4.3: process the message first, then checkpointing acts.
-        self.state_digest = fold_digest(self.state_digest, uid)
-        self._window_recv.append(uid)
-        if self.machine.tentative:
-            self._log_entries.append(LogEntry(
-                uid=uid, nbytes=size, direction="recv", time=0.0))
-        self._execute(self.machine.on_app_receive(frame_piggyback(frame),
-                                                  uid))
+        self.driver.app_received(frame_piggyback(frame), uid, size)
 
     def _on_ctl(self, frame: dict[str, Any]) -> None:
         cm = frame_control(frame)
         if self.tracer.enabled:
-            self.tracer.point("ctl.recv", asyncio.get_running_loop().time(),
-                              pid=self.pid, ctype=cm.ctype.value, csn=cm.csn,
+            self.tracer.point("ctl.recv", self.now, pid=self.pid,
+                              ctype=cm.ctype.value, csn=cm.csn,
                               src=frame["src"])
-        self._execute(self.machine.on_control(cm, frame["src"]))
+        self.driver.on_control(cm, frame["src"])
 
     # -- recovery ---------------------------------------------------------------
 
@@ -290,152 +246,107 @@ class LiveHost:
             self.dispatch(frame)
 
     def rollback(self, seq: int, epoch: int) -> None:
-        """Restore this worker to finalized ``C_{i,seq}`` (mirrors
-        :meth:`repro.core.host.OptimisticProcess.rollback_to`)."""
+        """Restore this worker to finalized ``C_{i,seq}`` in ``epoch``."""
         if seq not in self.finalized:
             raise ValueError(
                 f"P{self.pid} has no finalized checkpoint {seq}")
-        m = self.machine
-        m.restore(seq, Status.NORMAL, set())
-        m._suppressed_csn = None
-        m._ck_req_sent = {c for c in m._ck_req_sent if c <= seq}
-        m._ck_end_sent = {c for c in m._ck_end_sent if c <= seq}
-        m._ck_bgn_sent = {c for c in m._ck_bgn_sent if c <= seq}
+        self.driver.rollback(self.finalized[seq])
         for csn in [c for c in sorted(self.finalized) if c > seq]:
             del self.finalized[csn]
         self.storage.discard_above(seq)
-        self._current_tent = None
-        self._log_entries = []
-        self._window_sent = []
-        self._window_recv = []
+        self.epoch = epoch
+        self.journal.log("rollback", seq=seq, epoch=epoch,
+                         digest=self.driver.state_digest)
+        if self.tracer.enabled:
+            self.tracer.point("ckpt.rollback", self.now, pid=self.pid,
+                              csn=seq, epoch=epoch)
+        self.arm_initiation_timer()
+
+    # -- RuntimePort: what the driver asks of the live runtime -------------------
+
+    @property
+    def now(self) -> float:
+        return asyncio.get_running_loop().time()
+
+    def send_control(self, dst: int, cm: ControlMessage) -> None:
+        if self.tracer.enabled:
+            self.tracer.point("ctl.send", self.now, pid=self.pid,
+                              ctype=cm.ctype.value, csn=cm.csn, dst=dst)
+        self.endpoint.send(ctl_frame(self.pid, dst, cm, self.epoch))
+
+    def arm_convergence_timer(self) -> None:
+        self.cancel_convergence_timer()
+        self._conv_timer = asyncio.get_running_loop().call_later(
+            self.timeout, self._on_conv_timer)
+
+    def cancel_convergence_timer(self) -> None:
         if self._conv_timer is not None:
             self._conv_timer.cancel()
             self._conv_timer = None
-        self.epoch = epoch
-        self.state_digest = self.finalized[seq].replay_digest()
-        self.journal.log("rollback", seq=seq, epoch=epoch,
-                         digest=self.state_digest)
-        if self.tracer.enabled:
-            self.tracer.point("ckpt.rollback",
-                              asyncio.get_running_loop().time(),
-                              pid=self.pid, csn=seq, epoch=epoch)
-        self._arm_initiation()
-
-    # -- effect execution --------------------------------------------------------
-
-    def _execute(self, effects: list[Effect]) -> None:
-        loop = asyncio.get_running_loop()
-        for eff in effects:
-            if isinstance(eff, TakeTentative):
-                self._do_take_tentative(eff.csn, loop.time())
-            elif isinstance(eff, Finalize):
-                self._do_finalize(eff.csn, eff.exclude_uid, eff.reason,
-                                  loop.time())
-            elif isinstance(eff, SendControl):
-                self._send_control(eff.dst,
-                                   ControlMessage(eff.ctype, eff.csn))
-            elif isinstance(eff, BroadcastControl):
-                cm = ControlMessage(eff.ctype, eff.csn)
-                for dst in range(self.n):
-                    if dst != self.pid:
-                        self._send_control(dst, cm)
-            elif isinstance(eff, ArmTimer):
-                if self._conv_timer is not None:
-                    self._conv_timer.cancel()
-                self._conv_timer = loop.call_later(self.timeout,
-                                                   self._on_conv_timer)
-            elif isinstance(eff, CancelTimer):
-                if self._conv_timer is not None:
-                    self._conv_timer.cancel()
-                    self._conv_timer = None
-            elif isinstance(eff, Anomaly):
-                self.anomalies.append(eff.description)
-                self.journal.log("anomaly", description=eff.description)
-                if self.tracer.enabled:
-                    self.tracer.point("ckpt.anomaly", loop.time(),
-                                      pid=self.pid,
-                                      description=eff.description)
-            else:  # pragma: no cover - future-proofing
-                raise TypeError(f"unknown effect {eff!r}")
-
-    def _send_control(self, dst: int, cm: ControlMessage) -> None:
-        if self.tracer.enabled:
-            self.tracer.point("ctl.send", asyncio.get_running_loop().time(),
-                              pid=self.pid, ctype=cm.ctype.value, csn=cm.csn,
-                              dst=dst)
-        self.endpoint.send(ctl_frame(self.pid, dst, cm, self.epoch))
 
     def _on_conv_timer(self) -> None:
         self._conv_timer = None
         if not self.stopped.is_set():
-            self._execute(self.machine.on_timer())
+            self.driver.on_timer()
 
-    # -- checkpoint actions -------------------------------------------------------
+    def arm_initiation_timer(self) -> None:
+        if self._init_timer is not None:
+            self._init_timer.cancel()
+        self._init_timer = asyncio.get_running_loop().call_later(
+            self.checkpoint_interval, self._on_init_timer)
 
-    def _do_take_tentative(self, csn: int, now: float) -> None:
-        self._current_tent = {"csn": csn, "taken_at": now,
-                              "digest": self.state_digest}
-        self._log_entries = []
+    def _on_init_timer(self) -> None:
+        if not self.stopped.is_set():
+            self.driver.on_initiation_timer()
+
+    def report_anomaly(self, description: str) -> None:
+        self.journal.log("anomaly", description=description)
+        if self.tracer.enabled:
+            self.tracer.point("ckpt.anomaly", self.now, pid=self.pid,
+                              description=description)
+
+    def capture_tentative(self, csn: int, digest: int) -> TentativeCheckpoint:
+        now = self.now
         # Optimistic flush "at the process's convenience" — the live host
         # flushes immediately; there is no queueing contention to dodge on
         # a local directory and it maximizes what a crash leaves behind.
         self.storage.write_tentative(csn, {
-            "pid": self.pid, "csn": csn, "digest": self.state_digest,
+            "pid": self.pid, "csn": csn, "digest": digest,
             "state_bytes": self.state_bytes})
-        self.journal.log("tentative", csn=csn, digest=self.state_digest)
+        self.journal.log("tentative", csn=csn, digest=digest)
         if self.tracer.enabled:
             self.tracer.span_start("tentative", f"{self.pid}:{csn}", now,
                                    pid=self.pid, csn=csn,
                                    bytes=self.state_bytes)
+        return TentativeCheckpoint(pid=self.pid, csn=csn, taken_at=now,
+                                   state_bytes=self.state_bytes,
+                                   flushed_at=now, digest=digest)
 
-    def _do_finalize(self, csn: int, exclude_uid: int | None, reason: str,
-                     now: float) -> None:
-        tent = self._current_tent
-        assert tent is not None and tent["csn"] == csn, (
-            f"P{self.pid} finalizing csn={csn} but current tentative "
-            f"is {tent}")
-        entries = [e for e in self._log_entries if e.uid != exclude_uid]
-        excluded = [e for e in self._log_entries if e.uid == exclude_uid]
-        new_sent = frozenset(self._window_sent)
-        new_recv = frozenset(self._window_recv)
-        if exclude_uid is not None:
-            new_recv = new_recv - {exclude_uid}
-        fc = FinalizedCheckpoint(
-            pid=self.pid, csn=csn,
-            tentative=TentativeCheckpoint(
-                pid=self.pid, csn=csn, taken_at=tent["taken_at"],
-                state_bytes=self.state_bytes, flushed_at=now,
-                digest=tent["digest"]),
-            finalized_at=now, log_entries=entries,
-            new_sent_uids=new_sent, new_recv_uids=new_recv, reason=reason)
+    def store_finalized(self, fc: FinalizedCheckpoint,
+                        exclude_uid: int | None) -> None:
+        csn, now = fc.csn, fc.finalized_at
         self.finalized[csn] = fc
+        key = f"{self.pid}:{csn}"
         traced = self.tracer.enabled
         if traced:
-            key = f"{self.pid}:{csn}"
-            log_bytes = sum(e.nbytes for e in entries)
             self.tracer.span_end("tentative", key, now, pid=self.pid,
-                                 csn=csn, reason=reason,
-                                 log_msgs=len(entries), log_bytes=log_bytes)
+                                 csn=csn, reason=fc.reason,
+                                 log_msgs=len(fc.log_entries),
+                                 log_bytes=fc.log_bytes)
             self.tracer.span_start("finalize", key, now, pid=self.pid,
                                    csn=csn,
-                                   flush_bytes=self.state_bytes + log_bytes)
+                                   flush_bytes=self.state_bytes + fc.log_bytes)
         self.storage.write_finalized(csn, checkpoint_to_dict(fc))
         if traced:
             # The live flush is the synchronous write above; the finalize
             # span measures it on the loop clock (real disk latency).
-            self.tracer.span_end("finalize", f"{self.pid}:{csn}",
-                                 asyncio.get_running_loop().time(),
+            self.tracer.span_end("finalize", key, self.now,
                                  pid=self.pid, csn=csn)
         self.journal.log(
-            "finalize", csn=csn, reason=reason, exclude=exclude_uid,
-            new_sent=sorted(new_sent), new_recv=sorted(new_recv),
+            "finalize", csn=csn, reason=fc.reason, exclude=exclude_uid,
+            new_sent=sorted(fc.new_sent_uids),
+            new_recv=sorted(fc.new_recv_uids),
             logged=sorted(fc.logged_uids), digest=fc.replay_digest())
-        # Window reset: the excluded trigger message belongs to the *next*
-        # checkpoint's window (same carve-out as the simulator host).
-        self._window_sent = []
-        self._window_recv = [exclude_uid] if exclude_uid is not None else []
-        self._log_entries = excluded
-        self._current_tent = None
         self.storage.gc_below(csn - 1)
 
     # -- inspection ----------------------------------------------------------------

@@ -40,25 +40,14 @@ class LocalStore:
 
     def put(self, label: str, nbytes: int, at: float,
             payload: Any = None) -> LocalItem:
-        """Buffer an object; replaces any same-labelled previous object.
-
-        Replacement mutates the existing :class:`LocalItem` in place —
-        the protocol hot path re-puts the growing message log once per
-        logged message, and an allocation per re-put is measurable.
-        """
+        """Buffer an object; replaces any same-labelled previous object."""
         if nbytes < 0:
             raise ValueError(f"nbytes must be >= 0, got {nbytes}")
-        item = self.items.get(label)
-        if item is not None:
-            self._bytes += nbytes - item.nbytes
-            item.nbytes = nbytes
-            item.stored_at = at
-            item.payload = payload
-        else:
-            item = LocalItem(label=label, nbytes=nbytes, stored_at=at,
-                             payload=payload)
-            self.items[label] = item
-            self._bytes += nbytes
+        self.discard(label)
+        item = LocalItem(label=label, nbytes=nbytes, stored_at=at,
+                         payload=payload)
+        self.items[label] = item
+        self._bytes += nbytes
         self.total_buffered += nbytes
         if self._bytes > self.max_bytes:
             self.max_bytes = self._bytes

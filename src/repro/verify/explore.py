@@ -1,9 +1,11 @@
 """Bounded model checker for the optimistic checkpointing state machine.
 
 Exhaustive breadth-first enumeration of every reachable global state of
-``n`` pure :class:`~repro.core.state_machine.OptimisticStateMachine`
-instances under *arbitrary* message interleavings (optionally per-channel
-FIFO), for small, fully-bounded configurations:
+``n`` :class:`~repro.core.driver.ProtocolDriver` instances — the same pure
+state machine *and* effect interpreter the simulator and the live runtime
+execute, on a model runtime (:class:`ModelProcess`) — under *arbitrary*
+message interleavings (optionally per-channel FIFO), for small,
+fully-bounded configurations:
 
 * at most ``max_csn`` checkpoint rounds (a process may initiate while its
   csn is below the bound);
@@ -42,18 +44,16 @@ import marshal
 from collections import deque
 from dataclasses import dataclass, field
 
-from ..core.effects import (
-    Anomaly,
-    ArmTimer,
-    BroadcastControl,
-    CancelTimer,
-    Effect,
-    Finalize,
-    SendControl,
-    TakeTentative,
-)
+from ..core.driver import ProtocolDriver, RuntimePort
 from ..core.state_machine import MachineConfig, OptimisticStateMachine
-from ..core.types import ControlMessage, ControlType, Piggyback, Status
+from ..core.types import (
+    ControlMessage,
+    ControlType,
+    FinalizedCheckpoint,
+    Piggyback,
+    Status,
+    TentativeCheckpoint,
+)
 from ..des.trace import TraceRecord, TraceRecorder
 from . import properties as _props
 
@@ -154,57 +154,73 @@ class ExploreResult:
         return "\n".join(parts)
 
 
-class ModelProcess:
-    """One process: a pure state machine plus model-host bookkeeping.
+class ModelProcess(RuntimePort):
+    """One process's model runtime: the :class:`~repro.core.driver.RuntimePort`
+    its :class:`ProtocolDriver` runs against, so the theorems are checked on
+    the interpreter and ``logSet - {M}`` bookkeeping both real runtimes
+    execute.  The model keeps what is its own: which tentative checkpoints
+    were taken, the cumulative send/receive sets each finalized checkpoint
+    records, the timer budget, and control messages awaiting enqueue.  The
+    selective log is not part of the state key (no property reads it), so
+    a decoded driver restarts it empty.
 
-    Mirrors exactly the slice of :class:`repro.core.host.OptimisticProcess`
-    the theorems talk about: the send/receive windows each finalized
-    checkpoint records (with the paper's ``logSet - {M}`` trigger-message
-    exclusion) — no storage, latency or byte accounting.
+    Holds no reference back to its driver (:class:`ModelSystem` pairs them
+    by index): the search runs with the cyclic GC paused, so a port/driver
+    cycle per explored transition would never be freed.
     """
 
-    def __init__(self, pid: int, n: int, machine_cfg: MachineConfig) -> None:
-        self.machine = OptimisticStateMachine(pid, n, config=machine_cfg)
+    now = 0.0                                   # the model has no clock
+
+    def __init__(self, pid: int) -> None:
         self.pid = pid
         self.took: set[int] = set()
         #: csn -> (cumulative sent uids, cumulative recv uids) at C_{pid,csn}.
         self.finalized: dict[int, tuple[frozenset, frozenset]] = {
             0: (frozenset(), frozenset())}
-        self.window_sent: list[int] = []
-        self.window_recv: list[int] = []
         self.timer_armed = False
         self.timer_fires = 0                    # expiries in the current round
-        self.anomalies: list[str] = []
-        self._enc: tuple | None = None          # encode() cache (COW-safe)
+        #: Control sends of the action in progress, drained by ModelSystem.
+        self.outbox: list[tuple[int, ControlMessage]] = []
+        self._enc: bytes | None = None          # encode() cache (COW-safe)
 
     def clone(self) -> "ModelProcess":
-        """Cheap deep-enough copy (hot path: one per explored transition)."""
-        new = ModelProcess.__new__(ModelProcess)
-        m = self.machine
-        nm = OptimisticStateMachine.__new__(OptimisticStateMachine)
-        nm.pid = m.pid
-        nm.n = m.n
-        nm.config = m.config
-        nm.all_pset = m.all_pset
-        nm.csn = m.csn
-        nm.stat = m.stat
-        nm.tent_set = set(m.tent_set)
-        nm._ck_req_sent = set(m._ck_req_sent)
-        nm._ck_end_sent = set(m._ck_end_sent)
-        nm._ck_bgn_sent = set(m._ck_bgn_sent)
-        nm._suppressed_csn = m._suppressed_csn
-        nm._pb = None  # interned piggyback is per-instance, never shared
-        new.machine = nm
-        new.pid = self.pid
+        """Cheap deep-enough copy (hot path: one per explored transition);
+        a clone exists to be mutated, so it starts with no cached key."""
+        new = ModelProcess(self.pid)
         new.took = set(self.took)
         new.finalized = dict(self.finalized)   # values are immutable pairs
-        new.window_sent = list(self.window_sent)
-        new.window_recv = list(self.window_recv)
         new.timer_armed = self.timer_armed
         new.timer_fires = self.timer_fires
-        new.anomalies = list(self.anomalies)
-        new._enc = None     # a clone exists to be mutated: drop the cache
         return new
+
+    # -- RuntimePort ------------------------------------------------------------
+
+    def send_control(self, dst: int, cm: ControlMessage) -> None:
+        self.outbox.append((dst, cm))
+
+    def arm_convergence_timer(self) -> None:
+        self.timer_armed = True
+
+    def cancel_convergence_timer(self) -> None:
+        self.timer_armed = False
+
+    def arm_initiation_timer(self) -> None:
+        """Initiation is a nondeterministic action here, not a schedule."""
+
+    def report_anomaly(self, description: str) -> None:
+        """The driver's ``anomalies`` tally is all the model reads."""
+
+    def capture_tentative(self, csn: int, digest: int) -> TentativeCheckpoint:
+        self.took.add(csn)
+        self.timer_fires = 0                    # fresh round, fresh budget
+        return TentativeCheckpoint(pid=self.pid, csn=csn, taken_at=0.0,
+                                   state_bytes=0, digest=digest)
+
+    def store_finalized(self, fc: FinalizedCheckpoint,
+                        exclude_uid: int | None) -> None:
+        prev_sent, prev_recv = self.finalized[fc.csn - 1]
+        self.finalized[fc.csn] = (prev_sent | fc.new_sent_uids,
+                                  prev_recv | fc.new_recv_uids)
 
 
 class ModelSystem:
@@ -213,8 +229,9 @@ class ModelSystem:
     def __init__(self, config: ExploreConfig) -> None:
         self.config = config
         self.n = config.n
-        self.procs = [ModelProcess(i, config.n, config.machine)
-                      for i in range(config.n)]
+        self.procs = [ModelProcess(i) for i in range(config.n)]
+        self.drivers = [ProtocolDriver(i, config.n, p, config.machine)
+                        for i, p in enumerate(self.procs)]
         self.messages: list[tuple] = []
         self.sends_left = [config.sends_per_process] * config.n
 
@@ -226,19 +243,21 @@ class ModelSystem:
         new.config = self.config
         new.n = self.n
         new.procs = list(self.procs)
+        new.drivers = list(self.drivers)
         new.messages = list(self.messages)
         new.sends_left = list(self.sends_left)
         return new
 
-    def _own(self, i: int) -> ModelProcess:
+    def _own(self, i: int) -> tuple[ModelProcess, ProtocolDriver]:
         p = self.procs[i] = self.procs[i].clone()
-        return p
+        d = self.drivers[i] = self.drivers[i].clone(p)
+        return p, d
 
     # -- the view the property checks consume --------------------------------
 
     def machine(self, i: int) -> OptimisticStateMachine:
         """The live state machine of process ``i``."""
-        return self.procs[i].machine
+        return self.drivers[i].machine
 
     def took(self, i: int) -> set[int]:
         """csns for which ``i`` has taken a tentative checkpoint."""
@@ -250,7 +269,7 @@ class ModelSystem:
 
     def anomalies(self, i: int) -> list[str]:
         """Descriptions of Anomaly effects ``i`` has emitted."""
-        return self.procs[i].anomalies
+        return self.drivers[i].anomalies
 
     def uid_src(self, uid: int) -> int:
         """Sender of app message ``uid`` (uids are canonical:
@@ -275,34 +294,35 @@ class ModelSystem:
         """Canonical hashable key; :meth:`decode` round-trips it."""
         # Hot path (once per transition).  Sets are keyed as frozensets —
         # order-independent hashing with no sort; ``finalized`` needs no
-        # sort either because csns are inserted in ascending order.
+        # sort either because csns are inserted in ascending order.  Each
+        # process slice is marshal-packed where it is built and cached: an
+        # action dirties one process, so the others are packed once, not
+        # once per transition.
         procs = []
         for p in self.procs:
             e = p._enc
             if e is None:
-                m = p.machine
+                d = self.drivers[p.pid]
+                m = d.machine
                 tent = m.stat is Status.TENTATIVE
-                e = p._enc = (
+                e = p._enc = marshal.dumps((
                     m.csn, tent,
                     frozenset(m.tent_set),
-                    frozenset(m._ck_req_sent),
-                    frozenset(m._ck_end_sent),
-                    frozenset(m._ck_bgn_sent),
-                    m._suppressed_csn,
+                    m.control_state(),
                     frozenset(p.took),
                     tuple(p.finalized.items()),
                     # Receive order within a window is immaterial (the
                     # window becomes a frozenset at Finalize) — keying as a
                     # set merges states that differ only in intra-window
                     # delivery order.
-                    frozenset(p.window_sent), frozenset(p.window_recv),
+                    frozenset(d.window_sent), frozenset(d.window_recv),
                     # An armed timer / spent fire budget is observable only
                     # while TENTATIVE (the next round re-arms and resets),
                     # so normalize both away when NORMAL.
                     p.timer_armed and tent,
                     p.timer_fires if tent else 0,
-                    tuple(p.anomalies),
-                )
+                    tuple(d.anomalies),
+                ))
             procs.append(e)
         # In-flight messages are a multiset: canonical sorted order merges
         # interleavings that differ only in send sequencing.
@@ -310,45 +330,53 @@ class ModelSystem:
                 tuple(self.sends_left))
 
     @classmethod
-    def decode(cls, key: tuple, config: ExploreConfig) -> "ModelSystem":
+    def decode(cls, key: tuple, config: ExploreConfig,
+               memo: dict | None = None) -> "ModelSystem":
+        """Rebuild the system a key encodes.
+
+        ``memo`` (one dict per search) shares the rebuilt process of each
+        distinct ``(pid, key slice)`` between systems: ~1M global states are
+        the product of a few thousand per-process states, and processes are
+        copy-on-write (:meth:`clone`), so sharing them is safe.
+        """
+        if memo is None:
+            memo = {}
         procs_key, messages, sends_left = key
         sys_v = cls.__new__(cls)
         sys_v.config = config
         sys_v.n = config.n
-        all_pset = frozenset(range(config.n))
-        procs = []
+        sys_v.procs = []
+        sys_v.drivers = []
         for pid, pk in enumerate(procs_key):
-            (csn, tent, tent_set, ck_req, ck_end, ck_bgn, suppressed,
-             took, finalized, wsent, wrecv, armed, fires, anomalies) = pk
-            m = OptimisticStateMachine.__new__(OptimisticStateMachine)
-            m.pid = pid
-            m.n = config.n
-            m.config = config.machine
-            m.all_pset = all_pset
-            m.csn = csn
-            m.stat = Status.TENTATIVE if tent else Status.NORMAL
-            m.tent_set = set(tent_set)
-            m._ck_req_sent = set(ck_req)
-            m._ck_end_sent = set(ck_end)
-            m._ck_bgn_sent = set(ck_bgn)
-            m._suppressed_csn = suppressed
-            m._pb = None  # interned piggyback cache starts cold
-            p = ModelProcess.__new__(ModelProcess)
-            p.machine = m
-            p.pid = pid
-            p.took = set(took)
-            p.finalized = dict(finalized)
-            p.window_sent = list(wsent)
-            p.window_recv = list(wrecv)
-            p.timer_armed = armed
-            p.timer_fires = fires
-            p.anomalies = list(anomalies)
-            p._enc = pk      # decoded processes re-encode to their key slice
-            procs.append(p)
-        sys_v.procs = procs
+            pair = memo.get((pid, pk))
+            if pair is None:
+                pair = memo[pid, pk] = cls._decode_process(pid, pk, config)
+            sys_v.procs.append(pair[0])
+            sys_v.drivers.append(pair[1])
         sys_v.messages = list(messages)
         sys_v.sends_left = list(sends_left)
         return sys_v
+
+    @staticmethod
+    def _decode_process(pid: int, pk: bytes, config: ExploreConfig
+                        ) -> tuple[ModelProcess, ProtocolDriver]:
+        (csn, tent, tent_set, control, took, finalized,
+         wsent, wrecv, armed, fires, anomalies) = marshal.loads(pk)
+        p = ModelProcess(pid)
+        d = ProtocolDriver(pid, config.n, p, config.machine)
+        d.machine.restore(csn, Status.TENTATIVE if tent else Status.NORMAL,
+                          set(tent_set), control=control)
+        if tent:
+            d.current_tentative = p.capture_tentative(csn, 0)
+        d.window_sent = list(wsent)
+        d.window_recv = list(wrecv)
+        d.anomalies = list(anomalies)
+        p.took = set(took)
+        p.finalized = dict(finalized)
+        p.timer_armed = armed
+        p.timer_fires = fires
+        p._enc = pk      # decoded processes re-encode to their key slice
+        return p, d
 
     # -- transitions ----------------------------------------------------------
 
@@ -357,7 +385,7 @@ class ModelSystem:
         cfg = self.config
         actions: list[Action] = []
         for i, p in enumerate(self.procs):
-            m = p.machine
+            m = self.drivers[i].machine
             if m.stat is Status.NORMAL and m.csn < cfg.max_csn:
                 actions.append(("initiate", i))
             if self.sends_left[i] > 0:
@@ -394,103 +422,71 @@ class ModelSystem:
     def apply(self, action: Action) -> list[tuple[str, str]]:
         """Execute one action in place; returns step-level violations."""
         kind = action[0]
-        if kind == "initiate":
-            i = action[1]
-            return self._execute(i, self._own(i).machine.initiate())
         if kind == "send":
             _, i, j = action
-            p = self._own(i)
-            pb = p.machine.piggyback()
+            _, d = self._own(i)
+            pb = d.machine.piggyback()
             uid = self._next_app_uid(i)
             self.sends_left[i] -= 1
-            p.window_sent.append(uid)
+            d.app_sent(uid, 0)
             self.messages.append(
                 ("app", uid, i, j, pb.csn, pb.stat.value,
                  tuple(sorted(pb.tent_set))))
             return []
-        if kind == "timer":
-            i = action[1]
-            p = self._own(i)
+        if kind == "initiate":
+            p, d = self._own(action[1])
+            d.initiate()
+        elif kind == "timer":
+            p, d = self._own(action[1])
             p.timer_fires += 1
-            return self._execute(i, p.machine.on_timer())
-        if kind == "deliver_app":
+            d.on_timer()
+        elif kind == "deliver_app":
             uid = action[1]
             idx = next(k for k, m in enumerate(self.messages)
                        if m[0] == "app" and m[1] == uid)
             _, uid, src, dst, csn, stat, tent = self.messages.pop(idx)
-            p = self._own(dst)
-            p.window_recv.append(uid)            # host: processed-then-acted
-            pb = Piggyback(csn=csn, stat=Status(stat),
-                           tent_set=frozenset(tent))
-            return self._execute(dst, p.machine.on_app_receive(pb, uid))
-        if kind == "deliver_ctl":
+            p, d = self._own(dst)
+            d.app_received(Piggyback(csn=csn, stat=Status(stat),
+                                     tent_set=frozenset(tent)), uid, 0)
+        elif kind == "deliver_ctl":
             msg = ("ctl",) + action[1:]
             self.messages.remove(msg)
             _, src, dst, ctype, csn = msg
-            cm = ControlMessage(ControlType(ctype), csn)
-            return self._execute(dst, self._own(dst).machine.on_control(
-                cm, src))
-        raise ValueError(f"unknown action {action!r}")  # pragma: no cover
+            p, d = self._own(dst)
+            d.on_control(ControlMessage(ControlType(ctype), csn), src)
+        else:  # pragma: no cover
+            raise ValueError(f"unknown action {action!r}")
+        return self._drain(p) if p.outbox else []
 
-    def _execute(self, i: int, effects: list[Effect]) -> list[tuple[str, str]]:
-        """Model-host effect executor (mirrors OptimisticProcess._execute)."""
-        p = self.procs[i]
+    def _drain(self, p: ModelProcess) -> list[tuple[str, str]]:
+        """Put the acting process's control sends in flight, checking the
+        CK_REQ-skip rule (and injecting the CK_REQ-drop fault) per send."""
         step_violations: list[tuple[str, str]] = []
-        for eff in effects:
-            if isinstance(eff, TakeTentative):
-                p.took.add(eff.csn)
-                p.timer_fires = 0              # fresh round, fresh budget
-            elif isinstance(eff, Finalize):
-                prev_sent, prev_recv = p.finalized[eff.csn - 1]
-                new_recv = set(p.window_recv)
-                if eff.exclude_uid is not None:
-                    new_recv.discard(eff.exclude_uid)
-                p.finalized[eff.csn] = (
-                    prev_sent | frozenset(p.window_sent),
-                    prev_recv | frozenset(new_recv))
-                p.window_sent = []
-                p.window_recv = ([eff.exclude_uid]
-                                 if eff.exclude_uid is not None else [])
-            elif isinstance(eff, SendControl):
-                step_violations.extend(self._check_ck_req_skip(i, eff))
-                if (self.config.drop_ck_req_forwarding
-                        and eff.ctype is ControlType.CK_REQ):
-                    continue
-                self._enqueue_ctl(i, eff.dst, eff.ctype, eff.csn)
-            elif isinstance(eff, BroadcastControl):
-                for dst in range(self.n):
-                    if dst != i:
-                        self._enqueue_ctl(i, dst, eff.ctype, eff.csn)
-            elif isinstance(eff, ArmTimer):
-                p.timer_armed = True
-            elif isinstance(eff, CancelTimer):
-                p.timer_armed = False
-            elif isinstance(eff, Anomaly):
-                p.anomalies.append(eff.description)
-            else:  # pragma: no cover - future-proofing
-                raise TypeError(f"unknown effect {eff!r}")
+        for dst, cm in p.outbox:
+            step_violations.extend(self._check_ck_req_skip(p.pid, dst, cm))
+            if (self.config.drop_ck_req_forwarding
+                    and cm.ctype is ControlType.CK_REQ):
+                continue
+            self.messages.append(("ctl", p.pid, dst, cm.ctype.value, cm.csn))
+        p.outbox.clear()
         return step_violations
 
-    def _enqueue_ctl(self, src: int, dst: int, ctype: ControlType,
-                     csn: int) -> None:
-        self.messages.append(("ctl", src, dst, ctype.value, csn))
-
-    def _check_ck_req_skip(self, i: int,
-                           eff: SendControl) -> list[tuple[str, str]]:
+    def _check_ck_req_skip(self, i: int, dst: int,
+                           cm: ControlMessage) -> list[tuple[str, str]]:
         """§3.5.1 Case (2) emission-time soundness: a forwarded CK_REQ may
         only jump over processes the forwarder *knows* to be tentative."""
-        m = self.procs[i].machine
-        if (eff.ctype is not ControlType.CK_REQ
+        m = self.drivers[i].machine
+        if (cm.ctype is not ControlType.CK_REQ
                 or m.stat is not Status.TENTATIVE
                 or not m.config.skip_ck_req):
             return []
-        skipped = (range(i + 1, eff.dst) if eff.dst > i
+        skipped = (range(i + 1, dst) if dst > i
                    else range(i + 1, self.n))   # wrapped to COORDINATOR
         bad = [k for k in skipped if k not in m.tent_set]
         if not bad:
             return []
         return [("optimization.ck_req_skip",
-                 f"P{i} forwarded CK_REQ(csn={eff.csn}) to P{eff.dst}, "
+                 f"P{i} forwarded CK_REQ(csn={cm.csn}) to P{dst}, "
                  f"skipping {bad} without tentSet evidence "
                  f"(tentSet={sorted(m.tent_set)})")]
 
@@ -543,13 +539,14 @@ def explore(config: ExploreConfig | None = None) -> ExploreResult:
 
 
 def _search(cfg, result, parents, queue, path_to, record) -> None:
+    memo: dict = {}
     while queue:
         key = queue.popleft()
         result.states += 1
         if result.states > cfg.max_states:
             result.complete = False
             break
-        sys_v = ModelSystem.decode(marshal.loads(key), cfg)
+        sys_v = ModelSystem.decode(marshal.loads(key), cfg, memo)
         stop = False
         for prop, check in _props.STATE_CHECKS:
             for message in check(sys_v):
@@ -614,16 +611,16 @@ def counterexample_trace(violation: Violation,
         if kind == "initiate":
             i = action[1]
             trace.record(t, "mc.initiate", i,
-                         csn=sys_v.procs[i].machine.csn + 1)
+                         csn=sys_v.machine(i).csn + 1)
         elif kind == "send":
             _, i, j = action
-            pb = sys_v.procs[i].machine.piggyback()
+            pb = sys_v.machine(i).piggyback()
             trace.record(t, "mc.app_send", i, dst=j,
                          uid=sys_v._next_app_uid(i), csn=pb.csn,
                          stat=pb.stat.value, tent_set=sorted(pb.tent_set))
         elif kind == "timer":
             i = action[1]
-            trace.record(t, "mc.timer", i, csn=sys_v.procs[i].machine.csn)
+            trace.record(t, "mc.timer", i, csn=sys_v.machine(i).csn)
         elif kind == "deliver_app":
             uid = action[1]
             msg = next(m for m in sys_v.messages

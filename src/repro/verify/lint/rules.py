@@ -22,15 +22,18 @@ REP004  ordered iteration over a set — set iteration order depends on hash
         a set before order matters (``any``/``all``/``sum``/``min``/``max``
         and set-to-set operations are exempt: order-insensitive).
 REP005  purity layering — the protocol kernel (``core/state_machine.py``,
-        ``core/effects.py``, ``core/types.py``) and ``causality/`` must not
-        import the simulation substrates (``des``, ``net``, ``storage``);
-        the effect-command split stays unit-testable only if this holds.
+        ``core/driver.py``, ``core/effects.py``, ``core/types.py``) and
+        ``causality/`` must not import the runtime substrates (``des``,
+        ``net``, ``storage``, ``live``); the effect-command split stays
+        unit-testable — and one driver serves every runtime — only if this
+        holds.
         Exemption: ``repro.des.trace`` is pure data (records + recorder, no
         simulator machinery) and is how causality replays executions.
 REP006  effect-handler totality — every ``Effect`` subclass declared in
         ``core/effects.py`` must have an ``isinstance`` dispatch arm in
-        ``core/host.py``; a missing arm only fails at runtime, deep into a
-        simulation.
+        ``core/driver.py``, the one interpreter every runtime (simulator,
+        live, model checker) executes; a missing arm only fails at
+        runtime, deep into a run.
 REP007  float equality on simulated time — ``==`` on timestamps silently
         breaks once latency models produce accumulated float sums; compare
         with tolerances or orderings instead.
@@ -367,12 +370,13 @@ class SetIterationRule:
 #: Modules (exact) / packages (prefix) that must stay simulation-free.
 PURE_MODULES = (
     "repro.core.state_machine",
+    "repro.core.driver",
     "repro.core.effects",
     "repro.core.types",
     "repro.causality",
 )
-#: Simulation substrate packages the pure kernel must not import.
-IMPURE_PACKAGES = ("repro.des", "repro.net", "repro.storage")
+#: Runtime substrate packages the pure kernel must not import.
+IMPURE_PACKAGES = ("repro.des", "repro.net", "repro.storage", "repro.live")
 #: Pure-data exemptions (no simulator machinery; see module docstring).
 LAYERING_ALLOWED = ("repro.des.trace",)
 
@@ -484,18 +488,18 @@ class FloatTimeEqualityRule:
 
 
 class EffectTotalityRule:
-    """REP006: Effect subclasses without a host dispatch arm."""
+    """REP006: Effect subclasses without a driver dispatch arm."""
 
     rule_id = "REP006"
 
     def __call__(self, files: Iterable[SourceFile]) -> list[Finding]:
-        effects_sf = host_sf = None
+        effects_sf = driver_sf = None
         for sf in files:
             if sf.module.endswith("core.effects"):
                 effects_sf = sf
-            elif sf.module.endswith("core.host"):
-                host_sf = sf
-        if effects_sf is None or host_sf is None:
+            elif sf.module.endswith("core.driver"):
+                driver_sf = sf
+        if effects_sf is None or driver_sf is None:
             return []  # partial tree (fixtures/tests): nothing to check
         subclasses: dict[str, ast.ClassDef] = {}
         for node in ast.walk(effects_sf.tree):
@@ -506,7 +510,7 @@ class EffectTotalityRule:
                     if bname == "Effect":
                         subclasses[node.name] = node
         handled: set[str] = set()
-        for node in ast.walk(host_sf.tree):
+        for node in ast.walk(driver_sf.tree):
             if (isinstance(node, ast.Call)
                     and isinstance(node.func, ast.Name)
                     and node.func.id == "isinstance"
@@ -523,8 +527,8 @@ class EffectTotalityRule:
             out.append(_finding(
                 self.rule_id, effects_sf, subclasses[name],
                 f"Effect subclass {name} has no isinstance dispatch arm in "
-                f"core/host.py — the host would raise at runtime, deep "
-                f"into a simulation"))
+                f"core/driver.py — the interpreter would raise at runtime, "
+                f"deep into a run"))
         return out
 
 

@@ -257,8 +257,8 @@ class TestVerificationRecords:
         sim, net, st, rt, apps = scripted_run({}, n=2)
         host = rt.hosts[0]
         with pytest.raises(ProtocolAnomalyError):
-            host._execute(host.machine.on_app_receive(
-                Piggyback(5, Status.NORMAL, frozenset()), uid=1))
+            host.driver.app_received(
+                Piggyback(5, Status.NORMAL, frozenset()), uid=1, nbytes=0)
 
     def test_anomaly_nonstrict_counts(self):
         from repro.core.types import Piggyback, Status
@@ -270,8 +270,8 @@ class TestVerificationRecords:
         rt.build({})
         rt.start()
         host = rt.hosts[0]
-        host._execute(host.machine.on_app_receive(
-            Piggyback(5, Status.NORMAL, frozenset()), uid=1))
+        host.driver.app_received(
+            Piggyback(5, Status.NORMAL, frozenset()), uid=1, nbytes=0)
         assert len(host.anomalies) == 1
         assert rt.anomalies() == host.anomalies
 

@@ -119,3 +119,52 @@ class TestTcpRun:
         assert all(code == 0 for code in report.worker_exits.values()), (
             report.worker_exits)
         assert len(report.conformance.rounds_completed) >= 1
+
+
+class TestInitiationSchedule:
+    """A checkpoint taken for any reason restarts the live schedule.
+
+    The rule is the shared driver's (``tests/core/test_driver.py``); this
+    holds the live adapter to it on a real loop: before the hosts shared
+    one driver only the simulator reset the schedule, so out-of-phase
+    workers took a checkpoint per *worker* per interval.
+    """
+
+    def _joined_round_deadline(self, tmp_path, frame_for):
+        from repro.live import FileStableStorage, Journal, LiveHost, LocalTransport
+
+        async def scenario():
+            loop = asyncio.get_running_loop()
+            host = LiveHost(1, 2, LocalTransport(2).endpoint(1),
+                            FileStableStorage(tmp_path, 1),
+                            Journal(tmp_path, 1, 0),
+                            checkpoint_interval=5.0, timeout=5.0)
+            host.start()
+            await asyncio.sleep(0.05)
+            joined_at = loop.time()
+            host.dispatch(frame_for(host))
+            try:
+                assert host.status == "tentative"
+                return host._init_timer.when() - joined_at
+            finally:
+                host.stop()
+                host.journal.close()
+
+        return asyncio.run(scenario())
+
+    def test_piggyback_join_rearms_a_full_interval(self, tmp_path):
+        from repro.core.types import Piggyback, Status
+        from repro.live.wire import app_frame, make_uid
+
+        remaining = self._joined_round_deadline(tmp_path, lambda host: app_frame(
+            0, 1, make_uid(0, 0, 1), 16,
+            Piggyback(1, Status.TENTATIVE, frozenset({0})), host.epoch))
+        assert remaining >= 5.0                 # not 5.0 − 0.05
+
+    def test_next_round_ck_req_rearms_a_full_interval(self, tmp_path):
+        from repro.core.types import ControlMessage, ControlType
+        from repro.live.wire import ctl_frame
+
+        remaining = self._joined_round_deadline(tmp_path, lambda host: ctl_frame(
+            0, 1, ControlMessage(ControlType.CK_REQ, 1), host.epoch))
+        assert remaining >= 5.0

@@ -173,6 +173,14 @@ class TestLayeringREP005:
             """, select="REP005", relpath="repro/causality/vector.py")
         assert len(report.findings) == 1
 
+    def test_driver_is_pure_kernel(self, tmp_path):
+        for substrate in ("des.engine", "net.network", "storage.local_store",
+                          "live.transport"):
+            report = lint_source(tmp_path, f"""
+                from ..{substrate} import anything
+                """, select="REP005", relpath="repro/core/driver.py")
+            assert len(report.findings) == 1, substrate
+
     def test_host_may_import_des(self, tmp_path):
         # core/host.py is the impure boundary, not a pure module.
         report = lint_source(tmp_path, """
@@ -203,7 +211,7 @@ class TestEffectTotalityREP006:
     def test_missing_dispatch_arm_flagged(self, tmp_path):
         report = lint_tree(tmp_path, {
             "repro/core/effects.py": self.EFFECTS,
-            "repro/core/host.py": """
+            "repro/core/driver.py": """
                 def execute(eff):
                     if isinstance(eff, TakeTentative):
                         return "take"
@@ -216,7 +224,7 @@ class TestEffectTotalityREP006:
     def test_total_dispatch_passes(self, tmp_path):
         report = lint_tree(tmp_path, {
             "repro/core/effects.py": self.EFFECTS,
-            "repro/core/host.py": """
+            "repro/core/driver.py": """
                 def execute(eff):
                     if isinstance(eff, TakeTentative):
                         return "take"
@@ -230,7 +238,7 @@ class TestEffectTotalityREP006:
     def test_tuple_isinstance_counts(self, tmp_path):
         report = lint_tree(tmp_path, {
             "repro/core/effects.py": self.EFFECTS,
-            "repro/core/host.py": """
+            "repro/core/driver.py": """
                 def execute(eff):
                     if isinstance(eff, (TakeTentative, Finalize)):
                         return "ok"
@@ -238,6 +246,27 @@ class TestEffectTotalityREP006:
                 """,
         }, select="REP006")
         assert report.clean
+
+    def test_only_the_driver_counts(self, tmp_path):
+        # A total ladder in a host is not the interpreter: the rule reads
+        # core/driver.py, the one place effects are executed.
+        report = lint_tree(tmp_path, {
+            "repro/core/effects.py": self.EFFECTS,
+            "repro/core/host.py": """
+                def execute(eff):
+                    if isinstance(eff, (TakeTentative, Finalize)):
+                        return "ok"
+                    raise TypeError(eff)
+                """,
+            "repro/core/driver.py": """
+                def execute(eff):
+                    if isinstance(eff, TakeTentative):
+                        return "take"
+                    raise TypeError(eff)
+                """,
+        }, select="REP006")
+        assert len(report.findings) == 1
+        assert "core/driver.py" in report.findings[0].message
 
 
 class TestFloatTimeEqualityREP007:
