@@ -12,48 +12,124 @@ Protocol hosts therefore report, per finalized checkpoint, the precise uid
 sets of application messages whose send/receive the checkpoint records; the
 verifier here checks the no-orphan property over those sets.
 
-Two layers:
+Three layers:
 
-* :func:`find_orphans` — pure set logic over :class:`CheckpointRecord`s;
-* :class:`ConsistencyVerifier` — binds records to a trace so it can resolve
-  each uid's endpoints and cross-check the recorded sets against raw
-  delivery timestamps.
-
-A third helper, :func:`cut_orphans`, checks arbitrary *time cuts* (used by
-the Figure 1 scenario where checkpoints are plain time points, and by
-baseline protocols whose checkpoints record state up to an instant).
+* :func:`find_orphans` — pure set logic over one cut of
+  :class:`CheckpointRecord`s: the definition, and the reference the pass
+  below is tested against;
+* :class:`ConsistencyVerifier` — binds records to a trace (or a journal's
+  endpoint map) so it can resolve each uid's endpoints;
+  :meth:`~ConsistencyVerifier.verify_all` checks every ``S_k`` of a run in
+  one pass over the checkpoints' *increments*, so proving Theorem 2 costs
+  O(messages), not O(rounds × messages);
+* :func:`cut_orphans` — checks arbitrary *time cuts* (used by the Figure 1
+  scenario where checkpoints are plain time points, and by baseline
+  protocols whose checkpoints record state up to an instant).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..des.trace import TraceRecorder
 
 
-@dataclass(frozen=True)
+_EMPTY: frozenset[int] = frozenset()
+
+
 class CheckpointRecord:
     """What one finalized checkpoint ``C_{pid, seq}`` records.
 
-    ``sent_uids`` / ``recv_uids`` are the uids of application messages whose
-    send / receive events the checkpoint captures — for the optimistic
-    protocol this is (events before ``CT``) ∪ (events in ``logSet``), i.e.
-    everything up to ``CFE`` minus the paper's excluded trigger messages.
+    A record holds the *increment*: the uids of application messages whose
+    send / receive the checkpoint captures beyond ``prev``, the same
+    process's previous record (recorded sets are monotone in ``seq``).  For
+    the optimistic protocol the increment is the window of ``C_{pid, seq}``:
+    events between the previous ``CFE`` and this one, minus the paper's
+    excluded trigger message.
+
+    ``sent_uids`` / ``recv_uids`` are the cumulative views — everything the
+    checkpoint records, i.e. the union of the increments along the ``prev``
+    chain — built on first read and only for callers that read them.
+
+    Two spellings: ``CheckpointRecord(..., sent_uids=S, recv_uids=R)`` is a
+    self-contained record (no ``prev``: its increment *is* everything it
+    records — how the baselines describe a cut);
+    ``CheckpointRecord(..., new_sent_uids=s, new_recv_uids=r, prev=p)``
+    extends the chain of ``p``.
     """
 
-    pid: int
-    seq: int
-    taken_at: float
-    finalized_at: float | None
-    sent_uids: frozenset[int] = field(default_factory=frozenset)
-    recv_uids: frozenset[int] = field(default_factory=frozenset)
-    logged_uids: frozenset[int] = field(default_factory=frozenset)
-    state_bytes: int = 0
-    log_bytes: int = 0
+    __slots__ = ("pid", "seq", "taken_at", "finalized_at", "new_sent_uids",
+                 "new_recv_uids", "prev", "logged_uids", "state_bytes",
+                 "log_bytes", "_sent_uids", "_recv_uids")
+
+    def __init__(self, pid: int, seq: int, taken_at: float,
+                 finalized_at: float | None,
+                 sent_uids: frozenset[int] | None = None,
+                 recv_uids: frozenset[int] | None = None,
+                 logged_uids: frozenset[int] = _EMPTY,
+                 state_bytes: int = 0, log_bytes: int = 0, *,
+                 new_sent_uids: frozenset[int] = _EMPTY,
+                 new_recv_uids: frozenset[int] = _EMPTY,
+                 prev: "CheckpointRecord | None" = None) -> None:
+        if sent_uids is not None or recv_uids is not None:
+            if prev is not None or new_sent_uids or new_recv_uids:
+                raise TypeError(
+                    "give sent_uids/recv_uids (a self-contained record) or "
+                    "new_sent_uids/new_recv_uids/prev (an increment), not both")
+            new_sent_uids = _EMPTY if sent_uids is None else sent_uids
+            new_recv_uids = _EMPTY if recv_uids is None else recv_uids
+        self.pid = pid
+        self.seq = seq
+        self.taken_at = taken_at
+        self.finalized_at = finalized_at
+        self.new_sent_uids = new_sent_uids
+        self.new_recv_uids = new_recv_uids
+        self.prev = prev
+        self.logged_uids = logged_uids
+        self.state_bytes = state_bytes
+        self.log_bytes = log_bytes
+        self._sent_uids: frozenset[int] | None = None
+        self._recv_uids: frozenset[int] | None = None
 
     @property
     def finalized(self) -> bool:
         return self.finalized_at is not None
+
+    @property
+    def sent_uids(self) -> frozenset[int]:
+        """Every send the checkpoint records (cumulative, built lazily)."""
+        if self._sent_uids is None:
+            self._sent_uids = self._cumulative("new_sent_uids", "_sent_uids")
+        return self._sent_uids
+
+    @property
+    def recv_uids(self) -> frozenset[int]:
+        """Every receive the checkpoint records (cumulative, built lazily)."""
+        if self._recv_uids is None:
+            self._recv_uids = self._cumulative("new_recv_uids", "_recv_uids")
+        return self._recv_uids
+
+    def _cumulative(self, increment: str, cache: str) -> frozenset[int]:
+        """Union of ``increment`` back to the nearest record that already
+        holds its cumulative view (or the start of the chain)."""
+        if self.prev is None:
+            return getattr(self, increment)
+        parts = []
+        node: CheckpointRecord | None = self
+        while node is not None:
+            known = getattr(node, cache)
+            if known is not None:
+                parts.append(known)
+                break
+            parts.append(getattr(node, increment))
+            node = node.prev
+        return frozenset().union(*parts)
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return (f"CheckpointRecord(P{self.pid}, seq={self.seq}, "
+                f"+{len(self.new_sent_uids)} sent, "
+                f"+{len(self.new_recv_uids)} recv, "
+                f"{'chained' if self.prev is not None else 'self-contained'})")
 
 
 @dataclass(frozen=True)
@@ -126,15 +202,106 @@ def cut_orphans(cut_times: dict[int, float], trace: TraceRecorder,
     return orphans
 
 
-class ConsistencyVerifier:
-    """Trace-backed verifier for finalized global checkpoints."""
+class _IncrementPass:
+    """Orphans of successive cuts, each increment folded in once.
 
-    def __init__(self, trace: TraceRecorder) -> None:
+    Recorded sets only grow along a process's chain, so an orphan of
+    ``S_k`` is a receive recorded by then whose send is not: it enters
+    ``pending`` when the receiver's increment is folded and leaves when the
+    sender's is.  What is pending after a cut's increments *are* that cut's
+    orphans — no cut is ever rebuilt from scratch.
+    """
+
+    def __init__(self, endpoints: dict[int, tuple[int, int]]) -> None:
+        self.endpoints = endpoints
+        #: Record folded last per pid: where the next cut's chains must end.
+        self.last: dict[int, CheckpointRecord] = {}
+        self.sent: dict[int, set[int]] = {}
+        #: uid -> (src, dst) of receives recorded ahead of their send.
+        self.pending: dict[int, tuple[int, int]] = {}
+        self.examined = 0
+
+    def _steps(self, records: dict[int, CheckpointRecord]
+               ) -> list[tuple[int, list[CheckpointRecord]]] | None:
+        """Per pid, the records between the previous cut and this one —
+        ``None`` when the cut does not extend what has been folded."""
+        last = self.last
+        if last and last.keys() != records.keys():
+            return None
+        steps = []
+        for pid, rec in records.items():
+            stop = last.get(pid)
+            chain = []
+            node: CheckpointRecord | None = rec
+            while node is not None and node is not stop:
+                chain.append(node)
+                node = node.prev
+            if node is not stop:
+                return None
+            steps.append((pid, chain))
+        return steps
+
+    def advance(self, records: dict[int, CheckpointRecord]
+                ) -> list[Orphan] | None:
+        """Fold one cut in and return its orphans, in :func:`find_orphans`
+        order; ``None`` (nothing folded) if the cut is not a continuation."""
+        steps = self._steps(records)
+        if steps is None:
+            return None
+        seqs = {r.seq for r in records.values()}
+        if len(seqs) > 1:
+            raise ValueError(
+                f"records span multiple sequence numbers: {sorted(seqs)}")
+        sent, pending, endpoints = self.sent, self.pending, self.endpoints
+        # Sends before receives: a message whose both ends fall inside this
+        # cut's increments must find its send already there.
+        for pid, chain in steps:
+            mine = sent.setdefault(pid, set())
+            for rec in chain:
+                new = rec.new_sent_uids
+                self.examined += len(new)
+                mine |= new
+                if pending:
+                    for uid in pending.keys() & new:
+                        if pending[uid][0] == pid:
+                            del pending[uid]
+        for pid, chain in steps:
+            for rec in chain:
+                new = rec.new_recv_uids
+                self.examined += len(new)
+                for uid in new:
+                    src, dst = endpoints[uid]
+                    if dst != pid:
+                        raise ValueError(
+                            f"record for P{pid} claims receipt of #{uid} "
+                            f"destined to P{dst}")
+                    if uid not in sent[src]:
+                        pending[uid] = (src, dst)
+        self.last = records
+        if not pending:
+            return []
+        seq = seqs.pop()
+        order = {pid: i for i, pid in enumerate(records)}
+        return [Orphan(uid=uid, src=src, dst=dst, seq=seq)
+                for uid, (src, dst) in sorted(
+                    pending.items(), key=lambda kv: (order[kv[1][1]], kv[0]))]
+
+
+class ConsistencyVerifier:
+    """Verifier for finalized global checkpoints, bound to the uid ->
+    endpoints map of a trace (or one given directly, e.g. from a journal)."""
+
+    def __init__(self, trace: TraceRecorder | None = None, *,
+                 endpoints: dict[int, tuple[int, int]] | None = None) -> None:
         self.trace = trace
-        self._endpoints: dict[int, tuple[int, int]] = {}
+        self._endpoints: dict[int, tuple[int, int]] = (
+            {} if endpoints is None else endpoints)
         self._send_time: dict[int, float] = {}
         self._deliver_time: dict[int, float] = {}
-        for rec in trace:
+        #: uids looked at by :meth:`verify_all` so far (sends + receives);
+        #: linear in the run's messages, whatever the number of rounds.
+        self.uids_examined = 0
+        for rec in trace if trace is not None else ():
             if rec.kind == "msg.send" and rec.data.get("kind") == "app":
                 uid = rec.data["uid"]
                 self._endpoints[uid] = (rec.process, rec.data["dst"])
@@ -144,7 +311,7 @@ class ConsistencyVerifier:
 
     @property
     def endpoints(self) -> dict[int, tuple[int, int]]:
-        """uid -> (src, dst) for every traced application message."""
+        """uid -> (src, dst) for every known application message."""
         return self._endpoints
 
     def verify(self, records: dict[int, CheckpointRecord]) -> list[Orphan]:
@@ -153,9 +320,29 @@ class ConsistencyVerifier:
 
     def verify_all(self, by_seq: dict[int, dict[int, CheckpointRecord]]
                    ) -> dict[int, list[Orphan]]:
-        """Verify every complete global checkpoint; returns seq -> orphans."""
-        return {seq: self.verify(records)
-                for seq, records in sorted(by_seq.items())}
+        """Verify every complete global checkpoint; returns seq -> orphans.
+
+        One pass over the records' increments (see :class:`_IncrementPass`):
+        each cut's chains are folded in from where the previous cut left
+        them.  A cut of records without ``prev`` shares nothing with its
+        neighbours — it is checked on its own by :func:`find_orphans`, as is
+        any cut that does not continue the chains folded so far; the result
+        is always what :func:`find_orphans` gives cut by cut.
+        """
+        fold = _IncrementPass(self._endpoints)
+        results: dict[int, list[Orphan]] = {}
+        for seq, records in sorted(by_seq.items()):
+            orphans = None
+            if any(r.prev is not None for r in records.values()):
+                orphans = fold.advance(records)
+            if orphans is None:
+                self.uids_examined += sum(
+                    len(r.sent_uids) + len(r.recv_uids)
+                    for r in records.values())
+                orphans = find_orphans(records, self._endpoints)
+            results[seq] = orphans
+        self.uids_examined += fold.examined
+        return results
 
     def assert_consistent(self, by_seq: dict[int, dict[int, CheckpointRecord]]
                           ) -> int:

@@ -90,7 +90,7 @@ class OptimisticRuntime:
         return sorted(common or ())
 
     def global_records(self) -> dict[int, dict[int, CheckpointRecord]]:
-        """Cumulative :class:`CheckpointRecord` per complete S_k."""
+        """Every process's :class:`CheckpointRecord` per complete S_k."""
         out: dict[int, dict[int, CheckpointRecord]] = {}
         per_host = {pid: host.checkpoint_records()
                     for pid, host in self.hosts.items()}
@@ -474,23 +474,21 @@ class OptimisticProcess(SimProcess, RuntimePort):
     # -- verification ---------------------------------------------------------------------
 
     def checkpoint_records(self) -> dict[int, CheckpointRecord]:
-        """Cumulative recorded-event sets per finalized checkpoint.
+        """One chained :class:`CheckpointRecord` per finalized checkpoint.
 
         ``C_{i,k}`` records everything ``C_{i,k-1}`` does plus its own
-        window increment, so the cumulative sets are prefix unions of the
-        per-checkpoint increments.
+        window, so each record carries that window as its increment and
+        points at its predecessor; nothing is copied or accumulated here.
         """
         out: dict[int, CheckpointRecord] = {}
-        sent: set[int] = set()
-        recv: set[int] = set()
+        prev: CheckpointRecord | None = None
         for csn in sorted(self.finalized):
             fc = self.finalized[csn]
-            sent |= fc.new_sent_uids
-            recv |= fc.new_recv_uids
-            out[csn] = CheckpointRecord(
+            prev = out[csn] = CheckpointRecord(
                 pid=self.pid, seq=csn, taken_at=fc.tentative.taken_at,
                 finalized_at=fc.finalized_at,
-                sent_uids=frozenset(sent), recv_uids=frozenset(recv),
+                new_sent_uids=fc.new_sent_uids,
+                new_recv_uids=fc.new_recv_uids, prev=prev,
                 logged_uids=fc.logged_uids,
                 state_bytes=fc.tentative.state_bytes,
                 log_bytes=fc.log_bytes)

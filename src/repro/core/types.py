@@ -138,7 +138,7 @@ class FinalizedCheckpoint:
     ``new_sent_uids`` / ``new_recv_uids`` are the application-message uids
     whose send/receive this checkpoint records *beyond* ``C_{i,k-1}``
     (recorded sets are monotone in k, so increments suffice; the verifier
-    accumulates them).
+    folds each in once).
     """
 
     pid: int
@@ -163,9 +163,10 @@ class FinalizedCheckpoint:
         """
         return sum(e.nbytes for e in self.log_entries)
 
-    @property
+    @functools.cached_property
     def logged_uids(self) -> frozenset[int]:
-        """uids of every message (sent or received) in ``logSet_{i,k}``."""
+        """uids of every message (sent or received) in ``logSet_{i,k}``
+        (cached like :attr:`log_bytes`: the entries are fixed)."""
         return frozenset(e.uid for e in self.log_entries)
 
     def replay_digest(self) -> int:

@@ -102,7 +102,9 @@ class SimProcess:
 
     def trace(self, kind: str, **data: Any) -> None:
         """Record a trace entry attributed to this process."""
-        self.sim.trace.record(self.sim.now, kind, self.pid, **data)
+        tr = self.sim.trace
+        if tr.enabled:
+            tr.record(self.sim.now, kind, self.pid, **data)
 
     # -- internal ----------------------------------------------------------
 

@@ -20,9 +20,10 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class TraceRecord:
-    """One trace entry.
+    """One trace entry (treated as immutable; slotted and not ``frozen`` so
+    that building one — once per recorded event — is plain attribute stores).
 
     Attributes
     ----------
@@ -76,8 +77,7 @@ class TraceRecorder:
         if not self.enabled:
             return
         self._seq += 1
-        rec = TraceRecord(time=time, kind=kind, process=process,
-                          data=data, seq=self._seq)
+        rec = TraceRecord(time, kind, process, data, self._seq)
         self.records.append(rec)
         for sub in self._subscribers:
             sub(rec)

@@ -3,7 +3,7 @@
 A run *violates* iff any of the conformance stack's checks fails:
 
 * **Theorem 2 / no orphans** — the independent causality verifier
-  (``repro.causality.find_orphans`` via the experiment harness) finds an
+  (``ConsistencyVerifier.verify_all`` via the experiment harness) finds an
   orphan message against a collected global checkpoint;
 * **anomaly** — a host observed a §3.4.3/§3.5.1 message proven
   impossible under the protocol's assumptions.  The fuzz input envelope

@@ -12,11 +12,12 @@ consumes:
 2. each worker's surviving ``finalize`` events — after applying its
    ``rollback`` events, which discard generations above the recovery line
    exactly like :meth:`~repro.core.host.OptimisticProcess.rollback_to` —
-   become cumulative :class:`~repro.causality.consistency.CheckpointRecord`
-   prefix unions, mirroring
+   become chained :class:`~repro.causality.consistency.CheckpointRecord`
+   increments, as in
    :meth:`~repro.core.host.OptimisticProcess.checkpoint_records`;
-3. :func:`repro.causality.consistency.find_orphans` then checks the
-   no-orphan criterion on every *complete* global checkpoint ``S_k``.
+3. :meth:`repro.causality.consistency.ConsistencyVerifier.verify_all` then
+   checks the no-orphan criterion on every *complete* global checkpoint
+   ``S_k`` — the same single pass the simulator's runs go through.
 
 The replay also cross-checks recovery semantics: every journaled
 ``rollback`` must restore the digest that replaying the on-journal
@@ -30,7 +31,11 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
-from ..causality.consistency import CheckpointRecord, Orphan, find_orphans
+from ..causality.consistency import (
+    CheckpointRecord,
+    ConsistencyVerifier,
+    Orphan,
+)
 from .journal import read_journal, worker_events
 
 
@@ -181,34 +186,35 @@ def replay(run_dir: str | Path, n: int | None = None) -> ConformanceReport:
         common = seqs if common is None else (common & seqs)
     report.complete_seqs = sorted(common or ())
 
-    # 4. cumulative prefix-union records, then the orphan check per S_k.
-    cumulative: dict[int, dict[int, CheckpointRecord]] = {}
+    # 4. one chained record per surviving finalize, then every complete
+    #    S_k in a single pass over the increments.
+    chains: dict[int, dict[int, CheckpointRecord]] = {}
     for pid in range(n):
-        sent: set[int] = set()
-        recv: set[int] = set()
-        cumulative[pid] = {}
+        prev: CheckpointRecord | None = None
+        chains[pid] = {}
         for csn in sorted(surviving[pid]):
             rec = surviving[pid][csn]
-            sent |= set(rec["new_sent"])
-            recv |= set(rec["new_recv"])
-            cumulative[pid][csn] = CheckpointRecord(
+            prev = chains[pid][csn] = CheckpointRecord(
                 pid=pid, seq=csn, taken_at=rec["taken_wall"],
                 finalized_at=rec["wall"],
-                sent_uids=frozenset(sent), recv_uids=frozenset(recv),
+                new_sent_uids=frozenset(rec["new_sent"]),
+                new_recv_uids=frozenset(rec["new_recv"]), prev=prev,
                 logged_uids=frozenset(rec["logged"]))
-    for seq in report.complete_seqs:
-        records = {pid: cumulative[pid][seq] for pid in range(n)}
-        unknown = sorted(
-            uid for pid in range(n) for uid in records[pid].recv_uids
-            if uid not in endpoints)
-        if unknown:
-            report.problems.append(
-                f"S_{seq} records receives of unknown uids {unknown}")
-            continue
-        report.orphans[seq] = find_orphans(records, endpoints)
+    by_seq = {seq: {pid: chains[pid][seq] for pid in range(n)}
+              for seq in report.complete_seqs}
+    try:
+        report.orphans = ConsistencyVerifier(
+            endpoints=endpoints).verify_all(by_seq)
+    except KeyError as exc:
+        # A receive with no send record anywhere (journal loss): nothing
+        # can be classified, so no S_k gets a verdict.
+        report.problems.append(
+            f"a checkpoint records receives of unknown uids "
+            f"(first: #{exc.args[0]})")
+    for seq, records in by_seq.items():
         if seq > 0:
-            starts = [records[pid].taken_at for pid in range(n)]
-            ends = [records[pid].finalized_at for pid in range(n)]
+            starts = [rec.taken_at for rec in records.values()]
+            ends = [rec.finalized_at for rec in records.values()]
             report.round_latency[seq] = max(ends) - min(starts)
     return report
 

@@ -18,8 +18,9 @@ Port member                     Live execution
 ``arm_initiation_timer``        ``loop.call_later(checkpoint_interval, ...)``
 ``capture_tentative``           optimistic flush to the worker's file-backed
                                 stable-storage directory, journal, span
-``store_finalized``             write the versioned ``C_{i,k}`` checkpoint
-                                file (CT ∪ selective log), GC old generations
+``store_finalized``             journal the increment, then write the versioned
+                                ``C_{i,k}`` checkpoint file (CT ∪ selective
+                                log), GC old generations
 ``report_anomaly``              journal + trace point
 ==============================  ==============================================
 
@@ -108,6 +109,9 @@ class LiveHost(RuntimePort):
                                           state_bytes=0, flushed_at=0.0),
             finalized_at=0.0, reason="initial")
         self.finalized[0] = fc
+        # Disk first, unlike store_finalized: C_0 records nothing, so a
+        # kill in between costs the replay no increment, while a journaled
+        # C_0 that never reached the disk would leave resume(0) nothing.
         self.storage.write_finalized(0, checkpoint_to_dict(fc))
         self.journal.log("finalize", csn=0, reason="initial", exclude=None,
                          new_sent=[], new_recv=[], logged=[], digest=0)
@@ -326,6 +330,17 @@ class LiveHost(RuntimePort):
                         exclude_uid: int | None) -> None:
         csn, now = fc.csn, fc.finalized_at
         self.finalized[csn] = fc
+        # Journal (a flushing event) *before* the disk write: a C_k the
+        # recovery line can use must have its increment in the journal, or
+        # the replay would see its sends as unrecorded and their receives
+        # as orphans.  The other order of failure — journaled but never
+        # durable — is covered by the restart's ``rollback`` record, which
+        # discards the generation.
+        self.journal.log(
+            "finalize", csn=csn, reason=fc.reason, exclude=exclude_uid,
+            new_sent=sorted(fc.new_sent_uids),
+            new_recv=sorted(fc.new_recv_uids),
+            logged=sorted(fc.logged_uids), digest=fc.replay_digest())
         key = f"{self.pid}:{csn}"
         traced = self.tracer.enabled
         if traced:
@@ -342,11 +357,6 @@ class LiveHost(RuntimePort):
             # span measures it on the loop clock (real disk latency).
             self.tracer.span_end("finalize", key, self.now,
                                  pid=self.pid, csn=csn)
-        self.journal.log(
-            "finalize", csn=csn, reason=fc.reason, exclude=exclude_uid,
-            new_sent=sorted(fc.new_sent_uids),
-            new_recv=sorted(fc.new_recv_uids),
-            logged=sorted(fc.logged_uids), digest=fc.replay_digest())
         self.storage.gc_below(csn - 1)
 
     # -- inspection ----------------------------------------------------------------

@@ -81,6 +81,26 @@ class TestReplayVerdicts:
         assert report.complete_seqs == [0, 1, 2]
         assert report.consistent, report.render()
 
+    def test_send_moved_to_a_later_checkpoint_flags_rounds_in_between(
+            self, tmp_path):
+        # The receive is recorded by C_1; the send's uid is taken out of
+        # the sender's C_1 increment and put into C_3's: S_1 and S_2 have
+        # the orphan, S_3 (and S_4) no longer do.
+        uid = 100
+        write_worker(tmp_path, 0, [
+            ("send", dict(uid=uid, dst=1, size=8)),
+            finalize(1), finalize(2), finalize(3, sent=[uid]), finalize(4),
+        ])
+        write_worker(tmp_path, 1, [
+            ("recv", dict(uid=uid, src=0, size=8)),
+            finalize(1, recv=[uid]), finalize(2), finalize(3), finalize(4),
+        ])
+        report = replay(tmp_path, 2)
+        assert report.complete_seqs == [0, 1, 2, 3, 4]
+        assert [s for s, o in report.orphans.items() if o] == [1, 2]
+        assert all(o.uid == uid for s in (1, 2) for o in report.orphans[s])
+        assert not report.consistent
+
     def test_unknown_uid_is_a_problem_not_a_crash(self, tmp_path):
         # A recv of a uid with no send record anywhere (journal loss)
         # must surface as a problem, never pass silently.
