@@ -7,7 +7,6 @@ Subcommands mirroring the library's main entry points::
     repro sweep    --param n --values 4,8,16 --metric peak_pending_writers
     repro figures  [1|2|5|all]
     repro recover  --fail-time 250 --jobs 4
-    repro bench    [executor|live|des-scale] --jobs 4
     repro verify   [--lint] [--model-check] [--format json]
     repro live     run|crash-test --n 4 --transport tcp
 
@@ -23,12 +22,9 @@ replay proves the run consistent (zero orphans, ≥1 finalized round).
 
 ``sweep``/``compare``/``recover`` take ``--jobs N`` (fan runs out over a
 worker pool) and cache finished runs under ``.repro-cache/`` keyed by a
-config hash — ``--no-cache`` disables the cache, ``--cache-dir`` moves it;
-``bench`` unifies the benchmarks behind one subcommand — ``executor``
-(the default target), ``live`` and ``des-scale`` — each writing its
-``repro.bench/1`` envelope to ``BENCH_<target>.json`` and sharing the
-exit-code contract documented in docs/API.md (``repro live bench``
-survives one release as a deprecated alias of ``bench live``).
+config hash — ``--no-cache`` disables the cache, ``--cache-dir`` moves it.
+Performance numbers come from ``python -m ledger`` (see ledger/README.md),
+not from this CLI.
 """
 
 from __future__ import annotations
@@ -44,7 +40,6 @@ from .harness import (
     PROTOCOLS,
     ExperimentConfig,
     ResultCache,
-    bench_executor,
     compare,
     comparison_table,
     config_key,
@@ -362,109 +357,6 @@ def cmd_recover(args: argparse.Namespace) -> int:
     return 1 if failed else 0
 
 
-def cmd_bench(args: argparse.Namespace) -> int:
-    """``repro bench [executor|live|des-scale]``: the unified bench entry.
-
-    Every target emits a ``repro.bench/1`` envelope (see docs/API.md for
-    the shared exit-code contract: 0 = bench ran and its acceptance bar
-    held, 1 = the bench's own acceptance bar failed, 2 = usage error).
-    The default target is ``executor`` so the historical ``repro bench
-    --jobs 4`` spelling keeps working unchanged.
-    """
-    which = args.which
-    if which == "live":
-        return _run_live_bench(
-            out=args.out or "BENCH_live.json", n=args.n,
-            transport=args.transport,
-            duration=args.horizon if args.horizon is not None else 5.0,
-            rate=args.rate, seed=args.seed, run_dir=args.run_dir,
-            fmt=args.format)
-    if which == "des-scale":
-        return _run_des_scale_bench(args)
-    return _run_executor_bench(args)
-
-
-def _run_executor_bench(args: argparse.Namespace) -> int:
-    """``repro bench executor``: serial-vs-parallel executor timing."""
-    from .harness.executor import bench_configs
-    n_values = [int(v) for v in (args.values or "16,24").split(",")]
-    protocols = _parse_protocols(args.protocols)
-    if protocols is None:
-        return 2
-    horizon = args.horizon if args.horizon is not None else 1200.0
-    configs = bench_configs(n_values=n_values, protocols=protocols,
-                            horizon=horizon, seed=args.seed,
-                            repeats=args.repeats)
-    payload = bench_executor(jobs=args.jobs,
-                             out_path=args.out or "BENCH_executor.json",
-                             configs=configs,
-                             progress=not args.quiet)
-    if args.format == "json":
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        print(kv_block("bench: executor", {
-            "runs": payload["runs"],
-            "serial_seconds": payload["serial_seconds"],
-            "parallel_seconds": payload["parallel_seconds"],
-            "speedup": payload["speedup"],
-            "trace_overhead_frac": payload["tracing"]["overhead_frac"],
-            "ok": payload["ok"],
-        }))
-    return 0 if payload["ok"] else 1
-
-
-def _run_des_scale_bench(args: argparse.Namespace) -> int:
-    """``repro bench des-scale``: DES kernel throughput across system sizes.
-
-    Runs serially regardless of ``--jobs``: the points are wall-clock
-    measurements and must not contend with each other.
-    """
-    from .harness.des_scale import DEFAULT_NS, bench_des_scale
-    ns = ([int(v) for v in args.values.split(",")] if args.values
-          else list(DEFAULT_NS))
-    progress = None
-    if not args.quiet:
-        def progress(point: dict) -> None:
-            print(f"bench des-scale: n={point['n']} "
-                  f"{point['events_per_sec']} events/s "
-                  f"(peak heap {point['peak_heap']})", file=sys.stderr)
-    payload = bench_des_scale(ns=ns, seed=args.seed,
-                              out_path=args.out or "BENCH_des_scale.json",
-                              repeats=args.repeats, progress=progress)
-    if args.format == "json":
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        print(kv_block("bench: des-scale", {
-            **{f"n={p['n']} events/s": p["events_per_sec"]
-               for p in payload["points"]},
-            "trace_overhead_frac": payload["tracing"]["overhead_frac"],
-            "ok": payload["ok"],
-        }))
-    return 0 if payload["ok"] else 1
-
-
-def _run_live_bench(out: str, n: int, transport: str, duration: float,
-                    rate: float, seed: int, run_dir: str | None,
-                    fmt: str) -> int:
-    """``repro bench live``: throughput + crash-recovery of the live
-    runtime (shared implementation of the deprecated ``repro live
-    bench`` spelling)."""
-    from .live.bench import run_bench
-    payload = run_bench(out, n=n, transport=transport, duration=duration,
-                        rate=rate, seed=seed, run_root=run_dir)
-    if fmt == "text":
-        print(kv_block("bench: live", {
-            "throughput_msgs_per_sec":
-                payload["throughput"]["msgs_per_sec"],
-            "traced_msgs_per_sec": payload["traced"]["msgs_per_sec"],
-            "crash_ok": payload["crash"]["ok"],
-            "ok": payload["ok"],
-        }))
-    else:
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    return 0 if payload["ok"] else 1
-
-
 def cmd_verify(args: argparse.Namespace) -> int:
     """``repro verify``: determinism/layering lint + bounded model check.
 
@@ -613,20 +505,6 @@ def cmd_live_crash_test(args: argparse.Namespace) -> int:
     else:
         print(report.render())
     return 0 if report.ok else 1
-
-
-def cmd_live_bench(args: argparse.Namespace) -> int:
-    """``repro live bench``: deprecated alias of ``repro bench live``.
-
-    Kept one release for script compatibility; warns on stderr and runs
-    the same implementation (same payload, same exit codes).
-    """
-    print("repro live bench is deprecated; use `repro bench live`",
-          file=sys.stderr)
-    return _run_live_bench(out=args.out, n=args.n, transport=args.transport,
-                           duration=args.duration, rate=args.rate,
-                           seed=args.seed, run_dir=args.run_dir,
-                           fmt=args.format)
 
 
 def _add_live_args(p: argparse.ArgumentParser) -> None:
@@ -1003,53 +881,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_recover)
 
     p = sub.add_parser(
-        "bench",
-        help="unified benchmarks: executor (default) | live | des-scale, "
-             "each emitting a repro.bench/1 BENCH_*.json")
-    p.add_argument("which", nargs="?", default="executor",
-                   choices=("executor", "live", "des-scale"),
-                   help="bench target (default: executor, so the legacy "
-                        "`repro bench --jobs 4` spelling is unchanged)")
-    # Shared flags (every target).
-    p.add_argument("--out", default=None,
-                   help="output JSON path (default: BENCH_<target>.json)")
-    p.add_argument("--jobs", type=int, default=4,
-                   help="worker processes for the executor's parallel "
-                        "pass; des-scale and live always run serially "
-                        "(wall-clock points must not contend)")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--repeats", type=int, default=2,
-                   help="repeats per point (executor: seed repeats; "
-                        "des-scale: best-of walls)")
-    p.add_argument("--quiet", action="store_true",
-                   help="suppress per-run progress on stderr")
-    p.add_argument("--format", choices=("text", "json"), default="json")
-    # executor + des-scale flags.
-    p.add_argument("--values", "--procs", dest="values", default=None,
-                   help="comma-separated n values (alias: --procs; "
-                        "default: 16,24 for executor, 64,256,1024 for "
-                        "des-scale)")
-    p.add_argument("--protocols", default="optimistic,chandy-lamport",
-                   help="executor only: protocols of the fixed sweep")
-    p.add_argument("--horizon", "--duration", dest="horizon", type=float,
-                   default=None,
-                   help="simulated seconds per executor run (default "
-                        "1200) / wall seconds of the live workload "
-                        "(default 5; alias: --duration)")
-    # live flags.
-    p.add_argument("-n", "--n", dest="n", type=int, default=4,
-                   help="live only: number of workers")
-    p.add_argument("--transport", choices=("local", "tcp"), default="local",
-                   help="live only: worker transport (matches the "
-                        "`repro live` default)")
-    p.add_argument("--rate", type=float, default=0.0,
-                   help="live only: app messages per worker per second "
-                        "(<=0 = uncapped, measuring the wire)")
-    p.add_argument("--run-dir", default=None,
-                   help="live only: run artifact directory")
-    p.set_defaults(fn=cmd_bench)
-
-    p = sub.add_parser(
         "verify",
         help="static protocol verification: determinism/layering lint + "
              "bounded model check of the optimistic state machine")
@@ -1128,17 +959,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="crash injection time (default: duration/2)")
     q.set_defaults(fn=cmd_live_crash_test)
 
-    q = live_sub.add_parser("bench",
-                            help="deprecated alias of `repro bench live` "
-                                 "(warns; same payload and exit codes)")
-    _add_live_args(q)
-    q.add_argument("--out", default="BENCH_live.json",
-                   help="output JSON path")
-    # Bench defaults: uncapped workload (rate<=0) so the throughput phase
-    # measures the wire, and json output (the legacy behaviour of this
-    # alias, which predates its --format flag being honoured).
-    q.set_defaults(fn=cmd_live_bench, rate=0.0, format="json")
-
     p = sub.add_parser(
         "chaos",
         help="fault-injection conformance matrix: every fault kind x "
@@ -1207,7 +1027,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "serve",
-        help="run the long-lived job server: sweeps/chaos/live/bench as "
+        help="run the long-lived job server: sweeps/chaos/live runs as "
              "queued jobs over HTTP + WebSocket (see docs/SERVICE.md)")
     p.add_argument("--host", default="127.0.0.1")
     p.add_argument("--port", type=int, default=7341)
@@ -1216,15 +1036,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--state-dir", default=".repro-serve",
                    help="durable job state directory")
     p.add_argument("--cache-dir", default=None,
-                   help="sweep/bench result cache "
+                   help="sweep result cache "
                         "(default: <state-dir>/cache)")
     p.set_defaults(fn=cmd_serve)
 
     p = sub.add_parser(
         "submit",
         help="submit one job to a running server; prints the job id")
-    p.add_argument("kind", choices=("sweep", "chaos-matrix", "live-run",
-                                    "bench"))
+    p.add_argument("kind", choices=("sweep", "chaos-matrix", "live-run"))
     p.add_argument("--server", default="127.0.0.1:7341",
                    help="server address (host:port)")
     p.add_argument("--spec", default=None,

@@ -1,9 +1,9 @@
 """Experiment harness: configs, runs, comparisons, sweeps, figure scenarios.
 
-Batch execution (:func:`run_many`), the on-disk result cache
-(:class:`ResultCache`) and the executor benchmark (:func:`bench_executor`)
-live in :mod:`repro.harness.executor`; ``sweep``/``compare``/``replicate``
-take ``jobs=``/``cache=`` and route through it.
+Batch execution (:func:`run_many`) and the on-disk result cache
+(:class:`ResultCache`) live in :mod:`repro.harness.executor`;
+``sweep``/``compare``/``replicate`` take ``jobs=``/``cache=`` and route
+through it.
 """
 
 from .comparison import (
@@ -17,7 +17,6 @@ from .executor import (
     ResultCache,
     RunFailure,
     RunSummary,
-    bench_executor,
     config_key,
     failures,
     map_jobs,
@@ -70,7 +69,6 @@ __all__ = [
     "SweepResult",
     "TOPOLOGIES",
     "assert_all_consistent",
-    "bench_executor",
     "build_experiment",
     "compare",
     "comparison_table",

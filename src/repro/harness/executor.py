@@ -14,10 +14,6 @@ wall-clock reads — enforced by ``repro verify --lint``), results can be
 memoised on disk: :class:`ResultCache` keys each summary by a stable hash
 of the config, so repeated sweeps skip already-completed points and any
 config change (or cache-format bump) is automatically a miss.
-
-``bench_executor`` runs the same fixed sweep serially and in parallel and
-writes ``BENCH_executor.json`` — the start of the perf trajectory for the
-harness itself.
 """
 
 from __future__ import annotations
@@ -28,7 +24,6 @@ import multiprocessing as mp
 import queue as queue_mod
 import sys
 import threading
-import time
 import traceback
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -405,143 +400,3 @@ def raise_failures(outcomes: Iterable[RunSummary | RunFailure]) -> None:
         detail = "\n\n".join(f"--- {f}\n{f.traceback}" for f in failed)
         raise RuntimeError(
             f"{len(failed)} experiment run(s) failed:\n{detail}")
-
-
-# -- executor benchmark --------------------------------------------------------
-
-
-def bench_configs(n_values: Sequence[int] = (16, 24),
-                  protocols: Sequence[str] = ("optimistic",
-                                              "chandy-lamport"),
-                  horizon: float = 1200.0, seed: int = 0,
-                  repeats: int = 2) -> list[ExperimentConfig]:
-    """The fixed ``repro bench`` sweep: |n_values| x |protocols| x repeats.
-
-    Sized so each run takes on the order of a second — long enough that
-    pool spawn cost (one interpreter + numpy import per worker, reused
-    across tasks) amortizes and a multi-core machine shows real speedup.
-    """
-    base = ExperimentConfig(seed=seed, horizon=horizon,
-                            checkpoint_interval=60.0,
-                            state_bytes=1_000_000, timeout=20.0,
-                            verify=False)
-    return [base.derive(n=n, protocol=p, seed=seed + i * repeats + r)
-            for i, n in enumerate(n_values) for p in protocols
-            for r in range(repeats)]
-
-
-def _tracing_overhead(configs: Sequence[ExperimentConfig],
-                      repeats: int = 3) -> tuple[dict[str, Any],
-                                                 dict[str, Any]]:
-    """Serial baseline-vs-traced rerun over a small subset of the sweep.
-
-    Returns ``(tracing, metrics)``: the ``repro.bench/1`` tracing block
-    (baseline/traced wall seconds + overhead fraction) and the merged
-    :class:`~repro.obs.metrics.MetricsRegistry` snapshot collected from
-    the traced runs' ``metrics`` events — the shared metrics schema both
-    BENCH files carry.  Each pass takes the best of ``repeats`` timings:
-    runs are deterministic, so the minimum is the least
-    scheduler-disturbed measurement of the same work.
-    """
-    from ..obs import MemorySink, MetricsRegistry, Tracer
-    from ..obs.profile import wall_now
-    subset = list(configs)[:2]
-
-    def _timed(tracer_for: Any) -> float:
-        best = float("inf")
-        for _ in range(repeats):
-            t0 = wall_now()
-            for cfg in subset:
-                tracer = tracer_for()
-                if tracer is None:
-                    run_experiment(cfg)
-                else:
-                    run_experiment(cfg, tracer=tracer)
-            best = min(best, wall_now() - t0)
-        return best
-
-    baseline_s = _timed(lambda: None)
-    sink = MemorySink()
-    traced_s = _timed(lambda: Tracer([sink], host="harness"))
-    registry = MetricsRegistry()
-    merged = 0
-    for event in sink.events:
-        if event.ev == "metrics":
-            merged += 1
-            if merged > len(subset):
-                break  # identical repeats: fold each config's run once
-            registry.merge(event.attrs)
-    tracing = {
-        "baseline_seconds": round(baseline_s, 4),
-        "traced_seconds": round(traced_s, 4),
-        "overhead_frac": (round((traced_s - baseline_s) / baseline_s, 4)
-                          if baseline_s > 0 else None),
-    }
-    return tracing, registry.snapshot()
-
-
-def bench_executor(jobs: int = 4, out_path: str | Path | None =
-                   "BENCH_executor.json",
-                   configs: Sequence[ExperimentConfig] | None = None,
-                   progress: ProgressArg = None) -> dict[str, Any]:
-    """Time the fixed sweep serially vs in parallel; emit BENCH JSON.
-
-    The two passes must produce identical summaries (asserted into the
-    payload as ``identical_metrics``) — parallelism only buys wall-clock.
-    The payload follows the shared ``repro.bench/1`` envelope
-    (:data:`repro.obs.BENCH_SCHEMA`): ``schema``/``bench``/``ok``/
-    ``config``/``metrics``/``tracing`` on top of the legacy executor
-    keys, so ``BENCH_executor.json`` and ``BENCH_live.json`` validate
-    against the same schema.
-    """
-    from ..obs import BENCH_SCHEMA
-    if configs is None:
-        configs = bench_configs()
-    configs = list(configs)
-    # Wall-clock reads are the *measurement* here, not simulated time —
-    # the executor benchmark times real host execution, never sim logic.
-    t0 = time.perf_counter()  # repro: allow[REP001] host-side benchmark timing, not simulated code
-    serial = run_many(configs, jobs=1, progress=progress)
-    t1 = time.perf_counter()  # repro: allow[REP001] host-side benchmark timing, not simulated code
-    parallel = run_many(configs, jobs=jobs, progress=progress)
-    t2 = time.perf_counter()  # repro: allow[REP001] host-side benchmark timing, not simulated code
-    raise_failures(serial)
-    raise_failures(parallel)
-    serial_s = t1 - t0
-    parallel_s = t2 - t1
-    identical = all(
-        a.metrics_dict == b.metrics_dict and a.orphans == b.orphans
-        and a.truncated == b.truncated
-        for a, b in zip(serial, parallel))
-    tracing, metrics = _tracing_overhead(configs)
-    payload: dict[str, Any] = {
-        "schema": BENCH_SCHEMA,
-        "bench": "executor",
-        "ok": identical,
-        "config": {
-            "jobs": jobs,
-            "runs": len(configs),
-            "configs": [{"protocol": c.protocol, "n": c.n, "seed": c.seed,
-                         "horizon": c.horizon} for c in configs],
-        },
-        "metrics": metrics,
-        "tracing": tracing,
-        # Legacy executor keys (kept for existing consumers) -----------
-        "runs": len(configs),
-        "jobs": jobs,
-        "host_cpus": mp.cpu_count(),
-        "serial_seconds": round(serial_s, 4),
-        "parallel_seconds": round(parallel_s, 4),
-        "speedup": round(serial_s / parallel_s, 4) if parallel_s else None,
-        "serial_runs_per_sec": round(len(configs) / serial_s, 4)
-        if serial_s else None,
-        "parallel_runs_per_sec": round(len(configs) / parallel_s, 4)
-        if parallel_s else None,
-        "identical_metrics": identical,
-        "configs": [{"protocol": c.protocol, "n": c.n, "seed": c.seed,
-                     "horizon": c.horizon} for c in configs],
-    }
-    if out_path is not None:
-        Path(out_path).write_text(json.dumps(payload, indent=2) + "\n",
-                                  "utf-8")
-    return payload

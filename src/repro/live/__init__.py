@@ -27,9 +27,7 @@ Layout:
 * :mod:`~repro.live.supervisor`  — spawn N workers, inject crashes,
   recover, report;
 * :mod:`~repro.live.conformance` — replay journals through
-  :mod:`repro.causality` and assert Theorem 2 on the real run;
-* :mod:`~repro.live.bench`       — ``BENCH_live.json`` throughput /
-  latency / recovery numbers.
+  :mod:`repro.causality` and assert Theorem 2 on the real run.
 """
 
 from .conformance import ConformanceReport, replay, supervisor_events

@@ -21,7 +21,6 @@ from .report import (
     validate_file,
 )
 from .schema import (
-    BENCH_SCHEMA,
     EVENT_TYPES,
     HOSTS,
     PHASES,
@@ -30,7 +29,6 @@ from .schema import (
     TraceEvent,
     decode_event,
     encode_event,
-    validate_bench_payload,
     validate_event,
     validate_metrics_snapshot,
 )
@@ -44,7 +42,6 @@ from .sinks import (
 from .tracer import NULL_TRACER, NullTracer, Tracer
 
 __all__ = [
-    "BENCH_SCHEMA",
     "BroadcastSink",
     "Counter",
     "DashboardSink",
@@ -77,7 +74,6 @@ __all__ = [
     "pair_spans",
     "report_from",
     "round_spans",
-    "validate_bench_payload",
     "validate_event",
     "validate_file",
     "validate_metrics_snapshot",

@@ -3,8 +3,7 @@
 A :class:`MetricsRegistry` is the accumulation side of the observability
 layer: hosts bump counters and record histogram observations as the run
 progresses, and :meth:`MetricsRegistry.snapshot` reduces everything to a
-plain sorted-key dict — the payload of a ``metrics`` trace event and the
-``metrics`` section of every ``repro.bench/1`` file.
+plain sorted-key dict — the payload of a ``metrics`` trace event.
 
 Determinism contract: a snapshot is a pure function of the *multiset of
 observations*, never of wall time, insertion order, or process identity.

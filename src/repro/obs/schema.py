@@ -2,8 +2,8 @@
 
 One event vocabulary covers the simulator (``repro.core.host`` via the
 DES bridge), the live runtime (``repro.live.host``) and the harness
-(sweeps, benchmarks): an event is a flat JSON object with a schema
-version, an event type, the emitting host kind, a process id and a
+(sweeps): an event is a flat JSON object with a schema version, an
+event type, the emitting host kind, a process id and a
 host-clock timestamp, plus type-specific fields.  Everything a sink
 writes and everything ``repro trace report`` reads round-trips through
 :func:`encode_event` / :func:`decode_event`, and
@@ -23,11 +23,9 @@ Span taxonomy (the protocol phases of the paper):
 ``recovery``    crash → rolled-back-and-reconnected (live supervisor span)
 ==============  ==============================================================
 
-The same module also defines the **benchmark payload envelope**
-(``repro.bench/1``): ``repro bench`` and ``repro live bench`` both emit
-``{schema, bench, ok, config, metrics, tracing, ...}`` where ``metrics``
-is a :meth:`repro.obs.metrics.MetricsRegistry.snapshot` — one shape, two
-benchmarks, validated by :func:`validate_bench_payload`.
+:func:`validate_metrics_snapshot` checks a
+:meth:`repro.obs.metrics.MetricsRegistry.snapshot` (the payload of a
+``metrics`` event).
 """
 
 from __future__ import annotations
@@ -38,9 +36,6 @@ from typing import Any, Mapping
 #: Bump on any incompatible event-shape change; decoders reject other
 #: versions rather than guessing.
 SCHEMA_VERSION = 1
-
-#: The benchmark payload envelope identifier (see module docstring).
-BENCH_SCHEMA = "repro.bench/1"
 
 #: Every legal event type.  ``span.start``/``span.end`` bracket a phase,
 #: ``point`` is an instantaneous protocol occurrence, ``counter`` is a
@@ -100,7 +95,7 @@ _TYPE_REQUIRED: dict[str, tuple[str, ...]] = {
 
 
 class SchemaError(ValueError):
-    """An event (or bench payload) does not conform to the schema."""
+    """An event (or metrics snapshot) does not conform to the schema."""
 
 
 @dataclass(frozen=True)
@@ -195,11 +190,8 @@ def decode_event(data: Mapping[str, Any]) -> TraceEvent:
 
 
 # --------------------------------------------------------------------------
-# benchmark payload envelope
+# metrics snapshot
 # --------------------------------------------------------------------------
-
-#: Top-level keys every BENCH_*.json must carry.
-_BENCH_REQUIRED = ("schema", "bench", "ok", "config", "metrics", "tracing")
 
 #: Required keys of one histogram summary in a metrics snapshot.
 _HIST_REQUIRED = ("count", "sum", "min", "max", "mean")
@@ -228,32 +220,3 @@ def validate_metrics_snapshot(snapshot: Mapping[str, Any]) -> None:
         missing = [k for k in _HIST_REQUIRED if k not in h]
         if missing:
             raise SchemaError(f"histogram {name!r} missing {missing}")
-
-
-def validate_bench_payload(payload: Mapping[str, Any]) -> None:
-    """Raise :class:`SchemaError` unless ``payload`` is a legal
-    ``repro.bench/1`` benchmark envelope (both BENCH files share it)."""
-    if not isinstance(payload, Mapping):
-        raise SchemaError("bench payload must be an object")
-    missing = [k for k in _BENCH_REQUIRED if k not in payload]
-    if missing:
-        raise SchemaError(f"bench payload missing required keys {missing}")
-    if payload["schema"] != BENCH_SCHEMA:
-        raise SchemaError(f"unknown bench schema {payload['schema']!r} "
-                          f"(this reader speaks {BENCH_SCHEMA})")
-    if not isinstance(payload["bench"], str):
-        raise SchemaError("bench name must be a string")
-    if not isinstance(payload["ok"], bool):
-        raise SchemaError("ok must be a bool")
-    if not isinstance(payload["config"], Mapping):
-        raise SchemaError("config must be an object")
-    validate_metrics_snapshot(payload["metrics"])
-    tracing = payload["tracing"]
-    if not isinstance(tracing, Mapping):
-        raise SchemaError("tracing must be an object")
-    for k in ("baseline_seconds", "traced_seconds", "overhead_frac"):
-        if k not in tracing:
-            raise SchemaError(f"tracing section missing {k!r}")
-        if tracing[k] is not None and not isinstance(
-                tracing[k], (int, float)):
-            raise SchemaError(f"tracing.{k} must be a number or null")

@@ -1,7 +1,7 @@
 """repro.serve — the asyncio job-server control plane.
 
 A long-lived multi-client service that runs the repo's experiment farms
-— sweeps, chaos matrices, live runs, benches — as queued jobs over a
+— sweeps, chaos matrices, live runs — as queued jobs over a
 small HTTP/WebSocket protocol (``repro.serve/1``); see docs/SERVICE.md.
 
 Layers:

@@ -34,7 +34,7 @@ from typing import Any, Mapping
 SERVE_SCHEMA = "repro.serve/1"
 
 #: The job kinds the scheduler knows how to run.
-JOB_KINDS = ("sweep", "chaos-matrix", "live-run", "bench")
+JOB_KINDS = ("sweep", "chaos-matrix", "live-run")
 
 #: Per-job state machine states (see :data:`TRANSITIONS`).
 JOB_STATES = ("queued", "running", "done", "failed", "cancelled")
@@ -115,15 +115,6 @@ SPEC_FIELDS: dict[str, dict[str, tuple[tuple[type, ...], Any]]] = {
         "seed": ((int,), 0),
         "crash_at": (_NUM, None),
         "workload": ((str,), "uniform"),
-        "timeout_s": (_NUM, None),
-    },
-    "bench": {
-        "values": ((list,), [8]),
-        "protocols": ((list,), ["optimistic"]),
-        "horizon": (_NUM, 300.0),
-        "seed": ((int,), 0),
-        "repeats": ((int,), 1),
-        "jobs": ((int,), 2),
         "timeout_s": (_NUM, None),
     },
 }

@@ -14,8 +14,7 @@ must keep serving other clients — never blocks on them:
   resubmitting an identical sweep is served from cache;
 * ``chaos-matrix`` → :func:`repro.chaos.matrix.run_matrix`;
 * ``live-run``     → :func:`repro.live.supervisor.run_live` (its own
-  ``asyncio.run`` on the worker thread);
-* ``bench``        → :func:`repro.harness.executor.bench_executor`.
+  ``asyncio.run`` on the worker thread).
 
 Cancellation is cooperative end to end: one ``threading.Event`` per job
 threads through ``run_many``/``run_matrix`` as ``cancel_event`` and
@@ -78,7 +77,7 @@ class Scheduler:
                  cache_dir: str | Path | None = None) -> None:
         self.store = store
         self.max_jobs = max(1, jobs)
-        #: Sweep/bench result cache shared across jobs (resubmit → hit).
+        #: Sweep result cache shared across jobs (resubmit → hit).
         self.cache_dir = Path(cache_dir) if cache_dir is not None \
             else store.root / "cache"
         self.queue = JobQueue()
@@ -112,8 +111,9 @@ class Scheduler:
         """Reload persisted jobs; returns ``(requeued, failed)`` counts.
 
         Call once before serving: queued jobs re-enter the queue in
-        their original order, jobs that died running are failed with an
-        explicit cause and their streams get the terminal event.
+        their original order, jobs that died running (or whose kind
+        this server no longer runs) are failed with an explicit cause
+        and their streams get the terminal event.
         """
         requeue, failed_now = self.store.recover()
         for rec in requeue:
@@ -402,14 +402,3 @@ class Scheduler:
             run_dir=str(art / "live"), stop_event=cancel)
         report = run_live(cfg)
         return report.as_dict()
-
-    def _body_bench(self, spec: dict[str, Any], art: Path, tracer: Tracer,
-                    cancel: threading.Event) -> dict[str, Any]:
-        from ..harness.executor import bench_configs, bench_executor
-        configs = bench_configs(
-            n_values=[int(v) for v in spec["values"]],
-            protocols=tuple(spec["protocols"]), horizon=spec["horizon"],
-            seed=spec["seed"], repeats=spec["repeats"])
-        return bench_executor(jobs=spec["jobs"],
-                              out_path=art / "BENCH_executor.json",
-                              configs=configs, progress=None)

@@ -13,18 +13,19 @@ file.  On restart :meth:`JobStore.recover` reloads every record —
 *queued* jobs re-enter the queue exactly as submitted, while jobs that
 were *running* when the server died are marked failed with an explicit
 cause (their worker process is gone; silently re-running them could
-double side effects), so a recovered queue is honest about what was
-lost.
+double side effects), and so are queued jobs of a kind this release no
+longer runs, so a recovered queue is honest about what was lost.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Any
 
 from .protocol import (
+    JOB_KINDS,
     JOB_STATES,
     TERMINAL_STATES,
     TRANSITIONS,
@@ -176,15 +177,22 @@ class JobStore:
         Queued jobs come back verbatim (``requeue``); jobs persisted as
         *running* are transitioned to failed with an explicit cause and
         re-saved (``failed_now``) — their worker died with the server.
+        So is a queued job whose kind this server no longer runs (a
+        state directory written by an older release).
         """
         requeue: list[JobRecord] = []
         failed_now: list[JobRecord] = []
         for rec in self.load_all():
-            if rec.state == "queued":
-                requeue.append(rec)
-            elif rec.state == "running":
-                rec.advance("failed")
+            if rec.terminal:
+                continue
+            if rec.state == "running":
                 rec.error = "server terminated while the job was running"
-                self.save(rec)
-                failed_now.append(rec)
+            elif rec.kind not in JOB_KINDS:
+                rec.error = f"unknown job kind {rec.kind!r}"
+            else:
+                requeue.append(rec)
+                continue
+            rec.advance("failed")
+            self.save(rec)
+            failed_now.append(rec)
         return requeue, failed_now

@@ -3,12 +3,9 @@
 ``repro.harness`` drives the deterministic simulator, so its control
 flow must itself be deterministic — experiment manifests hash the
 config, and a wall-clock or unseeded-random read in the sweep path
-would break replicability.  The only exempt sites are the three
-``perf_counter`` reads bracketing the benchmark body in
-``executor.py``: they measure *host* elapsed time, which is the
-benchmark's output, not simulated state.  Each carries a justified
-per-line suppression (registered globally in
-``tests/verify/test_lint_rules.py::TestSuppressionRegistry``).
+would break replicability.  Nothing in the package is exempt: it times
+nothing itself (the performance ledger does that, outside ``src/``), so
+it carries no per-line suppression at all.
 """
 
 from __future__ import annotations
@@ -27,20 +24,7 @@ def test_harness_package_lints_clean():
     assert report.clean, report.render()
 
 
-def test_suppressions_are_the_three_benchmark_timers():
-    report = lint_paths(HARNESS_SRC)
-    sites = [(f.path.rsplit("/", 1)[-1], f.rule, f.justification)
-             for f in report.suppressed]
-    assert len(sites) == 3
-    for fname, rule, why in sites:
-        assert (fname, rule) == ("executor.py", "REP001")
-        assert "benchmark timing" in why
-        assert "not simulated code" in why
-
-
-def test_everything_but_executor_needs_no_suppressions():
+def test_no_module_needs_a_suppression():
     for path in sorted(HARNESS_SRC.glob("*.py")):
-        if path.name == "executor.py":
-            continue
         report = lint_paths(path)
         assert report.clean and not report.suppressed, path.name

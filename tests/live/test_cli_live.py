@@ -1,4 +1,4 @@
-"""``repro live`` CLI tests (run / crash-test / bench)."""
+"""``repro live`` CLI tests (run / crash-test)."""
 
 from __future__ import annotations
 
@@ -24,10 +24,6 @@ class TestParser:
     def test_live_requires_a_subcommand(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["live"])
-
-    def test_bench_has_out_path(self):
-        args = build_parser().parse_args(["live", "bench", "--out", "x.json"])
-        assert args.out == "x.json"
 
 
 class TestLiveRun:

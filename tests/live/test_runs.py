@@ -34,6 +34,21 @@ class TestLocalRun:
         assert report.dropped_frames == 0
         assert report.msgs_per_sec > 0
 
+    def test_traced_run_still_delivers_and_its_trace_validates(self, tmp_path):
+        # What tracing costs is the ledger's trace_overhead_frac; what it
+        # must never cost is the run: same verdict, schema-valid traces
+        # from the supervisor and every worker.
+        from repro.obs import validate_file
+
+        cfg = fast_cfg(tmp_path, trace=True)
+        report = asyncio.run(run_live_async(cfg))
+        assert report.ok, report.render()
+        assert report.msgs_per_sec > 0
+        assert validate_file(cfg.run_dir) == []
+        traces = sorted(p.name for p in (tmp_path / "run").glob("trace-*"))
+        assert traces == ["trace-P0-0.jsonl", "trace-P1-0.jsonl",
+                          "trace-P2-0.jsonl", "trace-supervisor.jsonl"]
+
     def test_finalized_digests_match_disk(self, tmp_path):
         # The journal's finalize digests must equal what replaying the
         # on-disk checkpoint (CT digest folded over the log) yields —

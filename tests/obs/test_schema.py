@@ -15,7 +15,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.obs import (
-    BENCH_SCHEMA,
     EVENT_TYPES,
     HOSTS,
     PHASES,
@@ -24,7 +23,6 @@ from repro.obs import (
     TraceEvent,
     decode_event,
     encode_event,
-    validate_bench_payload,
     validate_event,
     validate_metrics_snapshot,
 )
@@ -143,45 +141,7 @@ class TestValidateEvent:
             validate_event(_base(ev="counter", value="lots"))
 
 
-class TestBenchEnvelope:
-    def _payload(self, **over):
-        payload = {
-            "schema": BENCH_SCHEMA,
-            "bench": "executor",
-            "ok": True,
-            "config": {"jobs": 2},
-            "metrics": {"counters": {"runs": 4.0}, "gauges": {},
-                        "histograms": {"makespan": {
-                            "count": 4, "sum": 8.0, "min": 1.0,
-                            "max": 3.0, "mean": 2.0}}},
-            "tracing": {"baseline_seconds": 1.0, "traced_seconds": 1.05,
-                        "overhead_frac": 0.05},
-        }
-        payload.update(over)
-        return payload
-
-    def test_valid_payload_accepted(self):
-        validate_bench_payload(self._payload())
-
-    def test_null_tracing_numbers_accepted(self):
-        validate_bench_payload(self._payload(
-            tracing={"baseline_seconds": None, "traced_seconds": None,
-                     "overhead_frac": None}))
-
-    def test_missing_key_rejected(self):
-        payload = self._payload()
-        del payload["tracing"]
-        with pytest.raises(SchemaError, match="tracing"):
-            validate_bench_payload(payload)
-
-    def test_unknown_schema_rejected(self):
-        with pytest.raises(SchemaError, match="schema"):
-            validate_bench_payload(self._payload(schema="repro.bench/99"))
-
-    def test_non_bool_ok_rejected(self):
-        with pytest.raises(SchemaError, match="ok"):
-            validate_bench_payload(self._payload(ok="yes"))
-
+class TestMetricsSnapshot:
     def test_histogram_missing_aggregate_rejected(self):
         with pytest.raises(SchemaError, match="histogram"):
             validate_metrics_snapshot(

@@ -33,7 +33,7 @@ class TestRunTracing:
         assert trace_file.read_text().strip()
 
     def test_procs_and_duration_aliases(self, tmp_path, capsys):
-        # flag-convention satellite: run/live run/bench agree on spellings
+        # flag-convention satellite: run and live run agree on spellings
         rc = main(["run", "--procs", "3", "--duration", "120",
                    "--format", "json"])
         out = capsys.readouterr().out

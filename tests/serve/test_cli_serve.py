@@ -102,9 +102,9 @@ def test_submit_wait_watch_and_usage_exit_codes(server, tmp_path, capsys):
     # Usage errors are exit 2, before or at the server boundary.
     assert main(["submit", "sweep", "--server", addr,
                  "--spec", '{"warp": 9}']) == 2        # schema reject
-    assert main(["submit", "bench", "--server", "127.0.0.1:1",
+    assert main(["submit", "live-run", "--server", "127.0.0.1:1",
                  "--spec", "{}"]) == 2                 # unreachable
-    assert main(["submit", "bench", "--server", "nonsense"]) == 2
+    assert main(["submit", "live-run", "--server", "nonsense"]) == 2
     assert main(["watch", "j9999", "--server", addr]) == 2
     err = capsys.readouterr().err
     assert "unknown sweep spec" in err

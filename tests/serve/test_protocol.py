@@ -97,6 +97,16 @@ def test_defaults_validate_for_every_kind(kind):
     assert validate_job(normal) == normal
 
 
+def test_every_kind_has_a_spec_table_and_a_scheduler_body():
+    # Scheduler._run_body looks the body up by name; recover() fails
+    # records of any other kind before they can reach it.
+    from repro.serve import Scheduler
+    assert set(SPEC_FIELDS) == set(JOB_KINDS)
+    for kind in JOB_KINDS:
+        assert callable(getattr(Scheduler,
+                                "_body_" + kind.replace("-", "_")))
+
+
 # -- job strictness --------------------------------------------------------
 
 
@@ -122,7 +132,7 @@ def test_unknown_spec_field_is_rejected():
 
 def test_unknown_top_level_field_is_rejected():
     with pytest.raises(ProtocolError, match="unknown job fields"):
-        validate_job(_job("bench", {}) | {"operator": "me"})
+        validate_job(_job("live-run", {}) | {"operator": "me"})
 
 
 def test_missing_required_field_is_rejected():
@@ -140,7 +150,7 @@ def test_type_confusion_is_rejected():
     with pytest.raises(ProtocolError, match="must not be empty"):
         validate_job(_job("sweep", {"param": "n", "values": []}))
     with pytest.raises(ProtocolError, match="priority"):
-        validate_job(_job("bench", {}, priority="high"))
+        validate_job(_job("live-run", {}, priority="high"))
 
 
 # -- events ----------------------------------------------------------------

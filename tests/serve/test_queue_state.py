@@ -59,14 +59,14 @@ def test_drain_ids_previews_without_consuming():
 
 
 def test_legal_lifecycle_and_illegal_jumps():
-    rec = JobRecord(id="j0001", kind="bench", spec={})
+    rec = JobRecord(id="j0001", kind="live-run", spec={})
     assert rec.state == "queued" and not rec.terminal
     rec.advance("running")
     rec.advance("done")
     assert rec.terminal
     with pytest.raises(ProtocolError, match="illegal transition"):
         rec.advance("running")
-    fresh = JobRecord(id="j0002", kind="bench", spec={})
+    fresh = JobRecord(id="j0002", kind="live-run", spec={})
     with pytest.raises(ProtocolError, match="illegal transition"):
         fresh.advance("done")           # queued cannot jump to done
     with pytest.raises(ProtocolError, match="unknown job state"):
@@ -90,7 +90,7 @@ def test_save_load_round_trip_and_atomicity(tmp_path):
 
 def test_corrupt_record_reads_as_missing(tmp_path):
     store = JobStore(tmp_path / "state")
-    store.save(JobRecord(id="j0001", kind="bench", spec={}))
+    store.save(JobRecord(id="j0001", kind="live-run", spec={}))
     store.record_path("j0001").write_text("{torn", "utf-8")
     assert store.load("j0001") is None
 
@@ -98,7 +98,7 @@ def test_corrupt_record_reads_as_missing(tmp_path):
 def test_next_id_continues_after_restart(tmp_path):
     store = JobStore(tmp_path / "state")
     assert store.next_id() == "j0001"
-    store.save(JobRecord(id="j0003", kind="bench", spec={}))
+    store.save(JobRecord(id="j0003", kind="live-run", spec={}))
     assert JobStore(tmp_path / "state").next_id() == "j0004"
 
 
@@ -114,10 +114,10 @@ def test_event_stream_append_read_and_torn_tail(tmp_path):
 
 def test_recover_requeues_queued_and_fails_running(tmp_path):
     store = JobStore(tmp_path / "state")
-    queued = JobRecord(id="j0001", kind="bench", spec={}, seq=1)
-    running = JobRecord(id="j0002", kind="bench", spec={}, seq=2)
+    queued = JobRecord(id="j0001", kind="live-run", spec={}, seq=1)
+    running = JobRecord(id="j0002", kind="live-run", spec={}, seq=2)
     running.advance("running")
-    done = JobRecord(id="j0003", kind="bench", spec={}, seq=3,
+    done = JobRecord(id="j0003", kind="live-run", spec={}, seq=3,
                      state="done")
     for rec in (queued, running, done):
         store.save(rec)
@@ -132,3 +132,18 @@ def test_recover_requeues_queued_and_fails_running(tmp_path):
     assert again.state == "failed"
     # Terminal records are untouched.
     assert JobStore(tmp_path / "state").load("j0003").state == "done"
+
+
+def test_recover_fails_queued_job_of_a_kind_no_longer_served(tmp_path):
+    # A state dir written by a release that still had the `bench` kind.
+    store = JobStore(tmp_path / "state")
+    store.save(JobRecord(id="j0001", kind="bench", spec={}, seq=1))
+    store.save(JobRecord(id="j0002", kind="bench", spec={}, seq=2,
+                         state="done"))
+
+    requeue, failed = JobStore(tmp_path / "state").recover()
+    assert requeue == []
+    assert [(r.id, r.state, r.error) for r in failed] == [
+        ("j0001", "failed", "unknown job kind 'bench'")]
+    assert JobStore(tmp_path / "state").load("j0001").state == "failed"
+    assert JobStore(tmp_path / "state").load("j0002").state == "done"

@@ -139,7 +139,7 @@ def test_cancel_queued_and_running_jobs(tmp_path):
         running = client.submit("live-run",
                                 {"n": 3, "duration": 30.0})["id"]
         _await_state(client, running, "running")
-        queued = client.submit("bench", {})["id"]
+        queued = client.submit("live-run", {})["id"]
         assert client.job(queued)["state"] == "queued"
 
         dead = client.cancel(queued)
@@ -176,7 +176,7 @@ def test_timeout_s_must_be_positive(tmp_path):
     with _Harness(tmp_path / "state") as h:
         client = h.client()
         with pytest.raises(ServeClientError) as err:
-            client.submit("bench", {"timeout_s": 0})
+            client.submit("live-run", {"timeout_s": 0})
         assert err.value.status == 400
         assert "timeout_s" in str(err.value)
 
@@ -225,7 +225,7 @@ def test_draining_server_refuses_new_jobs_with_503(tmp_path):
         h.scheduler.draining = True
         try:
             with pytest.raises(ServeClientError) as err:
-                client.submit("bench", {})
+                client.submit("live-run", {})
             assert err.value.status == 503
         finally:
             h.scheduler.draining = False
@@ -243,7 +243,7 @@ def test_restart_recovers_queued_and_fails_died_running(tmp_path):
     queued = offline.submit(validate_job({
         "schema": "repro.serve/1", "kind": "sweep",
         "spec": _TINY_SWEEP}))
-    died = JobRecord(id="j0002", kind="bench", spec={}, seq=2)
+    died = JobRecord(id="j0002", kind="live-run", spec={}, seq=2)
     died.advance("running")
     store.save(died)
 
@@ -254,7 +254,26 @@ def test_restart_recovers_queued_and_fails_died_running(tmp_path):
         # The requeued job actually runs to completion.
         assert client.wait(queued.id)["state"] == "done"
         # Id allocation continues densely across the restart.
-        assert client.submit("bench", {})["id"] == "j0003"
+        assert client.submit("sweep", _TINY_SWEEP)["id"] == "j0003"
         # The failed verdict reached the event stream too.
         tail = list(client.watch(died.id))[-1]
         assert tail["ev"] == "job.state" and tail["state"] == "failed"
+
+
+def test_restart_fails_queued_job_of_a_kind_no_longer_served(tmp_path):
+    state = tmp_path / "state"
+    # Queued by a release that still had the `bench` kind; this server
+    # has no body for it and must say so instead of dispatching it.
+    JobStore(state).save(JobRecord(id="j0001", kind="bench", spec={}, seq=1))
+
+    with _Harness(state) as h:
+        client = h.client()
+        record = client.job("j0001")
+        assert record["state"] == "failed"
+        assert record["error"] == "unknown job kind 'bench'"
+        tail = list(client.watch("j0001"))[-1]
+        assert tail["ev"] == "job.state" and tail["state"] == "failed"
+        assert tail["error"] == "unknown job kind 'bench'"
+        # The server is otherwise healthy and ids stay dense.
+        assert client.submit("sweep", _TINY_SWEEP)["id"] == "j0002"
+        assert client.wait("j0002")["state"] == "done"

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import json
-
 import pytest
 
 from repro.cli import _parse_value, build_parser, main
@@ -179,20 +177,6 @@ class TestRecover:
         assert second == first
 
 
-class TestBench:
-    def test_bench_writes_json(self, capsys, tmp_path):
-        out_path = tmp_path / "BENCH_executor.json"
-        code, out = run_cli(capsys, "bench", "--jobs", "2",
-                            "--values", "3", "--protocols", "optimistic",
-                            "--horizon", "40", "--repeats", "1",
-                            "--out", str(out_path), "--quiet")
-        assert code == 0
-        payload = json.loads(out_path.read_text())
-        assert payload["runs"] == 1
-        assert payload["identical_metrics"] is True
-        assert json.loads(out) == payload
-
-
 class TestParser:
     def test_requires_subcommand(self):
         with pytest.raises(SystemExit):
@@ -202,6 +186,13 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["--help"])
         out = capsys.readouterr().out
-        for cmd in ("run", "compare", "sweep", "figures", "recover",
-                    "bench"):
+        for cmd in ("run", "compare", "sweep", "figures", "recover"):
             assert cmd in out
+
+    @pytest.mark.parametrize("argv", [
+        ["bench"], ["live", "bench"], ["submit", "bench"]])
+    def test_removed_bench_commands_are_usage_errors(self, argv):
+        # `python -m ledger` is the only producer of performance numbers.
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        assert exc.value.code == 2

@@ -404,8 +404,6 @@ class TestSuppressionRegistry:
             key = (f.path.rsplit("/", 2)[-1], f.rule)
             by_site[key] = by_site.get(key, 0) + 1
         assert by_site == {
-            # benchmark timers measure real elapsed time by definition
-            ("executor.py", "REP001"): 3,
             # the one wall-clock read in repro.obs: wall_now(), confined
             # to live/harness-side profiling (see obs/profile.py docstring)
             ("profile.py", "REP001"): 1,
@@ -420,7 +418,7 @@ class TestSuppressionRegistry:
         # Total suppression budget for the whole shipped tree.  The
         # REP100 rollout added *zero* — every REP101–REP108 hit in
         # live/chaos was fixed, not allowed; keep it that way.
-        assert len(report.suppressed) == 8
+        assert len(report.suppressed) == 5
 
     def test_every_suppression_carries_its_audited_justification(self):
         # `repro: allow[REPxxx]` requires a non-empty reason; this pins
@@ -433,8 +431,6 @@ class TestSuppressionRegistry:
             key = (f.path.rsplit("/", 1)[-1], f.rule)
             by_site.setdefault(key, set()).add(f.justification)
         assert by_site == {
-            ("executor.py", "REP001"): {
-                "host-side benchmark timing, not simulated code"},
             ("profile.py", "REP001"): {
                 "live/harness-scoped profiling clock, never feeds "
                 "simulated state"},
