@@ -189,9 +189,13 @@ class ResultCache:
 
     # Run summaries -----------------------------------------------------
 
-    def load(self, cfg: ExperimentConfig) -> RunSummary | None:
-        """The cached summary for ``cfg``, or None on a miss."""
-        payload = self.load_json(config_key(cfg))
+    def load(self, cfg: ExperimentConfig,
+             key: str | None = None) -> RunSummary | None:
+        """The cached summary for ``cfg``, or None on a miss.
+
+        ``key`` is ``config_key(cfg)`` when the caller already has it.
+        """
+        payload = self.load_json(key or config_key(cfg))
         if payload is None or "metrics" not in payload:
             return None
         return RunSummary(
@@ -202,9 +206,10 @@ class ResultCache:
             truncated=bool(payload.get("truncated", False)),
             cached=True)
 
-    def store(self, summary: RunSummary) -> None:
-        """Memoise a finished run under its config hash."""
-        self.store_json(config_key(summary.config), {
+    def store(self, summary: RunSummary, key: str | None = None) -> None:
+        """Memoise a finished run under its config hash (``key``, when
+        the caller already has it)."""
+        self.store_json(key or config_key(summary.config), {
             "config": asdict(summary.config),
             "metrics": summary.metrics_dict,
             "orphans": {str(k): v for k, v in summary.orphans.items()},
@@ -360,8 +365,10 @@ def run_many(configs: Sequence[ExperimentConfig], jobs: int = 1,
     out: list[RunSummary | RunFailure | None] = [None] * total
     pending: list[tuple[int, ExperimentConfig]] = []
     done = 0
+    # Hashed once per config: the same key serves the load and the store.
+    keys = [config_key(cfg) for cfg in configs] if cache is not None else []
     for i, cfg in enumerate(configs):
-        hit = cache.load(cfg) if cache is not None else None
+        hit = cache.load(cfg, keys[i]) if cache is not None else None
         if hit is not None:
             out[i] = hit
             done += 1
@@ -378,7 +385,7 @@ def run_many(configs: Sequence[ExperimentConfig], jobs: int = 1,
             outcome = RunFailure(config=cfg, error=outcome.error,
                                  traceback=outcome.traceback)
         elif cache is not None:
-            cache.store(outcome)
+            cache.store(outcome, keys[index])
         out[index] = outcome
         done += 1
         _emit_progress(progress, done, total, outcome)

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy import stats
 
 from ..api import RunOutcome
 from ..metrics.report import Table
@@ -59,6 +58,14 @@ def confidence_interval(values: Sequence[float],
     if arr.size < 2 or float(arr.std(ddof=1)) == 0.0:
         return MetricCI(mean=mean, half_width=0.0, n=int(arr.size),
                         confidence=confidence)
+    # Imported here: scipy is an optional extra, and nothing else on the
+    # import path of ``repro run`` / ``repro serve`` needs it.
+    try:
+        from scipy import stats
+    except ImportError as exc:
+        raise ImportError(
+            "a Student-t confidence interval needs scipy, which is not "
+            "a core dependency: pip install 'repro[dev]'") from exc
     sem = float(arr.std(ddof=1) / np.sqrt(arr.size))
     t = float(stats.t.ppf((1 + confidence) / 2, df=arr.size - 1))
     return MetricCI(mean=mean, half_width=t * sem, n=int(arr.size),

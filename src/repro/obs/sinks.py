@@ -13,7 +13,7 @@ import json
 import threading
 from collections import deque
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
 from .schema import TraceEvent, encode_event
 
@@ -140,12 +140,23 @@ class Subscription:
     are *dropped* (never blocking the emitter) and itemized in
     :attr:`dropped_by_cause` — the same accounting discipline as the
     live transport's ``dropped_by_cause``.
+
+    ``wake`` is how a parked consumer learns there is something to do:
+    it is called when the queue goes from empty to non-empty (so a
+    consumer that drains with :meth:`pop_all` after every wake-up misses
+    nothing, and a burst costs one call, not one per event) and once
+    when the subscription closes.  It runs on the emitter's thread under
+    the fan-out lock, so it must not block; whatever it raises is
+    swallowed — a consumer that has gone away (a closed event loop at
+    shutdown) must not fail the emitter.
     """
 
-    def __init__(self, parent: "BroadcastSink", maxlen: int) -> None:
+    def __init__(self, parent: "BroadcastSink", maxlen: int,
+                 wake: Callable[[], None] | None = None) -> None:
         self._parent = parent
         self._lock = parent._lock            # shared: one fan-out order
         self.maxlen = maxlen
+        self._wake = wake
         self._queue: deque[Any] = deque()
         self.closed = False
         #: Itemized losses: ``overflow`` (queue full) / ``closed``
@@ -165,9 +176,25 @@ class Subscription:
             cause = "overflow"
         else:
             self._queue.append(item)
+            if len(self._queue) == 1:
+                self._notify()
             return
         self.dropped_by_cause[cause] = \
             self.dropped_by_cause.get(cause, 0) + 1
+
+    def _notify(self) -> None:
+        if self._wake is None:
+            return
+        try:
+            self._wake()
+        except Exception:  # noqa: BLE001 - the consumer's failure, not ours
+            pass
+
+    def _close(self) -> None:
+        """Mark closed under the parent's lock; wake the consumer once."""
+        if not self.closed:
+            self.closed = True
+            self._notify()
 
     def pop_all(self) -> list[Any]:
         """Drain every waiting event, oldest first (non-blocking)."""
@@ -190,8 +217,9 @@ class BroadcastSink:
       :class:`DashboardSink`, :class:`MemorySink`): its ``write(event)``
       runs inline under the fan-out lock, so push subscribers see every
       event in emission order;
-    * **pull** — a bounded :class:`Subscription` queue for consumers on
-      their own schedule (the serve WebSocket streamer).  A slow
+    * **pull** — a bounded :class:`Subscription` queue that its consumer
+      drains when the subscription's ``wake`` callable tells it to (the
+      serve WebSocket streamer parks on exactly that).  A slow
       subscriber overflows its own queue and only *its* events drop,
       itemized per cause — the emitter never blocks and the other
       subscribers never stall.
@@ -227,10 +255,15 @@ class BroadcastSink:
             if sink in self._sinks:
                 self._sinks.remove(sink)
 
-    def subscribe(self, *, maxlen: int | None = None) -> Subscription:
-        """Attach a bounded pull queue and return its subscription."""
+    def subscribe(self, *, maxlen: int | None = None,
+                  wake: Callable[[], None] | None = None) -> Subscription:
+        """Attach a bounded pull queue and return its subscription.
+
+        ``wake`` is called on every empty → non-empty transition of the
+        queue and once on close (see :class:`Subscription`).
+        """
         sub = Subscription(self, maxlen if maxlen is not None
-                           else self.maxlen)
+                           else self.maxlen, wake)
         with self._lock:
             self._subs.append(sub)
         return sub
@@ -245,7 +278,7 @@ class BroadcastSink:
         registration is released when the sink itself closes.
         """
         with self._lock:
-            sub.closed = True
+            sub._close()
 
     # -- the sink surface ----------------------------------------------
 
@@ -270,7 +303,7 @@ class BroadcastSink:
             sinks, self._sinks = self._sinks, []
             subs, self._subs = self._subs, []
             for sub in subs:
-                sub.closed = True
+                sub._close()
         for sink in sinks:
             close = getattr(sink, "close", None)
             if callable(close):

@@ -26,9 +26,12 @@ Every job emits a ``repro.serve/1`` event stream (``events.jsonl`` +
 live fan-out): ``job.state`` transitions plus ``trace`` wrappers around
 the schema-valid :mod:`repro.obs` events its tracer produced — a watcher
 can unwrap the inner events and feed them to ``repro trace validate``
-unchanged.  Event emission and watcher attach share one per-job lock, so
-a subscriber sees the file replay and the live stream with no gap and
-no duplicate.
+unchanged.  An event is encoded once, in :meth:`Scheduler.emit`: the
+file line, a late watcher's replay and every live WebSocket frame carry
+that same text, and publishing it wakes the parked watchers — nothing
+on the path waits for a timer.  Event emission and watcher attach share
+one per-job lock, so a subscriber sees the file replay and the live
+stream with no gap and no duplicate.
 """
 
 from __future__ import annotations
@@ -39,16 +42,11 @@ import threading
 from pathlib import Path
 from typing import Any, Callable
 
-from ..harness.executor import (
-    ResultCache,
-    RunFailure,
-    config_key,
-    run_many,
-)
+from ..harness.executor import ResultCache, RunFailure, run_many
 from ..harness.experiment import ExperimentConfig
 from ..harness.sweep import _set_param
 from ..obs import BroadcastSink, JsonlSink, Tracer, encode_event
-from .protocol import state_event, trace_event
+from .protocol import TERMINAL_STATES, state_event, trace_event
 from .queue import JobQueue
 from .state import JobRecord, JobStore
 
@@ -137,31 +135,42 @@ class Scheduler:
         allocated; the append, the fan-out and any concurrent
         :meth:`attach` serialize on the job's emission lock, which is
         what makes the file-replay → live-subscription handoff exact.
+        The event is encoded here and nowhere else: subscribers get
+        ``(text, terminal)``, the text being the line just appended.
         """
         with self._emit_locks[job_id]:
             seq = self._event_seqs.get(job_id, 0)
             self._event_seqs[job_id] = seq + 1
             event = make(seq)
-            self.store.append_event(job_id, json.dumps(
-                event, sort_keys=True))
-            self.hubs[job_id].publish(event)
+            text = json.dumps(event, sort_keys=True)
+            self.store.append_event(
+                job_id, text,
+                hold=self.records[job_id].state == "running")
+            self.hubs[job_id].publish(
+                (text, event["ev"] == "job.state"
+                 and event["state"] in TERMINAL_STATES))
         return event
 
-    def attach(self, job_id: str, *, maxlen: int | None = None
-               ) -> tuple[list[dict[str, Any]], Any]:
-        """A watcher's entry: ``(past_events, subscription_or_None)``.
+    def attach(self, job_id: str, *, maxlen: int | None = None,
+               wake: Callable[[], None] | None = None
+               ) -> tuple[list[str], Any]:
+        """A watcher's entry: ``(past_lines, subscription_or_None)``.
 
-        Replays everything already on disk and — unless the job is
-        terminal — subscribes to the live stream under the same lock
-        :meth:`emit` holds, so no event is missed or duplicated across
-        the boundary.
+        Replays everything already on disk, as the encoded lines
+        :meth:`emit` wrote, and — unless the job is terminal, when the
+        replay ends with its terminal event — subscribes to the live
+        stream under the same lock :meth:`emit` holds, so no event is
+        missed or duplicated across the boundary.  ``wake`` is the
+        subscription's wake callable
+        (:meth:`repro.obs.BroadcastSink.subscribe`).
         """
         record = self.records[job_id]
         with self._emit_locks[job_id]:
-            past = self.store.read_events(job_id)
+            past = self.store.read_event_lines(job_id)
             if record.terminal:
                 return past, None
-            return past, self.hubs[job_id].subscribe(maxlen=maxlen)
+            return past, self.hubs[job_id].subscribe(maxlen=maxlen,
+                                                     wake=wake)
 
     # -- submission / cancellation (sync; run off the event loop) -------
 
@@ -342,7 +351,9 @@ class Scheduler:
             n=spec["n"], seed=spec["seed"], horizon=spec["horizon"],
             checkpoint_interval=spec["interval"], verify=spec["verify"])
         configs: list[ExperimentConfig] = []
-        labels: dict[str, tuple[Any, str]] = {}
+        # Every value gets its own seed, so (seed, protocol) names one
+        # cell of the sweep without hashing its config a second time.
+        labels: dict[tuple[int, str], tuple[Any, str]] = {}
         for i, value in enumerate(spec["values"]):
             cfg = _set_param(base, spec["param"], value)
             if spec["param"] != "seed":
@@ -350,13 +361,14 @@ class Scheduler:
             for proto in spec["protocols"]:
                 pcfg = cfg.derive(protocol=proto)
                 configs.append(pcfg)
-                labels[config_key(pcfg)] = (value, proto)
+                labels[(pcfg.seed, proto)] = (value, proto)
         cache = ResultCache(self.cache_dir)
         outcomes = run_many(configs, jobs=spec["jobs"], cache=cache,
                             cancel_event=cancel)
         rows, cached, failures = [], 0, 0
         for outcome in outcomes:
-            value, proto = labels[config_key(outcome.config)]
+            value, proto = labels[(outcome.config.seed,
+                                   outcome.config.protocol)]
             if isinstance(outcome, RunFailure):
                 failures += 1
                 rows.append({"value": value, "protocol": proto,

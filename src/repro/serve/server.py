@@ -16,11 +16,20 @@ implemented directly over the same streams:
                              events until the job is terminal
 ===========================  =============================================
 
+The event stream is push, end to end: :meth:`Scheduler.emit` encodes an
+event once, appends that text to ``events.jsonl`` and publishes it to the
+job's hub; publishing into an empty subscription queue wakes the
+watcher's coroutine (``loop.call_soon_threadsafe`` from the job's
+thread), which frames the same text onto its socket.  A watcher with
+nothing to send is parked on an ``asyncio.Event`` — there is no poll
+period anywhere on the path.
+
 Shutdown is a *drain*, not an abort: SIGTERM/SIGINT set one event; the
-server then refuses new jobs (503), checkpoint-cancels running jobs
+server then refuses new jobs (503), wakes every parked watcher so that it
+sends what it has and its close frame, checkpoint-cancels running jobs
 through their cooperative cancel hooks, waits for them to land terminal,
-persists everything, closes watcher sockets and exits 0.  Queued jobs
-stay queued on disk — a restarted server picks them up.
+persists everything and exits 0.  Queued jobs stay queued on disk — a
+restarted server picks them up.
 
 Every handler keeps the event loop responsive: filesystem and scheduler
 work runs via ``loop.run_in_executor`` (the scheduler's sync methods are
@@ -45,15 +54,9 @@ from .scheduler import Scheduler
 #: RFC 6455 handshake GUID.
 _WS_GUID = "258EAFA5-E914-47DA-95CA-C5AB0DC85B11"
 
-#: Poll period for new events on a watcher connection (seconds).
-_WS_POLL = 0.05
-
 _STATUS_TEXT = {200: "OK", 201: "Created", 400: "Bad Request",
                 404: "Not Found", 405: "Method Not Allowed",
                 500: "Internal Server Error", 503: "Service Unavailable"}
-
-#: Terminal job states, re-derived here to close watcher streams.
-_TERMINAL = ("done", "failed", "cancelled")
 
 
 def _http_response(status: int, payload: Any, *,
@@ -101,6 +104,8 @@ class ServeServer:
         #: The actually bound port (useful with ``port=0`` in tests).
         self.bound_port: int | None = None
         self._shutdown = asyncio.Event()
+        #: The wake events of the watchers streaming a live job.
+        self._watchers: list[asyncio.Event] = []
         self._server: asyncio.base_events.Server | None = None
         self._dispatch_task: asyncio.Task | None = None
 
@@ -110,6 +115,8 @@ class ServeServer:
         """Begin the graceful drain (signal handlers land here)."""
         self.scheduler.draining = True
         self._shutdown.set()
+        for wake in self._watchers:
+            wake.set()
 
     async def start(self) -> None:
         """Bind, recover persisted jobs, start dispatching."""
@@ -137,8 +144,7 @@ class ServeServer:
 
     async def shutdown(self) -> None:
         """Drain running jobs, flush state, close every connection."""
-        self.scheduler.draining = True
-        self._shutdown.set()
+        self.request_shutdown()
         await self.scheduler.drain()
         if self._dispatch_task is not None:
             self._dispatch_task.cancel()
@@ -290,36 +296,41 @@ class ServeServer:
         await writer.drain()
 
         loop = asyncio.get_running_loop()
-        past, sub = await loop.run_in_executor(
-            None, partial(self.scheduler.attach, job_id))
+        wake = asyncio.Event()
+        self._watchers.append(wake)
+        sub = None
         try:
-            terminal_seen = False
-            for event in past:
-                writer.write(_ws_frame(0x1, json.dumps(
-                    event, sort_keys=True).encode("utf-8")))
-                terminal_seen = terminal_seen or _is_terminal(event)
+            # Events reach this coroutine as the text ``Scheduler.emit``
+            # encoded: replayed lines first, then ``(text, terminal)``
+            # pairs from the subscription, whose wake callable runs on
+            # the emitting job's thread.
+            past, sub = await loop.run_in_executor(None, partial(
+                self.scheduler.attach, job_id,
+                wake=partial(loop.call_soon_threadsafe, wake.set)))
+            for text in past:
+                writer.write(_ws_frame(0x1, text.encode("utf-8")))
             await writer.drain()
-            while sub is not None and not terminal_seen:
+            terminal_seen = False
+            while sub is not None:
+                # Clear before draining: an event published after this
+                # pop_all() sets the flag again and ends the next wait.
+                wake.clear()
                 items = sub.pop_all()
-                for event in items:
-                    writer.write(_ws_frame(0x1, json.dumps(
-                        event, sort_keys=True).encode("utf-8")))
-                    terminal_seen = terminal_seen or _is_terminal(event)
+                for text, terminal in items:
+                    writer.write(_ws_frame(0x1, text.encode("utf-8")))
+                    terminal_seen = terminal_seen or terminal
                 if items:
                     await writer.drain()
-                if terminal_seen or self._shutdown.is_set():
+                if terminal_seen or sub.closed \
+                        or self._shutdown.is_set():
                     break
-                await asyncio.sleep(_WS_POLL)
+                await wake.wait()
             writer.write(_ws_frame(0x8, b""))
             await writer.drain()
         finally:
+            self._watchers.remove(wake)
             if sub is not None:
                 sub.close()
-
-
-def _is_terminal(event: dict[str, Any]) -> bool:
-    return event.get("ev") == "job.state" \
-        and event.get("state") in _TERMINAL
 
 
 async def _serve_main(server: ServeServer) -> int:

@@ -22,7 +22,7 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Any
+from typing import Any, TextIO
 
 from .protocol import (
     JOB_KINDS,
@@ -81,6 +81,9 @@ class JobStore:
     def __init__(self, root: str | Path = DEFAULT_STATE_DIR) -> None:
         self.root = Path(root)
         self.jobs_dir = self.root / "jobs"
+        #: Open ``events.jsonl`` handles of running jobs (see
+        #: :meth:`append_event`).
+        self._event_files: dict[str, TextIO] = {}
 
     # -- paths ----------------------------------------------------------
 
@@ -145,28 +148,57 @@ class JobStore:
                     records.append(rec)
         return sorted(records, key=lambda r: r.seq)
 
-    def append_event(self, job_id: str, line: str) -> None:
-        """Append one already-encoded event line to the job's stream."""
-        path = self.events_path(job_id)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with path.open("a", encoding="utf-8") as fh:
+    def append_event(self, job_id: str, line: str, *,
+                     hold: bool = False) -> None:
+        """Append one already-encoded event line to the job's stream.
+
+        Every append is flushed before it returns.  ``hold`` keeps the
+        file handle for the job's next append instead of closing it: the
+        scheduler holds one handle for as long as a job is running and
+        lets go of it with the job's last event.
+        """
+        fh = self._event_files.pop(job_id, None)
+        if fh is None:
+            path = self.events_path(job_id)
+            path.parent.mkdir(parents=True, exist_ok=True)
+            fh = path.open("a", encoding="utf-8")
+        try:
             fh.write(line + "\n")
+            fh.flush()
+        except BaseException:
+            fh.close()
+            raise
+        if hold:
+            self._event_files[job_id] = fh
+        else:
+            fh.close()
+
+    def read_event_lines(self, job_id: str) -> list[str]:
+        """Every complete line of the job's stream, exactly as appended.
+
+        A tail without its newline is a torn append from a crashed
+        server and is left out.
+        """
+        path = self.events_path(job_id)
+        lines: list[str] = []
+        if not path.is_file():
+            return lines
+        with path.open(encoding="utf-8") as fh:
+            for line in fh:
+                if not line.endswith("\n"):
+                    break              # torn tail from a crashed append
+                if line.strip():
+                    lines.append(line[:-1])
+        return lines
 
     def read_events(self, job_id: str) -> list[dict[str, Any]]:
         """Every event on the job's stream so far (skips torn tails)."""
-        path = self.events_path(job_id)
         events: list[dict[str, Any]] = []
-        if not path.is_file():
-            return events
-        with path.open(encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    events.append(json.loads(line))
-                except ValueError:
-                    break              # torn tail from a crashed append
+        for line in self.read_event_lines(job_id):
+            try:
+                events.append(json.loads(line))
+            except ValueError:
+                break                  # torn line a restart appended to
         return events
 
     # -- restart recovery ----------------------------------------------

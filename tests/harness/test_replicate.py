@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.harness import (
@@ -12,6 +17,9 @@ from repro.harness import (
     replication_summary,
     replication_table,
 )
+
+
+SRC = str(Path(__file__).resolve().parents[2] / "src")
 
 
 def small_cfg() -> ExperimentConfig:
@@ -30,6 +38,13 @@ class TestConfidenceInterval:
         assert ci.half_width == pytest.approx(1.9634, abs=1e-3)
         assert ci.lo == pytest.approx(3.0 - ci.half_width)
         assert ci.hi == pytest.approx(3.0 + ci.half_width)
+
+    def test_without_scipy_the_error_names_the_extra(self, monkeypatch):
+        monkeypatch.setitem(sys.modules, "scipy", None)   # import fails
+        with pytest.raises(ImportError, match=r"repro\[dev\]"):
+            confidence_interval([1.0, 2.0, 3.0])
+        # No Student-t quantile needed, no scipy needed.
+        assert confidence_interval([2.0, 2.0]).half_width == 0.0
 
     def test_single_value_has_zero_width(self):
         ci = confidence_interval([7.0])
@@ -54,6 +69,19 @@ class TestConfidenceInterval:
 
     def test_str_format(self):
         assert "±" in str(MetricCI(1.0, 0.5, 3, 0.95))
+
+
+def test_scipy_is_not_on_the_import_path_of_run_serve_or_live():
+    # scipy is a [dev] extra: a fresh interpreter must reach every
+    # runtime entry point with the declared dependencies alone.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, repro.harness.experiment, repro.serve, "
+         "repro.live.worker; assert 'scipy' not in sys.modules"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 class TestReplication:

@@ -123,6 +123,57 @@ def test_concurrent_writers_lose_nothing():
     assert len(sub.pop_all()) == total and sub.dropped == 0
 
 
+# -- wake-on-publish ---------------------------------------------------------
+
+
+def test_wake_fires_once_per_empty_to_non_empty_transition():
+    hub = BroadcastSink()
+    wakes = []
+    sub = hub.subscribe(wake=lambda: wakes.append(1))
+    for i in range(1000):
+        hub.publish(i)
+    assert len(wakes) == 1              # a burst costs one wake-up
+    assert len(sub.pop_all()) == 1000
+    hub.write(_point(0))                # empty again -> a new transition
+    hub.write(_point(1))
+    assert len(wakes) == 2
+
+
+def test_wake_fires_once_on_close_and_on_unsubscribe():
+    hub = BroadcastSink()
+    closed, left = [], []
+    hub.subscribe(wake=lambda: closed.append(1))
+    leaver = hub.subscribe(wake=lambda: left.append(1))
+    leaver.close()
+    assert left == [1]
+    hub.close()                         # the leaver is not woken twice
+    assert closed == [1] and left == [1]
+
+
+def test_overflowed_subscriber_is_not_woken():
+    hub = BroadcastSink()
+    wakes = []
+    sub = hub.subscribe(maxlen=2, wake=lambda: wakes.append(1))
+    for i in range(5):
+        hub.publish(i)
+    assert wakes == [1]                 # the first event; no drop woke it
+    assert sub.dropped_by_cause == {"overflow": 3}
+
+
+def test_raising_wake_neither_loses_events_nor_reaches_the_emitter():
+    hub = BroadcastSink()
+
+    def gone() -> None:
+        raise RuntimeError("Event loop is closed")
+
+    broken = hub.subscribe(wake=gone)
+    other = hub.subscribe()
+    hub.write(_point(0))                # must not raise
+    hub.publish("payload")
+    assert [_point(0), "payload"] == other.pop_all() == broken.pop_all()
+    hub.close()                         # close wakes too; still silent
+
+
 # -- DashboardSink over any text stream ------------------------------------
 
 

@@ -10,12 +10,16 @@ durable store and the ``ResultCache`` reuse across submissions.
 from __future__ import annotations
 
 import asyncio
+import base64
 import json
+import socket
 import threading
 import time
 
 import pytest
 
+import repro.harness.executor as executor_mod
+import repro.serve.server as server_mod
 from repro.serve import (
     JobRecord,
     JobStore,
@@ -26,6 +30,7 @@ from repro.serve import (
     validate_event,
     validate_job,
 )
+from repro.serve.client import _read_frame
 
 _TINY_SWEEP = {"param": "n", "values": [3, 4], "n": 3,
                "horizon": 30.0, "interval": 10.0}
@@ -193,6 +198,138 @@ def test_artifacts_are_served_and_traversal_is_refused(tmp_path):
         with pytest.raises(ServeClientError) as err:
             client.artifact(job_id, "../job.json")
         assert err.value.status == 404
+
+
+# -- the push path ---------------------------------------------------------
+
+
+class _AsyncioWithoutSleep:
+    """``asyncio`` as ``repro.serve.server`` sees it, minus timers."""
+
+    def __getattr__(self, name):
+        return getattr(asyncio, name)
+
+    @staticmethod
+    def sleep(*_args, **_kwargs):
+        raise AssertionError("the serve event path must not sleep")
+
+
+@pytest.fixture()
+def no_sleep(monkeypatch):
+    monkeypatch.setattr(server_mod, "asyncio", _AsyncioWithoutSleep())
+
+
+def test_a_sweep_streams_to_its_terminal_event_without_a_timer(
+        tmp_path, no_sleep):
+    with _Harness(tmp_path / "state") as h:
+        client = h.client()
+        job_id = client.submit("sweep", _TINY_SWEEP)["id"]
+        events = list(client.watch(job_id))
+        assert [e["seq"] for e in events] == list(range(len(events)))
+        assert events[-1]["ev"] == "job.state"
+        assert events[-1]["state"] == "done"
+
+
+class _FrameSink:
+    """The half of ``asyncio.StreamWriter`` the streamer uses."""
+
+    def __init__(self):
+        self.frames = []
+
+    def write(self, data):
+        self.frames.append(data)
+
+    async def drain(self):
+        pass
+
+
+def test_request_shutdown_closes_a_parked_watcher(tmp_path, no_sleep):
+    store = JobStore(tmp_path / "state")
+
+    async def main():
+        scheduler = Scheduler(store)
+        server = ServeServer(scheduler, port=0)
+        record = scheduler.submit(validate_job({
+            "schema": "repro.serve/1", "kind": "live-run", "spec": {}}))
+        scheduler._mark_running(record)          # running, body never run
+        sink = _FrameSink()
+        streamer = asyncio.create_task(server._handle_websocket(
+            sink, {"sec-websocket-key": "a2V5"}, {"job": [record.id]}))
+        # Handshake + the two replayed events; the streamer does not
+        # suspend again between writing them and parking.
+        while len(sink.frames) < 3:
+            await asyncio.sleep(0.001)
+        assert not streamer.done()
+        server.request_shutdown()
+        await asyncio.wait_for(streamer, 10)
+        published = [e["seq"] for e in store.read_events(record.id)]
+        scheduler._finish(record, None, "test over", False)
+        return published, sink.frames
+
+    published, frames = asyncio.run(main())
+    assert frames[-1] == b"\x88\x00"             # the close frame
+    assert len(frames) == 4
+    # Nothing was published to wake the watcher: its stream ended with
+    # the ``running`` event.
+    assert published == [0, 1]
+
+
+def _raw_frames(port, job_id):
+    """Every text-frame payload of one watch, undecoded."""
+    payloads = []
+    with socket.create_connection(("127.0.0.1", port), timeout=30) as sock:
+        key = base64.b64encode(b"0123456789abcdef").decode("ascii")
+        sock.sendall((
+            f"GET /events?job={job_id} HTTP/1.1\r\nHost: x\r\n"
+            "Upgrade: websocket\r\nConnection: Upgrade\r\n"
+            f"Sec-WebSocket-Key: {key}\r\n"
+            "Sec-WebSocket-Version: 13\r\n\r\n").encode("ascii"))
+        reader = sock.makefile("rb")
+        assert b" 101 " in reader.readline()
+        while reader.readline() not in (b"\r\n", b""):
+            pass
+        while True:
+            frame = _read_frame(reader)
+            if frame is None or frame[0] == 0x8:
+                return payloads
+            payloads.append(frame[1])
+
+
+_EIGHT_SEEDS = {"param": "seed", "values": list(range(8)), "n": 3,
+                "horizon": 30.0, "interval": 10.0}
+
+
+def test_every_frame_is_the_events_file_line_byte_for_byte(tmp_path):
+    with _Harness(tmp_path / "state") as h:
+        job_id = h.client().submit("sweep", _EIGHT_SEEDS)["id"]
+        live = _raw_frames(h.server.bound_port, job_id)    # replay + live
+        late = _raw_frames(h.server.bound_port, job_id)    # replay only
+        lines = h.store.events_path(job_id).read_bytes().splitlines()
+        assert json.loads(lines[-1])["state"] == "done"
+        assert [json.loads(line)["seq"] for line in lines] \
+            == list(range(len(lines)))
+        assert live == lines
+        assert late == lines
+
+
+def test_a_sweep_hashes_each_config_once_cold_and_warm(tmp_path,
+                                                       monkeypatch):
+    calls = []
+    real = executor_mod.config_key
+
+    def counting(cfg, **kwargs):
+        calls.append(cfg.seed)
+        return real(cfg, **kwargs)
+
+    monkeypatch.setattr(executor_mod, "config_key", counting)
+    with _Harness(tmp_path / "state") as h:
+        client = h.client()
+        cold = client.wait(client.submit("sweep", _EIGHT_SEEDS)["id"])
+        assert cold["result"]["cached"] == 0
+        assert sorted(calls) == list(range(8))
+        warm = client.wait(client.submit("sweep", _EIGHT_SEEDS)["id"])
+        assert warm["result"]["cached"] == 8
+        assert sorted(calls) == sorted(2 * list(range(8)))
 
 
 # -- HTTP edges ------------------------------------------------------------
