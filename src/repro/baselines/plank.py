@@ -33,8 +33,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
-import networkx as nx
-
 from ..causality.consistency import CheckpointRecord
 from ..des.engine import Simulator
 from ..net.message import Message
@@ -72,8 +70,7 @@ class PlankStaggeredRuntime(BaselineRuntime):
         self.interval = interval
         self.state_bytes = state_bytes
         self.coordinator = coordinator
-        lengths = nx.single_source_shortest_path_length(
-            network.topology.graph, coordinator)
+        lengths = network.topology.hops_from(coordinator)
         #: pid -> BFS depth from the coordinator (wave index).
         self.depth = {pid: lengths[pid] for pid in range(network.n)}
         self.max_depth = max(self.depth.values())

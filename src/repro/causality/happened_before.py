@@ -15,8 +15,6 @@ clocks as the fast cross-check.
 
 from __future__ import annotations
 
-import networkx as nx
-
 from ..des.trace import TraceRecord, TraceRecorder
 from .vector_clock import VectorClock
 
@@ -49,7 +47,10 @@ class EventGraph:
     def __init__(self, trace: TraceRecorder, n: int,
                  kinds: tuple[str, ...] = DEFAULT_EVENT_KINDS) -> None:
         self.n = n
-        self.graph = nx.DiGraph()
+        #: event seq -> seqs of its direct successors (xo and m edges).
+        self._succ: dict[int, list[int]] = {}
+        #: deliver seq -> seq of the matching send (the m edges).
+        self._send_of: dict[int, int] = {}
         self.events: list[TraceRecord] = []
         self._by_seq: dict[int, TraceRecord] = {}
         kinds_set = set(kinds)
@@ -61,11 +62,11 @@ class EventGraph:
                 continue
             self.events.append(rec)
             self._by_seq[rec.seq] = rec
-            self.graph.add_node(rec.seq)
+            self._succ[rec.seq] = []
             # xo edge from this process's previous event.
             prev = last_of_process.get(rec.process)
             if prev is not None:
-                self.graph.add_edge(prev, rec.seq, relation="xo")
+                self._succ[prev].append(rec.seq)
             last_of_process[rec.process] = rec.seq
             # m edges via message uid.
             uid = rec.data.get("uid")
@@ -74,7 +75,9 @@ class EventGraph:
             elif rec.kind == "msg.deliver" and uid is not None:
                 s = send_of_uid.get(uid)
                 if s is not None:
-                    self.graph.add_edge(s, rec.seq, relation="m")
+                    self._send_of[rec.seq] = s
+                    if s != prev:       # a self-send is one edge, not two
+                        self._succ[s].append(rec.seq)
 
         self._descendants_cache: dict[int, set[int]] = {}
 
@@ -97,10 +100,22 @@ class EventGraph:
             return False
         return not self.happened_before(sa, sb) and not self.happened_before(sb, sa)
 
+    def edges(self) -> list[tuple[int, int, str]]:
+        """Every direct edge as ``(from_seq, to_seq, relation)``, relation
+        ``"xo"`` or ``"m"`` (a self-send's single edge counts as ``"m"``)."""
+        return [(u, v, "m" if self._send_of.get(v) == u else "xo")
+                for u, succ in self._succ.items() for v in succ]
+
     def _descendants(self, seq: int) -> set[int]:
         got = self._descendants_cache.get(seq)
         if got is None:
-            got = nx.descendants(self.graph, seq)
+            got = set()
+            stack = [seq]
+            while stack:
+                for v in self._succ[stack.pop()]:
+                    if v not in got:
+                        got.add(v)
+                        stack.append(v)
             self._descendants_cache[seq] = got
         return got
 
@@ -120,10 +135,9 @@ class EventGraph:
         for rec in self.events:
             vc = current[rec.process].copy()
             # Merge in the sender's clock for deliveries.
-            preds = self.graph.pred[rec.seq]
-            for pseq, edata in preds.items():
-                if edata.get("relation") == "m":
-                    vc.merge(clocks[pseq])
+            send = self._send_of.get(rec.seq)
+            if send is not None:
+                vc.merge(clocks[send])
             vc.tick(rec.process)
             clocks[rec.seq] = vc
             current[rec.process] = vc.copy()
@@ -162,4 +176,4 @@ class EventGraph:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"EventGraph(events={len(self.events)}, "
-                f"edges={self.graph.number_of_edges()})")
+                f"edges={sum(map(len, self._succ.values()))})")

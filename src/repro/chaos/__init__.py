@@ -11,23 +11,39 @@ protocol stayed consistent (Theorem 2: no orphans) and recovered
 See docs/ROBUSTNESS.md for the fault-plan format and the matrix's
 acceptance semantics; ``repro chaos`` is the CLI entry point.
 
-The DES and matrix symbols load lazily (PEP 562): live worker processes
-import ``repro.chaos.live`` on their startup path and must not pay for
-the simulator/harness import chain they never use.
+Everything outside :mod:`~repro.chaos.plan` loads on first use
+(:mod:`repro._lazy`): live worker processes import ``repro.chaos.live``
+on their startup path and must not pay for the simulator/harness import
+chain they never use — ``repro verify --lint`` rule REP109 enforces it.
 """
 
+from typing import TYPE_CHECKING
+
+from .._lazy import lazy_exports
 from .plan import (
     ALL_KINDS,
     CRASH_KINDS,
-    ChaosError,
-    Fault,
-    FaultPlan,
     PARTITION_KINDS,
     STORAGE_KINDS,
     WIRE_KINDS,
+    ChaosError,
+    Fault,
+    FaultPlan,
     fault_plan_key,
     single_fault_plan,
 )
+
+if TYPE_CHECKING:
+    from .des import DesChaosInjector, default_des_plan, run_des_cell
+    from .live import ChaosEndpoint, ChaosStorage, chaos_storage, lost_messages
+    from .matrix import (
+        DEFAULT_KINDS,
+        CellResult,
+        MatrixReport,
+        default_live_plan,
+        run_live_cell,
+        run_matrix,
+    )
 
 #: Lazily-resolved exports: name -> defining submodule.
 _LAZY = {
@@ -38,26 +54,15 @@ _LAZY = {
     "ChaosStorage": "live",
     "chaos_storage": "live",
     "lost_messages": "live",
-    "CellResult": "matrix",
     "DEFAULT_KINDS": "matrix",
+    "CellResult": "matrix",
     "MatrixReport": "matrix",
     "default_live_plan": "matrix",
     "run_live_cell": "matrix",
     "run_matrix": "matrix",
 }
 
-
-def __getattr__(name: str):
-    module = _LAZY.get(name)
-    if module is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    import importlib
-    return getattr(importlib.import_module(f".{module}", __name__), name)
-
-
-def __dir__():
-    return sorted(set(globals()) | set(_LAZY))
-
+__getattr__, __dir__ = lazy_exports(globals(), _LAZY)
 
 __all__ = [
     "ALL_KINDS",

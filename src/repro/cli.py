@@ -33,25 +33,27 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import Any, Sequence
+from typing import TYPE_CHECKING, Any, Sequence
 
-from .harness import (
-    DEFAULT_PROTOCOLS,
-    PROTOCOLS,
-    ExperimentConfig,
-    ResultCache,
-    compare,
-    comparison_table,
-    config_key,
-    fig1_scenario,
-    fig2_scenario,
-    fig5_scenario,
-    map_jobs,
-    run_experiment,
-    sweep,
-)
-from .harness.executor import DEFAULT_CACHE_DIR, JobError
-from .metrics import Table, kv_block
+# The simulator (.harness, .metrics) is imported by the commands that
+# simulate, not here: `repro live`, `submit`, `watch`, `trace` and every
+# --help start without it.
+if TYPE_CHECKING:
+    from .harness import ExperimentConfig, ResultCache
+
+
+def _protocol_name(raw: str) -> str:
+    """``type=`` of ``--protocol``: a name in the harness's registry.
+
+    A ``choices=`` list is read while the parser is built, which would
+    import the simulator for every command; a ``type`` runs only when
+    ``repro run`` parses its own arguments.
+    """
+    from .harness import PROTOCOLS
+    if raw not in PROTOCOLS:
+        raise argparse.ArgumentTypeError(
+            f"unknown protocol {raw!r}; choices: {sorted(PROTOCOLS)}")
+    return raw
 
 
 def _add_experiment_args(p: argparse.ArgumentParser) -> None:
@@ -82,8 +84,8 @@ def _add_executor_args(p: argparse.ArgumentParser) -> None:
                    help="worker processes for independent runs (1=serial)")
     p.add_argument("--no-cache", action="store_true",
                    help="do not read/write the on-disk result cache")
-    p.add_argument("--cache-dir", default=DEFAULT_CACHE_DIR,
-                   help="result cache directory")
+    p.add_argument("--cache-dir", default=None,
+                   help="result cache directory (default: .repro-cache)")
 
 
 def _add_trace_args(p: argparse.ArgumentParser) -> None:
@@ -113,7 +115,9 @@ def _tracer_from(args: argparse.Namespace, *, host: str) -> "Any | None":
 def _cache_from(args: argparse.Namespace) -> ResultCache | None:
     if getattr(args, "no_cache", False):
         return None
-    return ResultCache(args.cache_dir)
+    from .harness import executor
+    return executor.ResultCache(
+        args.cache_dir or executor.DEFAULT_CACHE_DIR)
 
 
 def _parse_value(raw: str) -> int | float | str:
@@ -131,8 +135,12 @@ def _parse_value(raw: str) -> int | float | str:
     return raw
 
 
-def _parse_protocols(raw: str) -> tuple[str, ...] | None:
-    """Split and validate a ``--protocols`` list; None (+stderr) if bad."""
+def _parse_protocols(raw: str | None) -> tuple[str, ...] | None:
+    """Split and validate a ``--protocols`` list (default: the harness's
+    ``DEFAULT_PROTOCOLS``); None (+stderr) if bad."""
+    from .harness import DEFAULT_PROTOCOLS, PROTOCOLS
+    if raw is None:
+        return DEFAULT_PROTOCOLS
     protocols = tuple(p for p in raw.split(",") if p)
     unknown = [p for p in protocols if p not in PROTOCOLS]
     if unknown:
@@ -144,10 +152,11 @@ def _parse_protocols(raw: str) -> tuple[str, ...] | None:
 
 def _config_from(args: argparse.Namespace,
                  protocol: str = "optimistic") -> ExperimentConfig:
+    from . import harness
     workload_kwargs = {}
     if args.workload in ("uniform", "client_server"):
         workload_kwargs["rate"] = args.rate
-    return ExperimentConfig(
+    return harness.ExperimentConfig(
         protocol=protocol, n=args.n, seed=args.seed, horizon=args.horizon,
         checkpoint_interval=args.interval, timeout=args.timeout,
         state_bytes=int(args.state_mb * 1_000_000),
@@ -162,6 +171,8 @@ def cmd_run(args: argparse.Namespace) -> int:
     the ``--report`` and ``--format json`` branches included, so
     scripted runs can't mistake an inconsistent run for success.
     """
+    from .harness import run_experiment
+    from .metrics import kv_block
     cfg = _config_from(args, protocol=args.protocol)
     tracer = _tracer_from(args, host="des")
     try:
@@ -190,6 +201,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def cmd_compare(args: argparse.Namespace) -> int:
     """``repro compare``: protocol matrix over one workload."""
+    from .harness import compare, comparison_table
     protocols = _parse_protocols(args.protocols)
     if protocols is None:
         return 2
@@ -213,6 +225,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     batch, in input order — so the trace file is byte-identical whatever
     ``--jobs`` interleaving produced the results.
     """
+    from .harness import sweep
     protocols = _parse_protocols(args.protocols)
     if protocols is None:
         return 2
@@ -256,6 +269,8 @@ def _trace_sweep(tracer: "Any", result: "Any", param: str,
 
 def cmd_figures(args: argparse.Namespace) -> int:
     """``repro figures``: replay the paper's figures."""
+    from .harness import fig1_scenario, fig2_scenario, fig5_scenario
+    from .metrics import Table
     which = args.figure
     if which in ("1", "all"):
         r = fig1_scenario()
@@ -295,6 +310,7 @@ def _recover_row(item: tuple[ExperimentConfig, float]) -> dict[str, Any]:
     per-protocol runs out; the live runtime the recovery analysis needs
     never leaves the worker — only the JSON-safe row does.
     """
+    from .harness import run_experiment
     from .recovery import (
         recover_cic,
         recover_coordinated,
@@ -321,6 +337,9 @@ def _recover_row(item: tuple[ExperimentConfig, float]) -> dict[str, Any]:
 
 def cmd_recover(args: argparse.Namespace) -> int:
     """``repro recover``: hypothetical-failure recovery table."""
+    from .harness import config_key, map_jobs
+    from .harness.executor import JobError
+    from .metrics import Table
     cache = _cache_from(args)
     rows: dict[str, dict[str, Any]] = {}
     pending: list[tuple[str, ExperimentConfig, str]] = []
@@ -837,8 +856,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("run", help="run one protocol, print its metrics")
-    p.add_argument("--protocol", default="optimistic",
-                   choices=sorted(PROTOCOLS))
+    p.add_argument("--protocol", default="optimistic", type=_protocol_name,
+                   metavar="NAME",
+                   help="a registered protocol (an unknown name lists the "
+                        "choices)")
     p.add_argument("--report", action="store_true",
                    help="print a full one-page report incl. a space-time "
                         "diagram")
@@ -852,7 +873,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_run)
 
     p = sub.add_parser("compare", help="run several protocols on one workload")
-    p.add_argument("--protocols", default=",".join(DEFAULT_PROTOCOLS))
+    p.add_argument("--protocols", default=None,
+                   help="comma-separated protocol names "
+                        "(default: the harness's DEFAULT_PROTOCOLS)")
     _add_experiment_args(p)
     _add_executor_args(p)
     p.set_defaults(fn=cmd_compare)
@@ -990,9 +1013,10 @@ def build_parser() -> argparse.ArgumentParser:
                         "against")
     p.add_argument("--no-cache", action="store_true",
                    help="do not read/write the on-disk result cache")
-    p.add_argument("--cache-dir", default=DEFAULT_CACHE_DIR,
+    p.add_argument("--cache-dir", default=None,
                    help="result cache directory (plan replays are keyed "
-                        "by config + fault-plan content hash)")
+                        "by config + fault-plan content hash; "
+                        "default: .repro-cache)")
     p.add_argument("--format", choices=("text", "json"), default="text")
     _add_trace_args(p)
     p.set_defaults(fn=cmd_chaos)

@@ -8,37 +8,78 @@
 * :mod:`~repro.core.types` — ``Status`` / ``Piggyback`` / checkpoints.
 """
 
-from .config import (
-    FlushAtFinalize,
-    FlushImmediately,
-    FlushOpportunistic,
-    FlushPolicy,
-    FlushUniformDelay,
-    OptimisticConfig,
-)
-from .driver import ProtocolAnomalyError, ProtocolDriver
-from .effects import (
-    Anomaly,
-    ArmTimer,
-    BroadcastControl,
-    CancelTimer,
-    Effect,
-    Finalize,
-    SendControl,
-    TakeTentative,
-)
-from .host import OptimisticProcess, OptimisticRuntime
-from .invariants import InvariantMonitor, InvariantViolation
-from .state_machine import COORDINATOR, MachineConfig, OptimisticStateMachine
-from .types import (
-    ControlMessage,
-    ControlType,
-    FinalizedCheckpoint,
-    LogEntry,
-    Piggyback,
-    Status,
-    TentativeCheckpoint,
-)
+from typing import TYPE_CHECKING
+
+from .._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from .config import (
+        FlushAtFinalize,
+        FlushImmediately,
+        FlushOpportunistic,
+        FlushPolicy,
+        FlushUniformDelay,
+        OptimisticConfig,
+    )
+    from .driver import ProtocolAnomalyError, ProtocolDriver
+    from .effects import (
+        Anomaly,
+        ArmTimer,
+        BroadcastControl,
+        CancelTimer,
+        Effect,
+        Finalize,
+        SendControl,
+        TakeTentative,
+    )
+    from .host import OptimisticProcess, OptimisticRuntime
+    from .invariants import InvariantMonitor, InvariantViolation
+    from .state_machine import COORDINATOR, MachineConfig, OptimisticStateMachine
+    from .types import (
+        ControlMessage,
+        ControlType,
+        FinalizedCheckpoint,
+        LogEntry,
+        Piggyback,
+        Status,
+        TentativeCheckpoint,
+    )
+
+#: Lazily-resolved exports: name -> defining submodule.
+_LAZY = {
+    "FlushAtFinalize": "config",
+    "FlushImmediately": "config",
+    "FlushOpportunistic": "config",
+    "FlushPolicy": "config",
+    "FlushUniformDelay": "config",
+    "OptimisticConfig": "config",
+    "ProtocolAnomalyError": "driver",
+    "ProtocolDriver": "driver",
+    "Anomaly": "effects",
+    "ArmTimer": "effects",
+    "BroadcastControl": "effects",
+    "CancelTimer": "effects",
+    "Effect": "effects",
+    "Finalize": "effects",
+    "SendControl": "effects",
+    "TakeTentative": "effects",
+    "OptimisticProcess": "host",
+    "OptimisticRuntime": "host",
+    "InvariantMonitor": "invariants",
+    "InvariantViolation": "invariants",
+    "COORDINATOR": "state_machine",
+    "MachineConfig": "state_machine",
+    "OptimisticStateMachine": "state_machine",
+    "ControlMessage": "types",
+    "ControlType": "types",
+    "FinalizedCheckpoint": "types",
+    "LogEntry": "types",
+    "Piggyback": "types",
+    "Status": "types",
+    "TentativeCheckpoint": "types",
+}
+
+__getattr__, __dir__ = lazy_exports(globals(), _LAZY)
 
 __all__ = [
     "Anomaly",

@@ -10,16 +10,35 @@ The paper assumes an asynchronous message-passing system; this kernel plus
 :mod:`repro.net` realizes exactly that model in simulation.
 """
 
-from .engine import Simulator, run_all
-from .errors import (
-    SchedulingError,
-    SimulationError,
-    SimulationLimitExceeded,
-)
-from .events import Event, EventPriority, Timer
-from .process import SimProcess
-from .rng import RngRegistry
-from .trace import TraceRecord, TraceRecorder
+from typing import TYPE_CHECKING
+
+from .._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from .engine import Simulator, run_all
+    from .errors import SchedulingError, SimulationError, SimulationLimitExceeded
+    from .events import Event, EventPriority, Timer
+    from .process import SimProcess
+    from .rng import RngRegistry
+    from .trace import TraceRecord, TraceRecorder
+
+#: Lazily-resolved exports: name -> defining submodule.
+_LAZY = {
+    "Simulator": "engine",
+    "run_all": "engine",
+    "SchedulingError": "errors",
+    "SimulationError": "errors",
+    "SimulationLimitExceeded": "errors",
+    "Event": "events",
+    "EventPriority": "events",
+    "Timer": "events",
+    "SimProcess": "process",
+    "RngRegistry": "rng",
+    "TraceRecord": "trace",
+    "TraceRecorder": "trace",
+}
+
+__getattr__, __dir__ = lazy_exports(globals(), _LAZY)
 
 __all__ = [
     "Event",

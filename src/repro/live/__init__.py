@@ -28,28 +28,72 @@ Layout:
   recover, report;
 * :mod:`~repro.live.conformance` — replay journals through
   :mod:`repro.causality` and assert Theorem 2 on the real run.
+
+The names below load on first use (:mod:`repro._lazy`), because
+``python -m repro.live.worker`` executes this file first: a worker
+imports its host, journal, storage and transport — not the supervisor,
+the conformance replay, numpy or the simulator.  A crashed worker's
+restart is one Python start-up plus a reconnect, so what it imports *is*
+the recovery time; ``repro verify --lint`` rule REP109 and
+``tests/test_import_closure.py`` hold the closure.
 """
 
-from .conformance import ConformanceReport, replay, supervisor_events
-from .host import LiveHost
-from .journal import Journal, read_journal, worker_events
-from .resilience import ResilienceConfig, ResilienceStats, ResilientEndpoint
-from .storage import FileStableStorage, durable_global_seq
-from .supervisor import (
-    CrashOutcome,
-    LiveRunConfig,
-    LiveRunReport,
-    LiveSetupError,
-    run_live,
-    run_live_async,
-)
-from .transport import LocalTransport, TcpBroker, connect_tcp
-from .wire import MAX_INCARNATIONS, MAX_UID_COUNTER, SUPERVISOR, make_uid
-from .workload import LIVE_WORKLOADS, LiveTraffic, drive, make_traffic
+from typing import TYPE_CHECKING
 
-# The PR-4 era ``RunResult = LiveRunReport`` alias is retired: the live
-# run result is :class:`LiveRunReport`, and the cross-host surface it
-# (and the harness results) satisfy is :class:`repro.api.RunOutcome`.
+from .._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from .conformance import ConformanceReport, replay, supervisor_events
+    from .host import LiveHost
+    from .journal import Journal, read_journal, worker_events
+    from .resilience import ResilienceConfig, ResilienceStats, ResilientEndpoint
+    from .storage import FileStableStorage, durable_global_seq
+    from .supervisor import (
+        CrashOutcome,
+        LiveRunConfig,
+        LiveRunReport,
+        LiveSetupError,
+        run_live,
+        run_live_async,
+    )
+    from .transport import LocalTransport, TcpBroker, connect_tcp
+    from .wire import MAX_INCARNATIONS, MAX_UID_COUNTER, SUPERVISOR, make_uid
+    from .workload import LIVE_WORKLOADS, LiveTraffic, drive, make_traffic
+
+#: Lazily-resolved exports: name -> defining submodule.
+_LAZY = {
+    "ConformanceReport": "conformance",
+    "replay": "conformance",
+    "supervisor_events": "conformance",
+    "LiveHost": "host",
+    "Journal": "journal",
+    "read_journal": "journal",
+    "worker_events": "journal",
+    "ResilienceConfig": "resilience",
+    "ResilienceStats": "resilience",
+    "ResilientEndpoint": "resilience",
+    "FileStableStorage": "storage",
+    "durable_global_seq": "storage",
+    "CrashOutcome": "supervisor",
+    "LiveRunConfig": "supervisor",
+    "LiveRunReport": "supervisor",
+    "LiveSetupError": "supervisor",
+    "run_live": "supervisor",
+    "run_live_async": "supervisor",
+    "LocalTransport": "transport",
+    "TcpBroker": "transport",
+    "connect_tcp": "transport",
+    "MAX_INCARNATIONS": "wire",
+    "MAX_UID_COUNTER": "wire",
+    "SUPERVISOR": "wire",
+    "make_uid": "wire",
+    "LIVE_WORKLOADS": "workload",
+    "LiveTraffic": "workload",
+    "drive": "workload",
+    "make_traffic": "workload",
+}
+
+__getattr__, __dir__ = lazy_exports(globals(), _LAZY)
 
 __all__ = [
     "ConformanceReport",

@@ -617,6 +617,9 @@ async def _run_tcp(cfg: LiveRunConfig, run_dir: Path, sup: _SupervisorLog,
                                   pid=victim)
             procs[victim].kill()   # SIGKILL — a true fail-stop crash
             await _wait_proc(procs[victim], grace=10.0)
+            # Its EOF may not have been read yet; the wait below must
+            # count the new incarnation's handshake, not the dead socket.
+            broker.disconnect(victim)
             # The recovery line comes from what actually hit the disk.
             seq = durable_global_seq(run_dir, cfg.n)
             broker.epoch += 1

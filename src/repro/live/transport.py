@@ -313,6 +313,19 @@ class TcpBroker:
 
         await asyncio.wait_for(_wait(), timeout)
 
+    def disconnect(self, pid: int) -> None:
+        """Drop ``pid``'s connection now instead of at its EOF.
+
+        For a worker the supervisor has reaped: until the reader task
+        sees the EOF, the dead connection still counts towards
+        :meth:`wait_connected` — which would then return before the
+        respawned incarnation exists — and swallows frames routed to it.
+        Once dropped, those frames park for the next incarnation.
+        """
+        conn = self._conns.pop(pid, None)
+        if conn is not None:
+            conn.batcher.close()
+
     async def _handle(self, reader: asyncio.StreamReader,
                       writer: asyncio.StreamWriter) -> None:
         """Per-connection task: handshake, then route until EOF."""

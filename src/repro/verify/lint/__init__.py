@@ -3,7 +3,7 @@
 See :mod:`repro.verify.lint.rules` for the core rule catalogue
 (REP001–REP007), :mod:`repro.verify.lint.async_rules` and
 :mod:`repro.verify.lint.contract_rules` for the REP100 concurrency and
-protocol-contract analyzers (REP101–REP108), and
+protocol-contract analyzers (REP101–REP109), and
 ``docs/STATIC_ANALYSIS.md`` for the rationale behind each rule.
 """
 

@@ -11,7 +11,7 @@ REP100 concurrency and protocol-contract rules need more:
   what a coroutine observes before and after a suspension point
   (REP103);
 * small **cross-file symbol-table** helpers (string-tuple constants,
-  dict-literal routing tables) for the contract rules REP105–REP108.
+  dict-literal routing tables) for the contract rules REP105–REP109.
 
 Everything here is deliberately conservative.  The CFG treats a ``try``
 body as if an exception could occur before any of its statements (so

@@ -1,4 +1,4 @@
-"""REP105–REP108: cross-layer protocol contracts, checked statically.
+"""REP105–REP109: cross-layer protocol contracts, checked statically.
 
 These follow the REP006 pattern — a declaration site in one file, a
 totality obligation in others — extended to the contracts the live,
@@ -24,6 +24,14 @@ REP108  obs vocabulary consistency — every trace point/profile name
         and every declared name must actually be emitted.  Dashboards
         and the trace report filter by name; a misspelled emission is
         invisible, a dead vocabulary entry is a lie.
+REP109  worker import closure — the module-level imports reachable from
+        ``live/worker.py`` (package ``__init__``s included, as Python
+        executes them; ``_LAZY`` exports of :mod:`repro._lazy` packages
+        count only where a from-import names them) must not reach numpy,
+        networkx, the simulator (``des.engine``, ``des.rng``,
+        ``net.network``, ``core.host``), ``harness`` or ``metrics``.  A
+        crashed worker's restart time *is* the recovery time; one eager
+        re-export in a package ``__init__`` triples it silently.
 
 Each cross-file rule skips quietly when its declaration module is not
 in the linted set (partial trees: fixtures, ``repro verify --lint
@@ -33,14 +41,16 @@ src/repro/live``); the scoped run simply checks fewer contracts.
 from __future__ import annotations
 
 import ast
-from typing import Iterable
+from collections import deque
+from pathlib import Path
+from typing import Iterable, Iterator
 
 from .analysis import (assignment_node, build_cfg, dict_literal_str_items,
                        find_module, int_assignment, int_tuple_assignment,
                        iter_functions, string_tuple_assignments,
                        stmt_own_nodes, terminal_name)
 from .model import Finding, SourceFile
-from .rules import _finding
+from .rules import _finding, _prefix_match, _resolve_from
 
 # --------------------------------------------------------------------------
 # REP105 — chaos fault-kind totality
@@ -458,6 +468,128 @@ class ObsVocabularyRule:
         return out
 
 
+# --------------------------------------------------------------------------
+# REP109 — the live worker's import closure
+# --------------------------------------------------------------------------
+
+_WORKER_ENTRY = "live.worker"
+#: Third-party distributions a worker process must start without.
+_WORKER_FORBIDDEN_EXTERNAL = ("numpy", "networkx")
+#: In-tree modules (relative to the package root) it must start without.
+_WORKER_FORBIDDEN = ("des.engine", "des.rng", "net.network", "core.host",
+                     "harness", "metrics")
+
+
+def _import_time_imports(tree: ast.AST
+                         ) -> Iterator[ast.Import | ast.ImportFrom]:
+    """Import statements that run when the module is imported: those in
+    function bodies and under ``if TYPE_CHECKING:`` do not."""
+    stack: list[ast.AST] = [tree]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield node
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        elif isinstance(node, ast.If) \
+                and terminal_name(node.test) == "TYPE_CHECKING":
+            stack.extend(reversed(node.orelse))
+        else:       # reversed: the stack pops in source order
+            stack.extend(reversed(list(ast.iter_child_nodes(node))))
+
+
+class WorkerImportClosureRule:
+    """REP109: ``live/worker.py`` starts without numpy or the simulator."""
+
+    rule_id = "REP109"
+
+    def __call__(self, files: Iterable[SourceFile]) -> list[Finding]:
+        files = list(files)
+        entry = find_module(files, _WORKER_ENTRY)
+        if entry is None or entry.module == _WORKER_ENTRY:
+            return []           # scoped run: no package root to resolve in
+        # One package tree: a multi-root run may hold same-named modules.
+        package_dir = Path(str(entry.path)).parents[1]
+        by_module = {sf.module: sf for sf in files
+                     if package_dir in Path(str(sf.path)).parents}
+        root = entry.module[:-len(_WORKER_ENTRY) - 1]
+        top = root.rsplit(".", 1)[-1]   # absolute imports start from here
+        forbidden = tuple(f"{root}.{m}" for m in _WORKER_FORBIDDEN)
+
+        def in_tree(name: str) -> str:
+            """An import target as spelled -> its name in the linted tree."""
+            if name == top or name.startswith(top + "."):
+                return root + name[len(top):]
+            return name
+
+        def lazy_map(module: str) -> dict[str, str]:
+            """The ``_LAZY`` literal of a :mod:`repro._lazy` package."""
+            sf = by_module.get(module)
+            node = None if sf is None else assignment_node(sf.tree, "_LAZY")
+            items = None if node is None \
+                else dict_literal_str_items(node.value)
+            return items or {}
+
+        def targets(sf: SourceFile,
+                    node: ast.Import | ast.ImportFrom) -> list[str]:
+            """Every module executing ``node`` imports, parents first."""
+            if isinstance(node, ast.Import):
+                names = [in_tree(a.name) for a in node.names]
+            else:
+                base = _resolve_from(
+                    sf.module, str(sf.path).endswith("__init__.py"), node)
+                if base is None:
+                    return []
+                base = in_tree(base)
+                lazy = lazy_map(base)
+                names = [base]
+                for a in node.names:
+                    if f"{base}.{a.name}" in by_module:
+                        names.append(f"{base}.{a.name}")
+                    elif a.name in lazy:
+                        names.append(f"{base}.{lazy[a.name]}")
+                    elif a.name == "*":
+                        names.extend(f"{base}.{sub}"
+                                     for sub in sorted(set(lazy.values())))
+            out: list[str] = []
+            for name in names:
+                parts = name.split(".")
+                out.extend(".".join(parts[:i + 1])
+                           for i in range(len(parts)))
+            return out
+
+        chains = {entry.module: (entry.module,)}
+        queue = deque([entry.module])
+        reported: set[str] = set()
+        out: list[Finding] = []
+        while queue:
+            module = queue.popleft()
+            sf = by_module[module]
+            for node in _import_time_imports(sf.tree):
+                for target in targets(sf, node):
+                    external = target.split(".")[0]
+                    if _prefix_match(target, forbidden):
+                        offender = target
+                    elif external in _WORKER_FORBIDDEN_EXTERNAL:
+                        offender = external
+                    else:
+                        if target in by_module and target not in chains:
+                            chains[target] = chains[module] + (target,)
+                            queue.append(target)
+                        continue
+                    if offender not in reported:
+                        reported.add(offender)
+                        chain = " -> ".join(chains[module] + (offender,))
+                        out.append(_finding(
+                            self.rule_id, sf, node,
+                            f"{entry.module} imports {offender} at start-up "
+                            f"({chain}) — a crashed worker's restart time is "
+                            f"the recovery time; import from the defining "
+                            f"submodule, or list the re-export in the "
+                            f"package's _LAZY map (repro/_lazy.py)"))
+        return out
+
+
 FILE_CONTRACT_RULES = (JournalBeforeSendRule(),)
 CROSS_CONTRACT_RULES = (ChaosKindTotalityRule(), WireVersionRule(),
-                        ObsVocabularyRule())
+                        ObsVocabularyRule(), WorkerImportClosureRule())

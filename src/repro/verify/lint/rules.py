@@ -2,7 +2,7 @@
 
 The REP100 series — asyncio concurrency hygiene (REP101–REP104, in
 :mod:`repro.verify.lint.async_rules`) and cross-layer protocol contracts
-(REP105–REP108, in :mod:`repro.verify.lint.contract_rules`) — registers
+(REP105–REP109, in :mod:`repro.verify.lint.contract_rules`) — registers
 into the same ``FILE_RULES`` / ``CROSS_FILE_RULES`` tables at the bottom
 of this module.
 
@@ -109,6 +109,20 @@ def _finding(rule_id: str, sf: SourceFile, node: ast.AST, msg: str) -> Finding:
 
 def _prefix_match(module: str, prefixes: Sequence[str]) -> bool:
     return any(module == p or module.startswith(p + ".") for p in prefixes)
+
+
+def _resolve_from(module: str, is_package: bool,
+                  node: ast.ImportFrom) -> str | None:
+    """Absolute dotted target of a (possibly relative) from-import."""
+    if node.level == 0:
+        return node.module
+    pkg = module.split(".") if is_package else module.split(".")[:-1]
+    base = pkg[:len(pkg) - (node.level - 1)]
+    if not base:
+        return None
+    if node.module:
+        base = base + node.module.split(".")
+    return ".".join(base)
 
 
 #: Packages that run on real wall-clock time with OS-entropy randomness *by
@@ -396,27 +410,13 @@ class LayeringRule:
                 for a in node.names:
                     out.extend(self._check(sf, node, a.name))
             elif isinstance(node, ast.ImportFrom):
-                base = self._resolve(sf.module, is_package, node)
+                base = _resolve_from(sf.module, is_package, node)
                 if base is None:
                     continue
                 for a in node.names:
                     out.extend(self._check(sf, node, f"{base}.{a.name}",
                                            module_itself=base))
         return out
-
-    @staticmethod
-    def _resolve(module: str, is_package: bool,
-                 node: ast.ImportFrom) -> str | None:
-        """Absolute dotted target of a (possibly relative) from-import."""
-        if node.level == 0:
-            return node.module
-        pkg = module.split(".") if is_package else module.split(".")[:-1]
-        base = pkg[:len(pkg) - (node.level - 1)]
-        if not base:
-            return None
-        if node.module:
-            base = base + node.module.split(".")
-        return ".".join(base)
 
     def _check(self, sf: SourceFile, node: ast.AST, target: str,
                module_itself: str | None = None) -> list[Finding]:

@@ -25,7 +25,7 @@ class TestConstruction:
         trace, n = trace_with_messages()
         g = EventGraph(trace, n)
         assert len(g) == 5
-        relations = sorted(d["relation"] for _, _, d in g.graph.edges(data=True))
+        relations = sorted(relation for _, _, relation in g.edges())
         assert relations == ["m", "m", "xo", "xo"]
 
     def test_ignores_non_event_kinds(self):

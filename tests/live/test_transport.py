@@ -8,8 +8,8 @@ import json
 import pytest
 
 from repro.live.transport import LocalTransport, TcpBroker, connect_tcp
-from repro.live.wire import (WIRE_VERSION, encode_frame_v1, hello_frame,
-                             recover_frame, stop_frame)
+from repro.live.wire import (WIRE_VERSION, encode_frame, encode_frame_v1,
+                             hello_frame, recover_frame, stop_frame)
 
 
 def run(coro):
@@ -270,5 +270,83 @@ class TestTcpTransport:
             with pytest.raises(asyncio.TimeoutError):
                 await broker.wait_connected(1, timeout=0.05)
             await broker.close()
+
+        run(body())
+
+
+class _NullWriter:
+    """The StreamWriter surface the broker's batcher uses, to nowhere."""
+
+    def write(self, data):
+        pass
+
+    async def drain(self):
+        pass
+
+    def close(self):
+        pass
+
+
+class TestRespawnWait:
+    """ROADMAP 1(f): a SIGKILLed worker's connection stays in the broker
+    until its EOF is read; the supervisor's post-respawn wait must not be
+    satisfied by it (1 crash run in ~50 read a 0.01 s recovery)."""
+
+    def test_wait_needs_the_new_incarnations_hello(self):
+        async def body():
+            broker = TcpBroker()            # in memory: never listens
+
+            def connect(pid, incarnation):
+                reader = asyncio.StreamReader()
+                reader.feed_data(encode_frame(hello_frame(pid, incarnation)))
+                task = asyncio.ensure_future(
+                    broker._handle(reader, _NullWriter()))
+                return reader, task
+
+            r0, t0 = connect(0, 0)
+            r1, t1 = connect(1, 0)
+            await broker.wait_connected(2, timeout=5.0)
+            # pid 1 is SIGKILLed and reaped; its EOF is NOT delivered.
+            # Here the stale connection still satisfies a bare wait ...
+            await broker.wait_connected(2, timeout=5.0)
+            # ... so the supervisor drops it before respawning:
+            broker.disconnect(1)
+            assert broker.connected_pids == [0]
+            waiter = asyncio.ensure_future(
+                broker.wait_connected(2, timeout=5.0))
+            for _ in range(5):
+                await asyncio.sleep(0)
+            assert not waiter.done()
+            r1b, t1b = connect(1, 1)        # the respawn's second hello
+            await waiter
+            assert broker.connected_pids == [0, 1]
+            # The dead connection's late EOF must not evict incarnation 1.
+            gone = []
+            broker.on_disconnect = gone.append
+            r1.feed_eof()
+            await asyncio.wait_for(t1, 5.0)
+            assert broker.connected_pids == [0, 1] and gone == []
+            for reader in (r0, r1b):
+                reader.feed_eof()
+            await asyncio.wait_for(asyncio.gather(t0, t1b), 5.0)
+            assert gone == [0, 1]
+
+        run(body())
+
+    def test_frames_for_a_dropped_pid_park_for_its_next_incarnation(self):
+        async def body():
+            broker = TcpBroker()
+            reader = asyncio.StreamReader()
+            reader.feed_data(encode_frame(hello_frame(1, 0)))
+            task = asyncio.ensure_future(
+                broker._handle(reader, _NullWriter()))
+            await broker.wait_connected(1, timeout=5.0)
+            broker.disconnect(1)
+            broker.route(app(0, 1, 7))
+            assert broker._parked[1] == [app(0, 1, 7)]
+            assert broker.dropped == 0
+            broker.disconnect(1)            # idempotent
+            reader.feed_eof()
+            await asyncio.wait_for(task, 5.0)
 
         run(body())

@@ -58,7 +58,8 @@ class TestRun:
                 def as_dict():
                     return {"protocol": "optimistic"}
 
-        monkeypatch.setattr("repro.cli.run_experiment", lambda cfg: FakeRes())
+        monkeypatch.setattr("repro.harness.run_experiment",
+                            lambda cfg: FakeRes())
         monkeypatch.setattr("repro.metrics.render_run_report",
                             lambda res: "fake report")
         code, out = run_cli(capsys, "run", "--report", *COMMON)

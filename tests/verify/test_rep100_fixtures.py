@@ -1,6 +1,6 @@
 """Golden fixture tests for the REP100 analyzer pack.
 
-Each rule REP101–REP108 has a ``tests/verify/fixtures/<rule>/`` pair:
+Each rule REP101–REP109 has a ``tests/verify/fixtures/<rule>/`` pair:
 ``bad/`` is a minimal deliberately-violating tree and ``good/`` the
 compliant counterpart.  The bad tests pin rule id, file, line and
 message substring (so a rule that drifts to a different node or wording
@@ -42,6 +42,10 @@ BAD_EXPECT: dict[str, list[tuple[str, int, str]]] = {
     "rep107": [("host.py", 8, 'not dominated by a journal.log("send"')],
     "rep108": [("host.py", 2, 'trace point "ctl.snd" is not in the obs '
                               'schema vocabulary')],
+    "rep109": [("__init__.py", 2,
+                "imports bad.repro.core.host at start-up "
+                "(bad.repro.live.worker -> bad.repro.core -> "
+                "bad.repro.core.host)")],
 }
 
 RULES = sorted(BAD_EXPECT)
