@@ -248,6 +248,8 @@ class BaselineHost(SimProcess):
         return CheckpointRecord(
             pid=self.pid, seq=seq, taken_at=taken_at,
             finalized_at=finalized_at,
-            sent_uids=frozenset(self.sent_uids[:smark]) | frozenset(extra_sent),
-            recv_uids=frozenset(self.recv_uids[:rmark]) | frozenset(extra_recv),
+            new_sent_uids=(frozenset(self.sent_uids[:smark])
+                           | frozenset(extra_sent)),
+            new_recv_uids=(frozenset(self.recv_uids[:rmark])
+                           | frozenset(extra_recv)),
             state_bytes=state_bytes, log_bytes=log_bytes)

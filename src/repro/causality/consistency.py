@@ -51,11 +51,8 @@ class CheckpointRecord:
     checkpoint records, i.e. the union of the increments along the ``prev``
     chain — built on first read and only for callers that read them.
 
-    Two spellings: ``CheckpointRecord(..., sent_uids=S, recv_uids=R)`` is a
-    self-contained record (no ``prev``: its increment *is* everything it
-    records — how the baselines describe a cut);
-    ``CheckpointRecord(..., new_sent_uids=s, new_recv_uids=r, prev=p)``
-    extends the chain of ``p``.
+    A record with no ``prev`` is self-contained: its increment *is*
+    everything it records — how the baselines describe a cut.
     """
 
     __slots__ = ("pid", "seq", "taken_at", "finalized_at", "new_sent_uids",
@@ -63,21 +60,12 @@ class CheckpointRecord:
                  "log_bytes", "_sent_uids", "_recv_uids")
 
     def __init__(self, pid: int, seq: int, taken_at: float,
-                 finalized_at: float | None,
-                 sent_uids: frozenset[int] | None = None,
-                 recv_uids: frozenset[int] | None = None,
-                 logged_uids: frozenset[int] = _EMPTY,
-                 state_bytes: int = 0, log_bytes: int = 0, *,
+                 finalized_at: float | None, *,
                  new_sent_uids: frozenset[int] = _EMPTY,
                  new_recv_uids: frozenset[int] = _EMPTY,
-                 prev: "CheckpointRecord | None" = None) -> None:
-        if sent_uids is not None or recv_uids is not None:
-            if prev is not None or new_sent_uids or new_recv_uids:
-                raise TypeError(
-                    "give sent_uids/recv_uids (a self-contained record) or "
-                    "new_sent_uids/new_recv_uids/prev (an increment), not both")
-            new_sent_uids = _EMPTY if sent_uids is None else sent_uids
-            new_recv_uids = _EMPTY if recv_uids is None else recv_uids
+                 prev: "CheckpointRecord | None" = None,
+                 logged_uids: frozenset[int] = _EMPTY,
+                 state_bytes: int = 0, log_bytes: int = 0) -> None:
         self.pid = pid
         self.seq = seq
         self.taken_at = taken_at

@@ -10,9 +10,9 @@ recovery.
 
 Layout:
 
-* :mod:`~repro.live.wire`        — length-prefixed binary frames (v1
-  newline-JSON still decoded) carrying the piggyback
-  ``(csn, stat, tentSet)`` via :mod:`repro.storage.serialize`;
+* :mod:`~repro.live.wire`        — length-prefixed binary frames
+  carrying the piggyback ``(csn, stat, tentSet)`` via
+  :mod:`repro.storage.serialize`;
 * :mod:`~repro.live.transport`   — two interchangeable backends:
   in-process :class:`asyncio.Queue` pairs and a localhost TCP broker;
 * :mod:`~repro.live.storage`     — atomic file-backed stable storage and

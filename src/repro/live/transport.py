@@ -39,15 +39,12 @@ every peer before any post-recovery frame can be routed to it).
 from __future__ import annotations
 
 import asyncio
-from typing import Any, Awaitable, Callable
+from typing import Any, Callable
 
 from .wire import (
-    SUPERVISOR,
     check_handshake,
-    decode_frame,
     decode_payload,
     encode_frame,
-    encode_frame_v1,
     frame_prefix,
     hello_frame,
     payload_dst,
@@ -245,21 +242,6 @@ class FrameBatcher:
 # --------------------------------------------------------------------------
 
 
-class _BrokerConn:
-    """Per-connection broker state: batcher + the framing the peer speaks."""
-
-    __slots__ = ("pid", "writer", "batcher", "binary")
-
-    def __init__(self, pid: int, writer: asyncio.StreamWriter,
-                 binary: bool) -> None:
-        self.pid = pid
-        self.writer = writer
-        self.batcher = FrameBatcher(writer)
-        #: False for a legacy peer whose hello arrived as a v1 JSON line;
-        #: everything routed to it is re-encoded as newline JSON.
-        self.binary = binary
-
-
 class TcpBroker:
     """Supervisor-side hub: accepts worker connections, routes frames.
 
@@ -273,7 +255,7 @@ class TcpBroker:
     def __init__(self, epoch: int = 0) -> None:
         self.epoch = epoch
         self._server: asyncio.AbstractServer | None = None
-        self._conns: dict[int, _BrokerConn] = {}
+        self._conns: dict[int, FrameBatcher] = {}
         #: Pids that have connected at least once (reconnect-window set).
         self._known_pids: set[int] = set()
         #: Frames awaiting a known pid's reconnection.
@@ -287,9 +269,6 @@ class TcpBroker:
         #: superseded (parked frames made obsolete by a recover order).
         self.dropped_by_cause: dict[str, int] = {}
         self.on_disconnect: Callable[[int], None] | None = None
-        #: Frames workers addressed to the supervisor (unused for now, kept
-        #: so the wire format has a worker→supervisor path).
-        self.inbox: asyncio.Queue = asyncio.Queue()
 
     async def start(self) -> int:
         """Listen on an ephemeral localhost port; returns the port."""
@@ -324,7 +303,7 @@ class TcpBroker:
         """
         conn = self._conns.pop(pid, None)
         if conn is not None:
-            conn.batcher.close()
+            conn.close()
 
     async def _handle(self, reader: asyncio.StreamReader,
                       writer: asyncio.StreamWriter) -> None:
@@ -332,36 +311,22 @@ class TcpBroker:
         pid = None
         conn = None
         try:
-            raw = await read_wire(reader)
-            if raw is None:
+            hello = await read_wire_frame(reader)
+            if hello is None:
                 return
-            framing, data = raw
-            hello = check_handshake(decode_frame(data), "hello")
-            pid = hello["pid"]
-            conn = _BrokerConn(pid, writer, binary=framing == 2)
+            pid = check_handshake(hello, "hello")["pid"]
+            conn = FrameBatcher(writer)
             self._conns[pid] = conn
             self._known_pids.add(pid)
-            # Answer in a version the peer's accept-set contains: a
-            # legacy peer gets its own hello version echoed back.
-            welcome = (welcome_frame(self.epoch) if conn.binary
-                       else welcome_frame(self.epoch, version=hello["v"]))
-            self._send_to(conn, welcome)
+            conn.push(encode_frame(welcome_frame(self.epoch)))
             for frame in self._parked.pop(pid, []):
-                self._send_to(conn, frame)
+                conn.push(encode_frame(frame))
             self._connected.set()
             while True:
-                raw = await read_wire(reader)
-                if raw is None:
+                payload = await read_wire(reader)
+                if payload is None:
                     break
-                framing, data = raw
-                if framing == 2:
-                    dst = payload_dst(data)
-                    if dst == SUPERVISOR:
-                        self.inbox.put_nowait(decode_payload(data))
-                    else:
-                        self._route_payload(dst, data)
-                else:
-                    self.route(decode_frame(data))
+                self._route_payload(payload_dst(payload), payload)
         except (ConnectionError, ValueError, asyncio.IncompleteReadError):
             pass
         finally:
@@ -370,7 +335,7 @@ class TcpBroker:
                 if self.on_disconnect is not None:
                     self.on_disconnect(pid)
             if conn is not None:
-                conn.batcher.close()
+                conn.close()
             else:
                 writer.close()
 
@@ -395,41 +360,19 @@ class TcpBroker:
         else:
             self._drop("no_route")
 
-    def _send_to(self, conn: _BrokerConn, frame: dict[str, Any]) -> None:
-        """Encode for this connection's framing and push to its batcher."""
-        if conn.binary:
-            conn.batcher.push(encode_frame(frame))
-        else:
-            conn.batcher.push(encode_frame_v1(frame))
-
     def _route_payload(self, dst: int, payload: bytes) -> None:
-        """Fast path: forward raw v2 payload bytes without a decode."""
+        """Forward raw payload bytes to ``dst`` without a decode."""
         conn = self._conns.get(dst)
         if conn is None:
             self._no_route(dst, decode_payload(payload))
             return
-        if conn.binary:
-            conn.batcher.push(frame_prefix(payload) + payload)
-        else:
-            conn.batcher.push(encode_frame_v1(decode_payload(payload)))
-
-    def route(self, frame: dict[str, Any]) -> None:
-        """Forward a frame to its destination worker (or the inbox)."""
-        dst = frame["dst"]
-        if dst == SUPERVISOR:
-            self.inbox.put_nowait(frame)
-            return
-        conn = self._conns.get(dst)
-        if conn is None:
-            self._no_route(dst, frame)
-            return
-        self._send_to(conn, frame)
+        conn.push(frame_prefix(payload) + payload)
 
     def inject(self, dst: int, frame: dict[str, Any]) -> None:
         """Supervisor-originated frame to one worker."""
         conn = self._conns.get(dst)
         if conn is not None:
-            self._send_to(conn, frame)
+            conn.push(encode_frame(frame))
 
     def broadcast(self, frame: dict[str, Any]) -> None:
         """Supervisor-originated frame to every connected worker.
@@ -442,8 +385,9 @@ class TcpBroker:
             for dst in sorted(self._parked):
                 self._drop("superseded", len(self._parked[dst]))
             self._parked.clear()
+        data = encode_frame(frame)
         for pid in sorted(self._conns):
-            self._send_to(self._conns[pid], frame)
+            self._conns[pid].push(data)
 
     async def close(self) -> None:
         """Close the listener and every worker connection."""
@@ -454,7 +398,7 @@ class TcpBroker:
             server.close()
             await server.wait_closed()
         for pid in sorted(self._conns):
-            self._conns[pid].batcher.close()
+            self._conns[pid].close()
         self._conns.clear()
 
 
@@ -533,7 +477,3 @@ async def connect_tcp(port: int, pid: int, incarnation: int,
     raise ConnectionError(
         f"worker P{pid} could not reach broker at {host}:{port} after "
         f"{max(1, attempts)} attempt(s): {last!r}")
-
-
-#: Convenience alias used by supervisor type hints.
-RecvLoop = Callable[[], Awaitable[dict[str, Any] | None]]

@@ -1,9 +1,8 @@
-"""Live wire format: length-prefixed binary frames (v2), JSON fallback (v1).
+"""Live wire format: length-prefixed binary frames.
 
 Both live transports (in-process queue pairs and TCP sockets, see
 :mod:`repro.live.transport`) carry the same frame *dicts* in memory; this
-module is the only place they become bytes.  Since wire v2 a frame on the
-socket is::
+module is the only place they become bytes.  A frame on the socket is::
 
     +----------------+---------------------------------------------+
     | length  !I (4) | payload (length bytes, < MAX_FRAME_BYTES)   |
@@ -19,18 +18,11 @@ version-stamped struct encoders of :mod:`repro.storage.serialize`
 :func:`~repro.storage.serialize.pack_control`), so the simulator, the
 checkpoint files, and the live wire still share one version contract.
 
-Because :data:`MAX_FRAME_BYTES` is below 2**24, the first byte of every
-binary frame is ``0x00`` — and a v1 newline-JSON frame always starts with
-``0x7B`` (``{``).  That one-byte discriminator is what keeps v1 peers
-decodable behind the version byte: :func:`decode_frame` and
-:func:`read_wire_frame` accept both framings, and the broker answers each
-connection in the framing its ``hello`` arrived in.
-
-The length prefix also removes the old implicit 64 KiB ceiling that
-newline framing inherited from ``StreamReader.readline()`` — large
-piggybacks (many tentative intervals at large n) no longer kill the
-connection with ``LimitOverrunError``; oversized frames fail with a clean
-``ValueError`` at the encoder instead.
+The length is checked against :data:`MAX_FRAME_BYTES` on both sides:
+an oversized frame fails with a clean ``ValueError`` at the encoder, and
+:func:`read_wire` rejects an oversized prefix before reading the payload
+it announces — which is also how bytes that are not a frame at all (a
+peer writing text) end the connection instead of allocating a buffer.
 
 Frame kinds
 -----------
@@ -64,7 +56,6 @@ discard frames from older epochs after a rollback.
 from __future__ import annotations
 
 import asyncio
-import json
 import struct
 from typing import Any
 
@@ -91,13 +82,7 @@ MAX_INCARNATIONS = 1 << 10
 #: Maximum counter value encodable in a message uid (the low 32 bits).
 MAX_UID_COUNTER = 1 << 32
 
-#: The first wire version that uses binary length-prefixed framing.
-#: Versions below it are newline-JSON lines.
-FIRST_BINARY_VERSION = 2
-
-#: Hard payload ceiling.  Kept below 2**24 so the first byte of every
-#: length prefix is 0x00 — the discriminator against v1 JSON lines,
-#: which always start with 0x7B ("{").
+#: Hard payload ceiling, enforced by the encoder and by the reader.
 MAX_FRAME_BYTES = (1 << 24) - 1
 
 _LEN = struct.Struct("!I")
@@ -108,7 +93,7 @@ _APP_HEAD = struct.Struct("!QIQ")
 _RS = struct.Struct("!Q")
 _U32 = struct.Struct("!I")
 
-#: Offset of the dst field inside a v2 payload (broker fast path).
+#: Offset of the dst field inside a payload (broker forward path).
 _DST_OFFSET = 6
 _DST = struct.Struct("!i")
 
@@ -142,24 +127,17 @@ def make_uid(pid: int, incarnation: int, counter: int) -> int:
 # --------------------------------------------------------------------------
 
 
-def encode_frame_v1(frame: dict[str, Any]) -> bytes:
-    """One frame as a newline-terminated JSON line (legacy v1 framing)."""
-    return (json.dumps(frame, separators=(",", ":"), sort_keys=True)
-            + "\n").encode("utf-8")
-
-
 def encode_payload(frame: dict[str, Any]) -> bytes:
-    """The v2 binary payload of one frame (no length prefix)."""
+    """The binary payload of one frame (no length prefix)."""
     kind = frame.get("t")
     code = _KIND_CODES.get(kind)
     if code is None:
         raise ValueError(f"unknown frame kind {kind!r}")
     version = frame.get("v", WIRE_VERSION)
-    if version not in ACCEPTED_WIRE_VERSIONS \
-            or version < FIRST_BINARY_VERSION:
+    if version not in ACCEPTED_WIRE_VERSIONS:
         raise ValueError(
             f"cannot binary-encode wire version {version!r} "
-            f"(use encode_frame_v1 for JSON framings)")
+            f"(accepted: {ACCEPTED_WIRE_VERSIONS})")
     # hello has no "src" key — its pid rides in the header src field.
     src = frame["pid"] if kind == "hello" else frame.get("src", SUPERVISOR)
     head = _HEAD.pack(version, code, src,
@@ -182,11 +160,10 @@ def encode_payload(frame: dict[str, Any]) -> bytes:
 
 
 def encode_frame(frame: dict[str, Any]) -> bytes:
-    """One frame in the current (v2) framing: length prefix + payload.
+    """One frame as it crosses the socket: length prefix + payload.
 
     Raises :class:`ValueError` for frames whose payload would exceed
-    :data:`MAX_FRAME_BYTES` — the clean replacement for the old framing's
-    surprise ``LimitOverrunError`` at 64 KiB.
+    :data:`MAX_FRAME_BYTES`.
     """
     payload = encode_payload(frame)
     if len(payload) > MAX_FRAME_BYTES:
@@ -203,7 +180,7 @@ def frame_prefix(payload: bytes) -> bytes:
 
 
 def payload_dst(payload: bytes) -> int:
-    """Read the dst field straight out of a v2 payload (no full decode)."""
+    """Read the dst field straight out of a payload (no full decode)."""
     return _DST.unpack_from(payload, _DST_OFFSET)[0]
 
 
@@ -213,7 +190,7 @@ def payload_dst(payload: bytes) -> int:
 
 
 def decode_payload(payload: bytes) -> dict[str, Any]:
-    """Parse one v2 binary payload back into a frame dict.
+    """Parse one binary payload back into a frame dict.
 
     Per-kind inverse of :func:`encode_payload`: each kind reconstructs
     exactly the keys its ``*_frame`` constructor produces, so
@@ -228,8 +205,7 @@ def decode_payload(payload: bytes) -> dict[str, Any]:
 
 def _decode_payload(payload: bytes) -> dict[str, Any]:
     version, code, src, dst, epoch = _HEAD.unpack_from(payload, 0)
-    if version not in ACCEPTED_WIRE_VERSIONS \
-            or version < FIRST_BINARY_VERSION:
+    if version not in ACCEPTED_WIRE_VERSIONS:
         raise ValueError(
             f"unsupported binary wire version {version!r} "
             f"(accepted: {ACCEPTED_WIRE_VERSIONS})")
@@ -268,18 +244,14 @@ def _decode_payload(payload: bytes) -> dict[str, Any]:
 
 
 def decode_frame(data: bytes) -> dict[str, Any]:
-    """Parse one complete wire frame — either framing.
+    """Parse one complete wire frame.
 
-    Accepts a v1 JSON line (first byte ``{``), a length-prefixed v2
-    frame, or a bare v2 payload (first byte = version).
+    Accepts a length-prefixed frame or a bare payload (first byte =
+    version); the prefix's first byte is always ``0x00`` because
+    :data:`MAX_FRAME_BYTES` is below 2**24.
     """
     if not data:
         raise ValueError("empty frame")
-    if data[0] == 0x7B:  # "{" — v1 newline-JSON line
-        frame = json.loads(data.decode("utf-8"))
-        if not isinstance(frame, dict) or "t" not in frame:
-            raise ValueError(f"malformed frame: {data!r}")
-        return frame
     if data[0] == 0x00 and len(data) >= _LEN.size:
         (length,) = _LEN.unpack_from(data, 0)
         if length == len(data) - _LEN.size:
@@ -287,43 +259,28 @@ def decode_frame(data: bytes) -> dict[str, Any]:
     return decode_payload(data)
 
 
-async def read_wire(reader: asyncio.StreamReader
-                    ) -> tuple[int, bytes] | None:
-    """Read one frame's raw bytes off a stream; ``None`` on clean EOF.
+async def read_wire(reader: asyncio.StreamReader) -> bytes | None:
+    """Read one frame's payload off a stream; ``None`` on EOF.
 
-    Returns ``(framing, data)``: framing 1 is a complete v1 JSON line,
-    framing 2 a v2 payload (length prefix already consumed).  The one
-    byte of lookahead is what lets a single connection be either version.
+    The length prefix is consumed and checked against
+    :data:`MAX_FRAME_BYTES` before the payload it announces is read.
     """
     try:
-        first = await reader.readexactly(1)
-    except asyncio.IncompleteReadError:
-        return None
-    if first == b"{":
-        line = await reader.readline()
-        return 1, first + line
-    try:
-        rest = await reader.readexactly(_LEN.size - 1)
-        (length,) = _LEN.unpack(first + rest)
+        (length,) = _LEN.unpack(await reader.readexactly(_LEN.size))
         if length > MAX_FRAME_BYTES:
             raise ValueError(
                 f"frame length {length} exceeds MAX_FRAME_BYTES "
                 f"({MAX_FRAME_BYTES})")
-        return 2, await reader.readexactly(length)
+        return await reader.readexactly(length)
     except asyncio.IncompleteReadError:
-        return None  # torn mid-frame by a dying peer: treat as EOF
+        return None  # clean EOF, or torn mid-frame by a dying peer
 
 
 async def read_wire_frame(reader: asyncio.StreamReader
                           ) -> dict[str, Any] | None:
-    """Read and decode the next frame; ``None`` on EOF (either framing)."""
-    raw = await read_wire(reader)
-    if raw is None:
-        return None
-    framing, data = raw
-    if framing == 1:
-        return decode_frame(data)
-    return decode_payload(data)
+    """Read and decode the next frame; ``None`` on EOF."""
+    payload = await read_wire(reader)
+    return None if payload is None else decode_payload(payload)
 
 
 # --------------------------------------------------------------------------
@@ -337,14 +294,9 @@ def hello_frame(pid: int, incarnation: int) -> dict[str, Any]:
             "inc": incarnation}
 
 
-def welcome_frame(epoch: int, version: int = WIRE_VERSION) -> dict[str, Any]:
-    """Handshake reply carrying the current recovery epoch.
-
-    ``version`` lets the broker answer a legacy peer with the version
-    that peer's accept-set still contains (a v1 peer rejects a welcome
-    stamped v2 even though the broker can decode both).
-    """
-    return {"t": "welcome", "v": version, "epoch": epoch}
+def welcome_frame(epoch: int) -> dict[str, Any]:
+    """Handshake reply carrying the current recovery epoch."""
+    return {"t": "welcome", "v": WIRE_VERSION, "epoch": epoch}
 
 
 def check_handshake(frame: dict[str, Any], expect: str) -> dict[str, Any]:

@@ -37,18 +37,18 @@ FORMAT_VERSION = 1
 
 #: Wire format version for cross-process payloads (piggybacks, control
 #: messages, live-runtime frames).  Bumped independently of the checkpoint
-#: file format — the two evolve on different schedules.  v1 was the
-#: newline-JSON wire; v2 is the length-prefixed binary framing of
-#: :mod:`repro.live.wire` with the struct-packed payload encodings below.
+#: file format — the two evolve on different schedules.  v2 is the
+#: length-prefixed binary framing of :mod:`repro.live.wire` with the
+#: struct-packed payload encodings below.
 WIRE_VERSION = 2
 
-#: Every wire version decoders still accept.  Encoders always stamp
-#: :data:`WIRE_VERSION`; the accept-set is what lets a rolling upgrade
-#: keep decoding the previous version's frames and journals.  REP106
-#: statically checks that the stamped version (and v1) stay in this
-#: tuple, that the set is contiguous, and that decoders test membership
-#: rather than equality.
-ACCEPTED_WIRE_VERSIONS = (1, 2)
+#: Every wire version decoders accept.  Encoders always stamp
+#: :data:`WIRE_VERSION`; decoders test membership, so accepting a new
+#: version is one more tuple entry.  REP106 statically checks that the
+#: stamped version is in this tuple, that the tuple has no holes between
+#: its minimum and maximum, and that decoders test membership rather
+#: than equality.
+ACCEPTED_WIRE_VERSIONS = (2,)
 
 
 def _check_wire_version(data: dict[str, Any], what: str) -> None:
@@ -108,7 +108,7 @@ _CM_PACK = struct.Struct("!BBI")
 def pack_piggyback(data: dict[str, Any]) -> bytes:
     """Struct-pack the dict form of a piggyback (version stamp carried
     through, so ``unpack_piggyback(pack_piggyback(d))`` round-trips the
-    dict exactly — including a still-accepted older stamp)."""
+    dict exactly)."""
     _check_wire_version(data, "piggyback")
     tent = sorted(data["tent_set"])
     if len(tent) > 0xFFFF:

@@ -11,9 +11,9 @@ REP105  chaos fault-kind totality — every fault kind declared in
         conformance matrix stops meaning what it claims.
 REP106  wire-version exhaustiveness — every version the live encoders
         stamp must be in the decoder accept-set
-        (``ACCEPTED_WIRE_VERSIONS``), v1 included and the set contiguous
-        from 1 to its maximum; decoders must test membership, never
-        ``==`` one version, or every rolling upgrade is a flag day.
+        (``ACCEPTED_WIRE_VERSIONS``) and the set must have no holes
+        between its minimum and maximum; decoders must test membership,
+        never ``==`` one version, or every rolling upgrade is a flag day.
 REP107  journal-before-send — any transport send of an app frame must
         be dominated by the matching journal append.  This *is* the
         paper's selective-logging discipline: a send that can execute
@@ -181,7 +181,7 @@ class ChaosKindTotalityRule:
 
 
 class WireVersionRule:
-    """REP106: stamped wire versions ⊆ decoder accept-set, v1 kept."""
+    """REP106: stamped wire versions ⊆ decoder accept-set, no holes."""
 
     rule_id = "REP106"
 
@@ -208,25 +208,19 @@ class WireVersionRule:
                 f"encoders stamp wire version {stamped} but the decoder "
                 f"accept-set is {accepted} — every frame this build "
                 f"sends is rejected on receipt"))
-        if 1 not in accepted:
-            out.append(_finding(
-                self.rule_id, ser, anchor or ser.tree,
-                f"wire version 1 is missing from ACCEPTED_WIRE_VERSIONS "
-                f"{accepted} — v1 journals and handshakes become "
-                f"undecodable (compat guarantee)"))
-        # Contiguity: the accept-set may never skip a version between v1
-        # and the newest accepted one — a hole strands every peer pinned
-        # on the skipped version mid-upgrade.  (v1's absence is already
-        # reported above; don't double-count it here.)
-        gaps = [v for v in range(2, max(accepted, default=1))
+        # Contiguity: the accept-set may never skip a version between
+        # the oldest and the newest accepted one — a hole strands every
+        # peer pinned on the skipped version mid-upgrade.
+        gaps = [v for v in range(min(accepted, default=0),
+                                 max(accepted, default=0))
                 if v not in accepted]
         if gaps:
             out.append(_finding(
                 self.rule_id, ser, anchor or ser.tree,
                 f"ACCEPTED_WIRE_VERSIONS {accepted} skips "
                 f"version(s) {gaps} — the accept-set must be contiguous "
-                f"from 1 to its maximum, or peers pinned on a skipped "
-                f"version cannot interoperate mid-upgrade"))
+                f"from its minimum to its maximum, or peers pinned on a "
+                f"skipped version cannot interoperate mid-upgrade"))
         wire = find_module(files, "live.wire")
         for sf in (ser, wire):
             if sf is None:

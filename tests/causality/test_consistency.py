@@ -15,8 +15,8 @@ from repro.des import TraceRecorder
 
 def rec(pid, seq, sent=(), recv=()):
     return CheckpointRecord(pid=pid, seq=seq, taken_at=0.0, finalized_at=1.0,
-                            sent_uids=frozenset(sent),
-                            recv_uids=frozenset(recv))
+                            new_sent_uids=frozenset(sent),
+                            new_recv_uids=frozenset(recv))
 
 
 class TestFindOrphans:

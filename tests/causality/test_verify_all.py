@@ -92,7 +92,8 @@ def test_pass_equals_find_orphans_cut_by_cut(execution):
                                  if k <= seq))
             cut[pid] = CheckpointRecord(
                 pid=pid, seq=seq, taken_at=0.0, finalized_at=1.0,
-                sent_uids=frozenset(sent), recv_uids=frozenset(recv))
+                new_sent_uids=frozenset(sent),
+                new_recv_uids=frozenset(recv))
             assert chains[pid][seq].sent_uids == sent
             assert chains[pid][seq].recv_uids == recv
         expected[seq] = find_orphans(cut, endpoints)
@@ -118,10 +119,12 @@ def test_cuts_that_do_not_continue_the_chain_still_get_the_reference_answer():
 
 
 def test_self_contained_records_mix_with_nothing():
-    with pytest.raises(TypeError, match="not both"):
-        CheckpointRecord(pid=0, seq=1, taken_at=0.0, finalized_at=1.0,
-                         sent_uids=frozenset([1]),
-                         prev=CheckpointRecord(0, 0, 0.0, 0.0))
+    # One spelling: the cumulative sets are views, never arguments, and
+    # everything after finalized_at is keyword-only.
+    with pytest.raises(TypeError, match="sent_uids"):
+        CheckpointRecord(0, 0, 0.0, 0.0, sent_uids=frozenset())
+    with pytest.raises(TypeError, match="positional"):
+        CheckpointRecord(0, 0, 0.0, 0.0, frozenset([1]))
 
 
 # -- (b) the three rejections ----------------------------------------------------

@@ -73,11 +73,6 @@ class TestWireVersionMembership:
         check_handshake(hello_frame(pid=0, incarnation=0), "hello")
         check_handshake(welcome_frame(epoch=0), "welcome")
 
-    def test_v1_stays_accepted_for_old_journals(self):
-        # Recorded runs on disk are stamped v1; dropping 1 from the
-        # accepted set would orphan them (the REP106 check mirrors this).
-        assert 1 in ACCEPTED_WIRE_VERSIONS
-
     def test_every_accepted_version_passes_the_handshake(self):
         for version in ACCEPTED_WIRE_VERSIONS:
             frame = {"t": "welcome", "v": version, "epoch": 3}

@@ -3,13 +3,13 @@
 from __future__ import annotations
 
 import asyncio
-import json
 
 import pytest
 
 from repro.live.transport import LocalTransport, TcpBroker, connect_tcp
-from repro.live.wire import (WIRE_VERSION, encode_frame, encode_frame_v1,
-                             hello_frame, recover_frame, stop_frame)
+from repro.live.wire import (SUPERVISOR, WIRE_VERSION, encode_frame,
+                             encode_payload, hello_frame, recover_frame,
+                             stop_frame)
 
 
 def run(coro):
@@ -21,6 +21,11 @@ def app(src, dst, uid, size=16):
     pb = {"v": WIRE_VERSION, "csn": 0, "stat": "normal", "tent_set": []}
     return {"t": "app", "src": src, "dst": dst, "uid": uid, "size": size,
             "pb": pb, "epoch": 0}
+
+
+def route(broker, frame):
+    """Hand the broker a frame the way a connection's reader does."""
+    broker._route_payload(frame["dst"], encode_payload(frame))
 
 
 class TestLocalTransport:
@@ -123,35 +128,57 @@ class TestTcpTransport:
         async def body():
             broker = TcpBroker()
             await broker.start()
-            broker.route(app(0, 7, 1))
+            route(broker, app(0, 7, 1))
             assert broker.dropped == 1
             assert broker.dropped_by_cause == {"no_route": 1}
             await broker.close()
 
         run(body())
 
-    def test_handshake_version_mismatch_closes_connection(self):
+    def test_frame_addressed_to_the_supervisor_is_counted(self):
+        # The broker has no reader for such frames: they take the same
+        # path as any frame for a pid that never connected.
         async def body():
             broker = TcpBroker()
             port = await broker.start()
-            reader, writer = await asyncio.open_connection("127.0.0.1",
-                                                           port)
-            # v999 cannot be binary-encoded (it is not in the accept-set),
-            # so impersonate a future/unknown peer with a JSON-line hello.
-            bad = hello_frame(0, 0)
-            bad["v"] = 999
-            writer.write(encode_frame_v1(bad))
-            line = await asyncio.wait_for(reader.readline(), 5.0)
-            assert line == b""  # broker rejected us without a welcome
-            assert broker.connected_pids == []
-            writer.close()
+            a = await connect_tcp(port, 0, 0)
+            b = await connect_tcp(port, 1, 0)
+            await broker.wait_connected(2)
+            a.send(app(0, SUPERVISOR, 3))
+            a.send(app(0, 1, 4))
+            await a.drain()
+            # Per-sender FIFO: once uid 4 arrived, uid 3 was routed.
+            assert (await asyncio.wait_for(b.recv(), 5.0))["uid"] == 4
+            assert broker.dropped_by_cause == {"no_route": 1}
+            assert broker._parked == {}
             await broker.close()
 
         run(body())
 
+    def test_handshake_version_mismatch_closes_connection(self):
+        future = bytearray(encode_frame(hello_frame(0, 0)))
+        future[4] = 99  # the payload's version byte
+        # ... and a peer that speaks newline JSON instead of frames.
+        text = b'{"t":"hello","v":2,"pid":0,"inc":0}\n'
+
+        async def body(hello):
+            broker = TcpBroker()
+            port = await broker.start()
+            reader, writer = await asyncio.open_connection("127.0.0.1",
+                                                           port)
+            writer.write(hello)
+            data = await asyncio.wait_for(reader.read(), 5.0)
+            assert data == b""  # broker rejected us without a welcome
+            assert broker.connected_pids == []
+            writer.close()
+            await broker.close()
+
+        for hello in (bytes(future), text):
+            run(body(hello))
+
     def test_frame_larger_than_64k_crosses_real_tcp(self):
-        # The old newline framing died at StreamReader's 64 KiB limit
-        # (LimitOverrunError); the length prefix removes the ceiling.
+        # StreamReader's 64 KiB line limit does not apply to
+        # length-prefixed frames.
         async def body():
             broker = TcpBroker()
             port = await broker.start()
@@ -168,37 +195,6 @@ class TestTcpTransport:
 
         run(body())
 
-    def test_v1_json_peer_interoperates_with_binary_broker(self):
-        async def body():
-            broker = TcpBroker()
-            port = await broker.start()
-            # A legacy peer: newline-JSON hello stamped v1.
-            reader, writer = await asyncio.open_connection("127.0.0.1",
-                                                           port)
-            legacy_hello = hello_frame(1, 0)
-            legacy_hello["v"] = 1
-            writer.write(encode_frame_v1(legacy_hello))
-            line = await asyncio.wait_for(reader.readline(), 5.0)
-            welcome = json.loads(line)
-            # The broker answers in the peer's framing AND version.
-            assert welcome["t"] == "welcome" and welcome["v"] == 1
-            # A binary peer's frame reaches the v1 peer as a JSON line.
-            a = await connect_tcp(port, 0, 0)
-            await broker.wait_connected(2)
-            a.send(app(0, 1, 4))
-            await a.drain()
-            line = await asyncio.wait_for(reader.readline(), 5.0)
-            assert json.loads(line) == app(0, 1, 4)
-            # And the v1 peer's JSON line routes back to the binary peer.
-            writer.write(encode_frame_v1(app(1, 0, 5)))
-            await writer.drain()
-            frame = await asyncio.wait_for(a.recv(), 5.0)
-            assert frame == app(1, 0, 5)
-            writer.close()
-            await broker.close()
-
-        run(body())
-
     def test_reconnect_window_frames_are_parked_and_replayed(self):
         async def body():
             broker = TcpBroker()
@@ -211,7 +207,7 @@ class TestTcpTransport:
             b.close()
             await asyncio.wait_for(gone.get(), 5.0)
             # pid 1 is known (it connected before): park, don't drop.
-            broker.route(app(0, 1, 6))
+            route(broker, app(0, 1, 6))
             assert broker.dropped == 0
             b2 = await connect_tcp(port, 1, 1)
             frame = await asyncio.wait_for(b2.recv(), 5.0)
@@ -232,8 +228,8 @@ class TestTcpTransport:
             await broker.wait_connected(1)
             b.close()
             await asyncio.wait_for(gone.get(), 5.0)
-            broker.route(app(0, 1, 6))
-            broker.route(app(0, 1, 7))
+            route(broker, app(0, 1, 6))
+            route(broker, app(0, 1, 7))
             # The execution those frames belonged to is being discarded.
             broker.broadcast(recover_frame(1, 0))
             assert broker.dropped == 2
@@ -256,7 +252,7 @@ class TestTcpTransport:
             b.close()
             await asyncio.wait_for(gone.get(), 5.0)
             for uid in range(4):
-                broker.route(app(0, 1, uid))
+                route(broker, app(0, 1, uid))
             assert broker.dropped == 2
             assert broker.dropped_by_cause == {"park_overflow": 2}
             await broker.close()
@@ -342,7 +338,7 @@ class TestRespawnWait:
                 broker._handle(reader, _NullWriter()))
             await broker.wait_connected(1, timeout=5.0)
             broker.disconnect(1)
-            broker.route(app(0, 1, 7))
+            route(broker, app(0, 1, 7))
             assert broker._parked[1] == [app(0, 1, 7)]
             assert broker.dropped == 0
             broker.disconnect(1)            # idempotent

@@ -1,8 +1,8 @@
-"""Wire-format tests: binary framing, uids, handshakes, v1 fallback."""
+"""Wire-format tests: binary framing, uids, handshakes, golden bytes."""
 
 from __future__ import annotations
 
-import json
+import asyncio
 import struct
 
 import pytest
@@ -16,7 +16,6 @@ from repro.live.wire import (
     MAX_INCARNATIONS,
     MAX_UID_COUNTER,
     SUPERVISOR,
-    WIRE_VERSION,
     ack_frame,
     app_frame,
     check_handshake,
@@ -24,13 +23,13 @@ from repro.live.wire import (
     decode_frame,
     decode_payload,
     encode_frame,
-    encode_frame_v1,
     encode_payload,
     frame_control,
     frame_piggyback,
     hello_frame,
     make_uid,
     payload_dst,
+    read_wire,
     recover_frame,
     stop_frame,
     welcome_frame,
@@ -97,8 +96,8 @@ class TestFrames:
 
     def test_frame_is_length_prefixed_binary(self):
         data = encode_frame(recover_frame(1, 3))
-        # First byte 0x00: the length prefix's high byte, and the
-        # discriminator against v1 JSON lines (which start with "{").
+        # First byte 0x00: MAX_FRAME_BYTES < 2**24 zeroes the length
+        # prefix's high byte.
         assert data[0] == 0x00
         (length,) = struct.unpack_from("!I", data)
         assert length == len(data) - 4
@@ -117,10 +116,11 @@ class TestFrames:
         assert decode_frame(encode_frame(frame))["rs"] == frame["rs"]
 
     def test_decode_rejects_non_frame_json(self):
-        with pytest.raises(ValueError):
+        # JSON bytes are rejected as a frame: "{" reads as version 123.
+        with pytest.raises(ValueError, match="truncated"):
             decode_frame(b"[1, 2, 3]\n")
-        with pytest.raises(ValueError):
-            decode_frame(b'{"no_kind": true}\n')
+        with pytest.raises(ValueError, match="version"):
+            decode_frame(b'{"t":"hello","v":2,"pid":0,"inc":0}\n')
 
     def test_decode_rejects_truncated_payload(self):
         payload = encode_payload(
@@ -139,14 +139,6 @@ class TestFrames:
         bad["v"] = 999
         with pytest.raises(ValueError, match="binary-encode"):
             encode_frame(bad)
-
-    def test_v1_frame_cannot_be_binary_encoded(self):
-        v1 = hello_frame(0, 0)
-        v1["v"] = 1
-        with pytest.raises(ValueError, match="encode_frame_v1"):
-            encode_payload(v1)
-        # The v1 framing still carries it, and decode accepts it.
-        assert decode_frame(encode_frame_v1(v1)) == v1
 
     def test_oversized_frame_rejected_cleanly(self, monkeypatch):
         # The guard is unreachable through the real constructors (the
@@ -167,6 +159,55 @@ class TestFrames:
         assert stop_frame()["t"] == "stop"
         rec = recover_frame(epoch=2, seq=4)
         assert (rec["t"], rec["epoch"], rec["seq"]) == ("recover", 2, 4)
+
+    def test_read_wire_checks_the_length_before_reading_the_payload(self):
+        # A peer writing text: "{\"t\"" read as a length is ~2 GiB, and
+        # the reader must refuse it without waiting for that many bytes.
+        class Reader:
+            def __init__(self, data):
+                self.data, self.asked = data, []
+
+            async def readexactly(self, n):
+                self.asked.append(n)
+                out, self.data = self.data[:n], self.data[n:]
+                return out
+
+        reader = Reader(b'{"t":"hello","v":2,"pid":0,"inc":0}\n')
+        assert reader.data[0] == 0x7B
+        with pytest.raises(ValueError, match="MAX_FRAME_BYTES"):
+            asyncio.run(read_wire(reader))
+        assert reader.asked == [4]
+
+
+#: ``encode_frame`` over one fixed frame of each kind, hex computed on the
+#: commit before the v1 framing was removed: the wire bytes did not move.
+GOLDEN_APP = app_frame(0, 1, make_uid(0, 0, 1), 128, sample_pb(), epoch=1)
+GOLDEN_FRAMES = {
+    "hello": (hello_frame(3, 1),
+              "00000012020100000003ffffffff0000000000000001"),
+    "welcome": (welcome_frame(5),
+                "0000000e0202ffffffffffffffff00000005"),
+    "app": (GOLDEN_APP,
+            "0000003202030000000000000001000000010000000000000001000000"
+            "80000000000000000002000000020100020000000000000002"),
+    "app+rs": (dict(GOLDEN_APP, rs=make_uid(0, 0, 2)),
+               "0000003202030000000000000001000000010000000000000001000000"
+               "80000000000000000202000000020100020000000000000002"),
+    "ctl": (ctl_frame(2, 0, ControlMessage(ControlType.CK_REQ, 5), epoch=0),
+            "0000001c02040000000200000000000000000000000000000000020100000005"),
+    "ack": (ack_frame(1, 0, make_uid(1, 0, 7)),
+            "0000001602050000000100000000000000000000040000000007"),
+    "recover": (recover_frame(2, 4),
+                "000000120206ffffffffffffffff0000000200000004"),
+    "stop": (stop_frame(), "0000000e0207ffffffffffffffff00000000"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(GOLDEN_FRAMES))
+def test_golden_bytes(kind):
+    frame, golden = GOLDEN_FRAMES[kind]
+    assert encode_frame(frame).hex() == golden
+    assert decode_frame(bytes.fromhex(golden)) == frame
 
 
 # -- hypothesis round-trip properties ---------------------------------------
@@ -210,15 +251,6 @@ class TestRoundTripProperties:
         frame = dict(frame, rs=max(rs, 1))  # rs 0 encodes as "absent"
         assert decode_frame(encode_frame(frame)) == frame
 
-    @given(any_frame)
-    def test_v1_json_fallback_still_decodes(self, frame):
-        # A v1 peer's newline-JSON line decodes through the same entry
-        # point as binary frames (piggyback dicts lose their frozenset
-        # nature under JSON, so compare through the JSON lens).
-        back = decode_frame(encode_frame_v1(frame))
-        assert json.loads(json.dumps(back, sort_keys=True)) \
-            == json.loads(json.dumps(frame, sort_keys=True))
-
     @given(app_frames)
     def test_payload_never_exceeds_frame_ceiling(self, frame):
         assert len(encode_payload(frame)) <= MAX_FRAME_BYTES
@@ -239,11 +271,3 @@ class TestHandshake:
         with pytest.raises(ValueError, match="wire version"):
             check_handshake(bad, "hello")
 
-    def test_v1_hello_still_accepted(self):
-        legacy = hello_frame(4, 0)
-        legacy["v"] = 1
-        assert check_handshake(legacy, "hello")["pid"] == 4
-
-    def test_welcome_version_parameter_for_legacy_peers(self):
-        assert welcome_frame(0)["v"] == WIRE_VERSION
-        assert welcome_frame(0, version=1)["v"] == 1

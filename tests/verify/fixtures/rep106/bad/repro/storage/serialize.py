@@ -1,5 +1,5 @@
 WIRE_VERSION = 3
-ACCEPTED_WIRE_VERSIONS = (3,)
+ACCEPTED_WIRE_VERSIONS = (2, 4)
 
 
 def check(data):

@@ -1,5 +1,5 @@
 WIRE_VERSION = 2
-ACCEPTED_WIRE_VERSIONS = (1, 2)
+ACCEPTED_WIRE_VERSIONS = (2,)
 
 
 def check(data):

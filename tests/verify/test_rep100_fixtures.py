@@ -35,8 +35,8 @@ BAD_EXPECT: dict[str, list[tuple[str, int, str]]] = {
     "rep105": [("plan.py", 1,
                 'fault kind "delay" (declared in WIRE_KINDS) is missing '
                 'a DES injector arm')],
-    "rep106": [("serialize.py", 1, "wire version 1 is missing"),
-               ("serialize.py", 1, "skips version(s) [2]"),
+    "rep106": [("serialize.py", 1, "encoders stamp wire version 3"),
+               ("serialize.py", 1, "skips version(s) [3]"),
                ("serialize.py", 6, "equality comparison against "
                                    "WIRE_VERSION")],
     "rep107": [("host.py", 8, 'not dominated by a journal.log("send"')],
