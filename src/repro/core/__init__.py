@@ -40,6 +40,7 @@ if TYPE_CHECKING:
         ControlType,
         FinalizedCheckpoint,
         LogEntry,
+        LogSet,
         Piggyback,
         Status,
         TentativeCheckpoint,
@@ -74,6 +75,7 @@ _LAZY = {
     "ControlType": "types",
     "FinalizedCheckpoint": "types",
     "LogEntry": "types",
+    "LogSet": "types",
     "Piggyback": "types",
     "Status": "types",
     "TentativeCheckpoint": "types",
@@ -100,6 +102,7 @@ __all__ = [
     "InvariantMonitor",
     "InvariantViolation",
     "LogEntry",
+    "LogSet",
     "MachineConfig",
     "OptimisticConfig",
     "OptimisticProcess",

@@ -6,7 +6,8 @@ that does not depend on *where* it runs.  It owns one
 every :class:`~repro.core.effects.Effect` the machine emits; it keeps the
 bookkeeping the theorems are stated over:
 
-* the selective message log (``logSet`` — §3.1) and its running byte size;
+* the selective message log (``logSet`` — §3.1), a column store
+  (:class:`~repro.core.types.LogSet`) with a running byte size;
 * the send/receive *windows*: for each finalized ``C_{i,k}`` exactly which
   application-message uids the checkpoint captures (everything between
   ``CFE_{i,k-1}`` and ``CFE_{i,k}``, minus the paper's excluded trigger
@@ -39,7 +40,7 @@ from .state_machine import MachineConfig, OptimisticStateMachine, receive_case
 from .types import (
     ControlMessage,
     FinalizedCheckpoint,
-    LogEntry,
+    LogSet,
     Piggyback,
     Status,
     TentativeCheckpoint,
@@ -103,10 +104,8 @@ class ProtocolDriver:
         self.reset_schedule = reset_schedule
         self.current_tentative: TentativeCheckpoint | None = None
         # Selective message log + verification windows ------------------------
-        self.log_entries: list[LogEntry] = []
-        #: Running byte total of ``log_entries`` (summing the window per
-        #: append is O(window²) over a round).
-        self.log_bytes = 0
+        #: The open round's ``logSet`` (handed to ``C_{i,k}`` at finalize).
+        self.log_entries = LogSet()
         self.window_sent: list[int] = []
         self.window_recv: list[int] = []
         #: Simulated application state: a fold over processed message uids —
@@ -130,8 +129,7 @@ class ProtocolDriver:
         new.strict = self.strict
         new.reset_schedule = self.reset_schedule
         new.current_tentative = self.current_tentative
-        new.log_entries = list(self.log_entries)
-        new.log_bytes = self.log_bytes
+        new.log_entries = self.log_entries.copy()
         new.window_sent = list(self.window_sent)
         new.window_recv = list(self.window_recv)
         new.state_digest = self.state_digest
@@ -141,6 +139,11 @@ class ProtocolDriver:
         new.case_counts = (None if self.case_counts is None
                            else dict(self.case_counts))
         return new
+
+    @property
+    def log_bytes(self) -> int:
+        """Bytes held in the open ``logSet``."""
+        return self.log_entries.total_bytes
 
     # -- inputs ----------------------------------------------------------------
 
@@ -197,8 +200,7 @@ class ProtocolDriver:
         """
         self.machine.rollback(fc.csn)
         self.current_tentative = None
-        self.log_entries = []
-        self.log_bytes = 0
+        self.log_entries = LogSet()
         self.window_sent = []
         self.window_recv = []
         self.port.cancel_convergence_timer()
@@ -237,15 +239,11 @@ class ProtocolDriver:
         self.port.send_control(dst, cm)
 
     def _log(self, uid: int, nbytes: int, direction: str) -> None:
-        self.log_entries.append(LogEntry(uid=uid, nbytes=nbytes,
-                                         direction=direction,
-                                         time=self.port.now))
-        self.log_bytes += nbytes
+        self.log_entries.append(uid, nbytes, direction, self.port.now)
 
     def _take_tentative(self, csn: int) -> None:
         if not self.log_all:
-            self.log_entries = []
-            self.log_bytes = 0
+            self.log_entries = LogSet()
         # A checkpoint taken for any reason satisfies the scheduled
         # requirement (paper §1: at most one checkpoint per interval).
         if self.reset_schedule:
@@ -259,10 +257,11 @@ class ProtocolDriver:
             f"P{self.machine.pid} finalizing csn={eff.csn} but current "
             f"tentative is {ckpt}")
         exclude = eff.exclude_uid
+        log = self.log_entries
         fc = FinalizedCheckpoint(
             pid=self.machine.pid, csn=eff.csn, tentative=ckpt,
             finalized_at=self.port.now,
-            log_entries=[e for e in self.log_entries if e.uid != exclude],
+            log_entries=log if exclude is None else log.without(exclude),
             new_sent_uids=frozenset(self.window_sent),
             new_recv_uids=frozenset(self.window_recv) - {exclude},
             reason=eff.reason)
@@ -275,7 +274,6 @@ class ProtocolDriver:
         # entry alive for the next log.
         self.window_sent = []
         self.window_recv = [] if exclude is None else [exclude]
-        self.log_entries = ([e for e in self.log_entries if e.uid == exclude]
-                            if self.log_all else [])
-        self.log_bytes = sum(e.nbytes for e in self.log_entries)
+        self.log_entries = (LogSet(e for e in log if e.uid == exclude)
+                            if self.log_all else LogSet())
         self.current_tentative = None

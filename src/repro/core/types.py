@@ -16,6 +16,7 @@ import enum
 import functools
 import math
 from dataclasses import dataclass, field
+from typing import Iterable, Iterator
 
 
 class Status(enum.Enum):
@@ -94,6 +95,82 @@ class LogEntry:
     time: float
 
 
+class LogSet:
+    """``logSet_{i,k}`` as columns: one list per :class:`LogEntry` field.
+
+    A run logs a message per send or receive inside every ``CT``–``CFE``
+    window, and the finalized checkpoints keep them all; as columns of ints,
+    floats and interned strings a logged message allocates no object the
+    cyclic collector has to track or scan.  Entries stay in the order they
+    were appended (processing order — what replay needs).  Iteration and
+    indexing build :class:`LogEntry` views for cold readers; hot code reads
+    the columns.
+    """
+
+    __slots__ = ("uids", "nbytes", "directions", "times", "total_bytes")
+
+    def __init__(self, entries: Iterable[LogEntry] = ()) -> None:
+        self.uids: list[int] = []
+        self.nbytes: list[int] = []
+        self.directions: list[str] = []
+        self.times: list[float] = []
+        #: Running sum of ``nbytes`` (the log's size, read per append).
+        self.total_bytes = 0
+        for e in entries:
+            self.append(e.uid, e.nbytes, e.direction, e.time)
+
+    def append(self, uid: int, nbytes: int, direction: str,
+               time: float) -> None:
+        """Log one message (``logSet ∪= {M}``)."""
+        self.uids.append(uid)
+        self.nbytes.append(nbytes)
+        self.directions.append(direction)
+        self.times.append(time)
+        self.total_bytes += nbytes
+
+    def copy(self) -> "LogSet":
+        """An independent copy (column slices, no per-entry work)."""
+        new = LogSet.__new__(LogSet)
+        new.uids = self.uids[:]
+        new.nbytes = self.nbytes[:]
+        new.directions = self.directions[:]
+        new.times = self.times[:]
+        new.total_bytes = self.total_bytes
+        return new
+
+    def without(self, uid: int) -> "LogSet":
+        """A copy minus every entry of message ``uid`` — the paper's
+        ``logSet − {M}``."""
+        new = self.copy()
+        uids = new.uids
+        while uid in uids:
+            i = uids.index(uid)
+            new.total_bytes -= new.nbytes[i]
+            del uids[i], new.nbytes[i], new.directions[i], new.times[i]
+        return new
+
+    def __len__(self) -> int:
+        return len(self.uids)
+
+    def __iter__(self) -> Iterator[LogEntry]:
+        for row in zip(self.uids, self.nbytes, self.directions, self.times):
+            yield LogEntry(*row)
+
+    def __getitem__(self, i: int) -> LogEntry:
+        return LogEntry(self.uids[i], self.nbytes[i], self.directions[i],
+                        self.times[i])
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, LogSet):
+            return NotImplemented
+        return (self.uids == other.uids and self.nbytes == other.nbytes
+                and self.directions == other.directions
+                and self.times == other.times)
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return f"LogSet({len(self)} msgs, {self.total_bytes}B)"
+
+
 def fold_digest(digest: int, uid: int) -> int:
     """One step of the application-state digest.
 
@@ -139,13 +216,17 @@ class FinalizedCheckpoint:
     whose send/receive this checkpoint records *beyond* ``C_{i,k-1}``
     (recorded sets are monotone in k, so increments suffice; the verifier
     folds each in once).
+
+    ``log_entries`` is always a :class:`LogSet`; any iterable of
+    :class:`LogEntry` passed in is converted.  It is fixed once the
+    checkpoint is built.
     """
 
     pid: int
     csn: int
     tentative: TentativeCheckpoint
     finalized_at: float
-    log_entries: list[LogEntry] = field(default_factory=list)
+    log_entries: LogSet = field(default_factory=LogSet)
     new_sent_uids: frozenset[int] = field(default_factory=frozenset)
     new_recv_uids: frozenset[int] = field(default_factory=frozenset)
     #: How the finalization was triggered (for diagnostics / experiments):
@@ -153,21 +234,20 @@ class FinalizedCheckpoint:
     #: "control.ck_req", "control.ck_end", or "control.next_csn".
     reason: str = ""
 
-    @functools.cached_property
-    def log_bytes(self) -> int:
-        """Total bytes of the selective message log.
+    def __post_init__(self) -> None:
+        if not isinstance(self.log_entries, LogSet):
+            self.log_entries = LogSet(self.log_entries)
 
-        Cached: ``log_entries`` is fixed at construction, and finalization
-        reads this several times per checkpoint (byte accounting, stable
-        space retain, trace record).
-        """
-        return sum(e.nbytes for e in self.log_entries)
+    @property
+    def log_bytes(self) -> int:
+        """Total bytes of the selective message log."""
+        return self.log_entries.total_bytes
 
     @functools.cached_property
     def logged_uids(self) -> frozenset[int]:
         """uids of every message (sent or received) in ``logSet_{i,k}``
-        (cached like :attr:`log_bytes`: the entries are fixed)."""
-        return frozenset(e.uid for e in self.log_entries)
+        (cached: the log is fixed)."""
+        return frozenset(self.log_entries.uids)
 
     def replay_digest(self) -> int:
         """The application state recovery reconstructs from this checkpoint.
@@ -181,10 +261,11 @@ class FinalizedCheckpoint:
         predates sending ``M``).
         """
         digest = self.tentative.digest
-        # log_entries preserve processing order (appended as they happened).
-        for entry in self.log_entries:
-            if entry.direction == "recv":
-                digest = fold_digest(digest, entry.uid)
+        # The log preserves processing order (appended as it happened).
+        log = self.log_entries
+        for uid, direction in zip(log.uids, log.directions):
+            if direction == "recv":
+                digest = fold_digest(digest, uid)
         return digest
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

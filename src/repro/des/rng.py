@@ -62,7 +62,8 @@ class RngRegistry:
         gen = self._streams.get(name)
         if gen is None:
             seq = np.random.SeedSequence([self.root_seed, _name_key(name)])
-            gen = np.random.default_rng(seq)
+            # What ``default_rng(seq)`` builds, minus its argument dispatch.
+            gen = np.random.Generator(np.random.PCG64(seq))
             self._streams[name] = gen
         return gen
 

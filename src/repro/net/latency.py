@@ -73,7 +73,10 @@ class UniformLatency(LatencyModel):
 
     def sample(self, rng: np.random.Generator, src: int, dst: int,
                size: int) -> float:
-        return float(rng.uniform(self.low, self.high))
+        # Bit for bit what ``rng.uniform(low, high)`` draws (numpy computes
+        # ``low + (high - low) * next_double``), without its argument
+        # broadcasting: a third of the cost per draw.
+        return self.low + (self.high - self.low) * rng.random()
 
     def mean(self, size: int = 0) -> float:
         return (self.low + self.high) / 2.0

@@ -210,13 +210,16 @@ class JobStore:
         *running* are transitioned to failed with an explicit cause and
         re-saved (``failed_now``) — their worker died with the server.
         So is a queued job whose kind this server no longer runs (a
-        state directory written by an older release).
+        state directory written by an older release).  The stream of every
+        job that will be appended to again is cut back to its last
+        newline, so the next event does not land on a torn tail.
         """
         requeue: list[JobRecord] = []
         failed_now: list[JobRecord] = []
         for rec in self.load_all():
             if rec.terminal:
                 continue
+            self._cut_torn_tail(rec.id)
             if rec.state == "running":
                 rec.error = "server terminated while the job was running"
             elif rec.kind not in JOB_KINDS:
@@ -228,3 +231,15 @@ class JobStore:
             self.save(rec)
             failed_now.append(rec)
         return requeue, failed_now
+
+    def _cut_torn_tail(self, job_id: str) -> None:
+        """Truncate the job's stream after its last complete line (drops
+        the text a crash left mid-append)."""
+        try:
+            with self.events_path(job_id).open("r+b") as fh:
+                data = fh.read()
+                end = data.rfind(b"\n") + 1
+                if end < len(data):
+                    fh.truncate(end)
+        except FileNotFoundError:
+            pass

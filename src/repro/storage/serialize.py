@@ -27,6 +27,7 @@ from ..core.types import (
     ControlType,
     FinalizedCheckpoint,
     LogEntry,
+    LogSet,
     Piggyback,
     Status,
     TentativeCheckpoint,
@@ -168,6 +169,7 @@ def log_entry_from_dict(data: dict[str, Any]) -> LogEntry:
 
 def checkpoint_to_dict(fc: FinalizedCheckpoint) -> dict[str, Any]:
     """Plain-dict form of one finalized checkpoint (JSON-ready)."""
+    log = fc.log_entries
     return {
         "format_version": FORMAT_VERSION,
         "pid": fc.pid,
@@ -181,7 +183,11 @@ def checkpoint_to_dict(fc: FinalizedCheckpoint) -> dict[str, Any]:
             "digest": fc.tentative.digest,
             "full": fc.tentative.full,
         },
-        "log": [log_entry_to_dict(e) for e in fc.log_entries],
+        # log_entry_to_dict's shape, read straight off the columns.
+        "log": [{"uid": uid, "bytes": nbytes, "direction": direction,
+                 "time": time}
+                for uid, nbytes, direction, time in zip(
+                    log.uids, log.nbytes, log.directions, log.times)],
         "new_sent_uids": sorted(fc.new_sent_uids),
         "new_recv_uids": sorted(fc.new_recv_uids),
     }
@@ -199,10 +205,12 @@ def checkpoint_from_dict(data: dict[str, Any]) -> FinalizedCheckpoint:
         pid=data["pid"], csn=data["csn"], taken_at=t["taken_at"],
         state_bytes=t["state_bytes"], flushed_at=t["flushed_at"],
         digest=t.get("digest", 0), full=t.get("full", True))
-    entries = [log_entry_from_dict(e) for e in data["log"]]
+    log = LogSet()
+    for e in data["log"]:
+        log.append(e["uid"], e["bytes"], e["direction"], e["time"])
     return FinalizedCheckpoint(
         pid=data["pid"], csn=data["csn"], tentative=ct,
-        finalized_at=data["finalized_at"], log_entries=entries,
+        finalized_at=data["finalized_at"], log_entries=log,
         new_sent_uids=frozenset(data["new_sent_uids"]),
         new_recv_uids=frozenset(data["new_recv_uids"]),
         reason=data["reason"])

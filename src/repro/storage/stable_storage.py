@@ -118,8 +118,10 @@ class StableStorage:
         self.requests.append(req)
         self._pending += 1
         self.pending_series.append((self.sim.now, self._pending))
-        self.sim.trace.record(self.sim.now, "storage.write.arrive", pid,
-                              bytes=nbytes, label=label)
+        tr = self.sim.trace
+        if tr.enabled:
+            tr.record(self.sim.now, "storage.write.arrive", pid,
+                      bytes=nbytes, label=label)
         if self._busy < self.servers:
             self._start(req)
         else:
@@ -133,9 +135,10 @@ class StableStorage:
         self._busy += 1
         req.start = self.sim.now
         service = self.disk.service_time(req.nbytes)
-        self.sim.trace.record(self.sim.now, "storage.write.start", req.pid,
-                              bytes=req.nbytes, label=req.label,
-                              wait=req.wait)
+        tr = self.sim.trace
+        if tr.enabled:
+            tr.record(self.sim.now, "storage.write.start", req.pid,
+                      bytes=req.nbytes, label=req.label, wait=req.wait)
         self.sim.schedule(service, lambda: self._finish(req),
                           priority=EventPriority.MONITOR)
 
@@ -145,9 +148,10 @@ class StableStorage:
         self._busy_time += req.finish - req.start
         self._pending -= 1
         self.pending_series.append((self.sim.now, self._pending))
-        self.sim.trace.record(self.sim.now, "storage.write.finish", req.pid,
-                              bytes=req.nbytes, label=req.label,
-                              latency=req.latency)
+        tr = self.sim.trace
+        if tr.enabled:
+            tr.record(self.sim.now, "storage.write.finish", req.pid,
+                      bytes=req.nbytes, label=req.label, latency=req.latency)
         if self._queue:
             nxt = self._queue.pop(0)
             self.queue_series.append((self.sim.now, len(self._queue)))

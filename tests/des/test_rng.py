@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.des import RngRegistry
+from repro.des.rng import _name_key
 
 
 class TestRngRegistry:
@@ -42,6 +43,13 @@ class TestRngRegistry:
                 == RngRegistry(5).spawn_seed("point.3"))
         assert (RngRegistry(5).spawn_seed("point.3")
                 != RngRegistry(5).spawn_seed("point.4"))
+
+    def test_stream_is_default_rng_of_its_seed_sequence(self):
+        gen = RngRegistry(42).stream("chan.3.5")
+        ref = np.random.default_rng(
+            np.random.SeedSequence([42, _name_key("chan.3.5")]))
+        assert type(gen.bit_generator) is type(ref.bit_generator)
+        assert gen.random(64).tobytes() == ref.random(64).tobytes()
 
     def test_names_sorted(self):
         reg = RngRegistry(0)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from repro.des import TraceRecorder
+from repro.harness.experiment import ExperimentConfig, run_experiment
 
 
 def make_trace() -> TraceRecorder:
@@ -48,6 +49,20 @@ class TestRecording:
         t.record(1.0, "a", 0)
         t.record(2.0, "b", 1)
         assert [r.kind for r in seen] == ["a", "b"]
+
+    def test_trace_off_run_never_calls_the_recorder(self, monkeypatch):
+        # Every emission site tests ``trace.enabled`` before packing its
+        # keyword arguments, stable-storage writes included.
+        calls = []
+        monkeypatch.setattr(TraceRecorder, "record",
+                            lambda self, *a, **kw: calls.append(a[1]))
+        result = run_experiment(ExperimentConfig(
+            n=16, seed=0, horizon=300.0, latency="constant",
+            latency_kwargs={"delay": 0.35}, workload="ring",
+            workload_kwargs={"period": 1.0, "msg_size": 256},
+            state_bytes=1_000_000, verify=False, trace_enabled=False))
+        assert result.storage.completed() > 0
+        assert calls == []
 
 
 class TestQuerying:

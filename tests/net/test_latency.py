@@ -63,6 +63,17 @@ class TestUniform:
     def test_mean(self):
         assert UniformLatency(1.0, 3.0).mean() == 2.0
 
+    @pytest.mark.parametrize("seed", [0, 1, 17, 2**40 + 3])
+    @pytest.mark.parametrize("low,high", [
+        (0.5, 1.5), (0.05, 0.25), (1e-3, 7.0), (2.0, 2.0), (0.1, 0.1 + 1e-9)])
+    def test_draws_equal_numpy_uniform_bit_for_bit(self, seed, low, high):
+        m = UniformLatency(low, high)
+        ours = np.random.default_rng(seed)
+        numpys = np.random.default_rng(seed)
+        a = np.array([m.sample(ours, 0, 1, 0) for _ in range(2000)])
+        b = np.array([numpys.uniform(low, high) for _ in range(2000)])
+        assert a.tobytes() == b.tobytes()
+
     def test_rejects_bad_interval(self):
         with pytest.raises(ValueError):
             UniformLatency(2.0, 1.0)

@@ -6,7 +6,8 @@ import json
 
 import pytest
 
-from repro.serve import JobQueue, JobRecord, JobStore, ProtocolError
+from repro.serve import JobQueue, JobRecord, JobStore, ProtocolError, Scheduler
+from repro.serve.protocol import state_event
 
 
 # -- queue -----------------------------------------------------------------
@@ -132,6 +133,29 @@ def test_recover_requeues_queued_and_fails_running(tmp_path):
     assert again.state == "failed"
     # Terminal records are untouched.
     assert JobStore(tmp_path / "state").load("j0003").state == "done"
+
+
+def test_recovered_event_does_not_glue_onto_a_torn_tail(tmp_path):
+    # The server died mid-append while the job was running: the stream
+    # ends in a torn line.  The restart's terminal event must be its own
+    # line, readable by both the parser and the raw WebSocket replay.
+    store = JobStore(tmp_path / "state")
+    rec = JobRecord(id="j0001", kind="live-run", spec={}, seq=1)
+    rec.advance("running")
+    store.save(rec)
+    store.append_event("j0001", json.dumps(
+        state_event("j0001", 0, "queued"), sort_keys=True))
+    with store.events_path("j0001").open("a") as fh:
+        fh.write('{"ev":"job.state","job":"j0001","se')
+
+    scheduler = Scheduler(JobStore(tmp_path / "state"))
+    assert scheduler.recover() == (0, 1)
+    events = scheduler.store.read_events("j0001")
+    assert [(e["seq"], e["state"]) for e in events] == [
+        (0, "queued"), (1, "failed")]
+    lines = scheduler.store.read_event_lines("j0001")
+    assert [json.loads(line) for line in lines] == events
+    assert store.events_path("j0001").read_text().endswith("}\n")
 
 
 def test_recover_fails_queued_job_of_a_kind_no_longer_served(tmp_path):

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.core import ProtocolDriver
 from repro.core.types import (
     ControlMessage,
     ControlType,
@@ -34,6 +35,7 @@ from repro.storage import (
 from repro.storage.serialize import WIRE_VERSION
 
 from ..conftest import build_optimistic_run, run_to_quiescence
+from ..core.test_driver import N, T, SimShapedPort, pb
 
 
 def sample_checkpoint() -> FinalizedCheckpoint:
@@ -84,6 +86,60 @@ class TestRoundTrip:
         data["format_version"] = 99
         with pytest.raises(ValueError, match="version"):
             checkpoint_from_dict(data)
+
+
+#: ``dumps_checkpoint`` of :func:`finalized_with_exclusion`'s checkpoint —
+#: the bytes of a live ``C_k`` file; they must not move.
+GOLDEN_CHECKPOINT = (
+    '{"csn": 1, "finalized_at": 12.75, "format_version": 1, "log": '
+    '[{"bytes": 300, "direction": "sent", "time": 10.25, "uid": 101}, '
+    '{"bytes": 200, "direction": "recv", "time": 11.5, "uid": 8}], '
+    '"new_recv_uids": [7, 8], "new_sent_uids": [101], "pid": 1, '
+    '"reason": "piggyback.peer_normal", "tentative": {"digest": 2654435776, '
+    '"flushed_at": null, "full": true, "state_bytes": 1000, '
+    '"taken_at": 10.0}}')
+
+
+def finalized_with_exclusion():
+    """A round finalized by the driver: a send and a receive logged, and
+    the trigger receive ``M`` (uid 9) logged, then excluded."""
+    port = SimShapedPort()
+    d = ProtocolDriver(1, 3, port)
+    d.app_received(pb(0, N), uid=7, nbytes=64)       # before CT: not logged
+    port.now = 10.0
+    d.initiate()
+    port.now = 10.25
+    d.app_sent(uid=101, nbytes=300)
+    port.now = 11.5
+    d.app_received(pb(1, T, {0}), uid=8, nbytes=200)
+    port.now = 12.75
+    d.app_received(pb(1, N), uid=9, nbytes=150)       # 3(b): M = 9
+    (fc, exclude), = port.finalized
+    assert exclude == 9
+    return fc
+
+
+class TestGoldenBytes:
+    def test_driver_checkpoint_bytes_are_pinned(self):
+        fc = finalized_with_exclusion()
+        assert dumps_checkpoint(fc) == GOLDEN_CHECKPOINT
+        assert checkpoint_to_dict(fc)["log"] == [
+            log_entry_to_dict(e) for e in fc.log_entries]
+        back = loads_checkpoint(GOLDEN_CHECKPOINT)
+        assert back.log_entries == fc.log_entries
+        assert dumps_checkpoint(back) == GOLDEN_CHECKPOINT
+
+    def test_entry_list_spelling_serializes_like_the_driver(self):
+        fc = finalized_with_exclusion()
+        spelled = FinalizedCheckpoint(
+            pid=fc.pid, csn=fc.csn, tentative=fc.tentative,
+            finalized_at=fc.finalized_at,
+            log_entries=[
+                LogEntry(uid=101, nbytes=300, direction="sent", time=10.25),
+                LogEntry(uid=8, nbytes=200, direction="recv", time=11.5)],
+            new_sent_uids=fc.new_sent_uids, new_recv_uids=fc.new_recv_uids,
+            reason=fc.reason)
+        assert dumps_checkpoint(spelled) == GOLDEN_CHECKPOINT
 
 
 uids = st.integers(min_value=0, max_value=2**62)
