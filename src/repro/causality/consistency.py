@@ -56,15 +56,14 @@ class CheckpointRecord:
     """
 
     __slots__ = ("pid", "seq", "taken_at", "finalized_at", "new_sent_uids",
-                 "new_recv_uids", "prev", "logged_uids", "state_bytes",
-                 "log_bytes", "_sent_uids", "_recv_uids")
+                 "new_recv_uids", "prev", "state_bytes", "log_bytes",
+                 "_sent_uids", "_recv_uids")
 
     def __init__(self, pid: int, seq: int, taken_at: float,
                  finalized_at: float | None, *,
                  new_sent_uids: frozenset[int] = _EMPTY,
                  new_recv_uids: frozenset[int] = _EMPTY,
                  prev: "CheckpointRecord | None" = None,
-                 logged_uids: frozenset[int] = _EMPTY,
                  state_bytes: int = 0, log_bytes: int = 0) -> None:
         self.pid = pid
         self.seq = seq
@@ -73,7 +72,6 @@ class CheckpointRecord:
         self.new_sent_uids = new_sent_uids
         self.new_recv_uids = new_recv_uids
         self.prev = prev
-        self.logged_uids = logged_uids
         self.state_bytes = state_bytes
         self.log_bytes = log_bytes
         self._sent_uids: frozenset[int] | None = None

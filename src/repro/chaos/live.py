@@ -31,7 +31,7 @@ import asyncio
 import random
 import time
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
 from ..live.journal import worker_events
 from ..live.storage import FileStableStorage
@@ -57,6 +57,7 @@ class ChaosEndpoint(Endpoint):
         plan.validate()
         self.inner = inner
         self.pid = inner.pid
+        self.epoch = inner.epoch
         self.plan = plan
         self.tracer = tracer if tracer is not None else NULL_TRACER
         #: fault kind -> number of injections performed.
@@ -177,10 +178,10 @@ class ChaosEndpoint(Endpoint):
         return await self.inner.recv()
 
     async def drain(self) -> None:
-        """Forward drain to the wrapped transport, if it has one."""
-        drain = getattr(self.inner, "drain", None)
-        if drain is not None:
-            await drain()
+        await self.inner.drain()
+
+    def set_pre_flush(self, hook: Callable[[], None]) -> None:
+        self.inner.set_pre_flush(hook)
 
     def close(self) -> None:
         self._closed = True
@@ -188,11 +189,6 @@ class ChaosEndpoint(Endpoint):
             handle.cancel()
         self._timers.clear()
         self.inner.close()
-
-    @property
-    def epoch(self) -> int:
-        """Delegate the TCP handshake epoch when the inner endpoint has one."""
-        return getattr(self.inner, "epoch", 0)
 
 
 # --------------------------------------------------------------------------

@@ -489,7 +489,6 @@ class OptimisticProcess(SimProcess, RuntimePort):
                 finalized_at=fc.finalized_at,
                 new_sent_uids=fc.new_sent_uids,
                 new_recv_uids=fc.new_recv_uids, prev=prev,
-                logged_uids=fc.logged_uids,
                 state_bytes=fc.tentative.state_bytes,
                 log_bytes=fc.log_bytes)
         return out

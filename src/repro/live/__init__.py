@@ -22,10 +22,12 @@ Layout:
   wall-clock executor for every protocol :class:`~repro.core.effects.Effect`;
 * :mod:`~repro.live.workload`    — live realizations of the simulator's
   workload rate models;
-* :mod:`~repro.live.worker`      — the ``python -m repro.live.worker``
+* :mod:`~repro.live.worker`      — :class:`~repro.live.worker.LiveRunConfig`
+  and the one worker body both backends run (journal, storage, endpoint
+  stack, host, traffic), also as the ``python -m repro.live.worker``
   process entry point;
-* :mod:`~repro.live.supervisor`  — spawn N workers, inject crashes,
-  recover, report;
+* :mod:`~repro.live.supervisor`  — start N workers, inject crashes,
+  recover, report: one sequence over a local or a TCP backend;
 * :mod:`~repro.live.conformance` — replay journals through
   :mod:`repro.causality` and assert Theorem 2 on the real run.
 
@@ -50,7 +52,6 @@ if TYPE_CHECKING:
     from .storage import FileStableStorage, durable_global_seq
     from .supervisor import (
         CrashOutcome,
-        LiveRunConfig,
         LiveRunReport,
         LiveSetupError,
         run_live,
@@ -58,6 +59,7 @@ if TYPE_CHECKING:
     )
     from .transport import LocalTransport, TcpBroker, connect_tcp
     from .wire import MAX_INCARNATIONS, MAX_UID_COUNTER, SUPERVISOR, make_uid
+    from .worker import LiveRunConfig
     from .workload import LIVE_WORKLOADS, LiveTraffic, drive, make_traffic
 
 #: Lazily-resolved exports: name -> defining submodule.
@@ -75,7 +77,6 @@ _LAZY = {
     "FileStableStorage": "storage",
     "durable_global_seq": "storage",
     "CrashOutcome": "supervisor",
-    "LiveRunConfig": "supervisor",
     "LiveRunReport": "supervisor",
     "LiveSetupError": "supervisor",
     "run_live": "supervisor",
@@ -87,6 +88,7 @@ _LAZY = {
     "MAX_UID_COUNTER": "wire",
     "SUPERVISOR": "wire",
     "make_uid": "wire",
+    "LiveRunConfig": "worker",
     "LIVE_WORKLOADS": "workload",
     "LiveTraffic": "workload",
     "drive": "workload",

@@ -198,8 +198,7 @@ def replay(run_dir: str | Path, n: int | None = None) -> ConformanceReport:
                 pid=pid, seq=csn, taken_at=rec["taken_wall"],
                 finalized_at=rec["wall"],
                 new_sent_uids=frozenset(rec["new_sent"]),
-                new_recv_uids=frozenset(rec["new_recv"]), prev=prev,
-                logged_uids=frozenset(rec["logged"]))
+                new_recv_uids=frozenset(rec["new_recv"]), prev=prev)
     by_seq = {seq: {pid: chains[pid][seq] for pid in range(n)}
               for seq in report.complete_seqs}
     try:

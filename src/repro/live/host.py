@@ -114,7 +114,7 @@ class LiveHost(RuntimePort):
         # C_0 that never reached the disk would leave resume(0) nothing.
         self.storage.write_finalized(0, checkpoint_to_dict(fc))
         self.journal.log("finalize", csn=0, reason="initial", exclude=None,
-                         new_sent=[], new_recv=[], logged=[], digest=0)
+                         new_sent=[], new_recv=[], digest=0)
         self.arm_initiation_timer()
 
     def resume(self, seq: int) -> None:
@@ -339,8 +339,7 @@ class LiveHost(RuntimePort):
         self.journal.log(
             "finalize", csn=csn, reason=fc.reason, exclude=exclude_uid,
             new_sent=sorted(fc.new_sent_uids),
-            new_recv=sorted(fc.new_recv_uids),
-            logged=sorted(fc.logged_uids), digest=fc.replay_digest())
+            new_recv=sorted(fc.new_recv_uids), digest=fc.replay_digest())
         key = f"{self.pid}:{csn}"
         traced = self.tracer.enabled
         if traced:

@@ -15,7 +15,8 @@ Journaled worker events:
 ``recv``      application receive: uid, src, size
 ``tentative`` CT taken: csn, digest
 ``finalize``  checkpoint finalized: csn, reason, exclude uid, the window
-              increments (new_sent/new_recv) and logged uids, digest
+              increments (new_sent/new_recv), digest (the log itself is
+              in the ``C_k`` file)
 ``rollback``  system-wide recovery applied: seq, epoch
 ``anomaly``   a proven-impossible message arrived
 ``stop``      clean shutdown

@@ -33,7 +33,7 @@ from __future__ import annotations
 import asyncio
 import random
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Callable
 
 from ..obs import NULL_TRACER, Tracer
 from .transport import Endpoint
@@ -91,6 +91,7 @@ class ResilientEndpoint(Endpoint):
                  tracer: Tracer | None = None) -> None:
         self.inner = inner
         self.pid = inner.pid
+        self.epoch = inner.epoch
         self.config = config if config is not None else ResilienceConfig()
         self.incarnation = incarnation
         self.tracer = tracer if tracer is not None else NULL_TRACER
@@ -185,22 +186,18 @@ class ResilientEndpoint(Endpoint):
     # -- passthrough -------------------------------------------------------
 
     async def drain(self) -> None:
-        """Forward drain to the wrapped transport, if it has one.
+        """Forward drain to the wrapped transport.
 
         This is the backpressure path: the TCP endpoint's batcher drain
         awaits ``writer.drain()``, so an uncapped workload awaiting this
         method stalls when the peer's TCP window is full instead of
         growing the write buffer without bound.
         """
-        drain = getattr(self.inner, "drain", None)
-        if drain is not None:
-            await drain()
+        await self.inner.drain()
 
-    def set_pre_flush(self, hook: Any) -> None:
+    def set_pre_flush(self, hook: Callable[[], None]) -> None:
         """Forward the journal-flush hook down to the wire batcher."""
-        setter = getattr(self.inner, "set_pre_flush", None)
-        if setter is not None:
-            setter(hook)
+        self.inner.set_pre_flush(hook)
 
     def close(self) -> None:
         self._closed = True
@@ -209,8 +206,3 @@ class ResilientEndpoint(Endpoint):
                 entry[2].cancel()
         self._pending.clear()
         self.inner.close()
-
-    @property
-    def epoch(self) -> int:
-        """TCP endpoints carry the handshake epoch; delegate when present."""
-        return getattr(self.inner, "epoch", 0)

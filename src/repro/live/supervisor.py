@@ -3,9 +3,12 @@
 ``run_live`` is the one entry point (the CLI's ``repro live run`` is a
 thin veneer over it).  It drives a complete live execution:
 
-1. create a run directory (stable-storage subdirectories + journals);
-2. start N workers — asyncio tasks over queue pairs (``transport="local"``)
-   or real OS processes over localhost TCP (``transport="tcp"``);
+1. create a run directory (stable-storage subdirectories + journals) and
+   write the run's :class:`~repro.live.worker.LiveRunConfig` to
+   ``config.json`` in it;
+2. start N :class:`~repro.live.worker.Worker` bodies — asyncio tasks over
+   queue pairs (``transport="local"``) or ``python -m repro.live.worker``
+   OS processes over localhost TCP (``transport="tcp"``);
 3. let the configured workload run for ``duration`` wall seconds while the
    optimistic protocol checkpoints on real timers;
 4. optionally inject one fail-stop crash (SIGKILL for TCP workers, task
@@ -17,6 +20,10 @@ thin veneer over it).  It drives a complete live execution:
    through the restart-from-disk path;
 5. stop everything cleanly and replay the journals through
    :mod:`repro.live.conformance` to assert Theorem 2 on the real run.
+
+Steps 2–5 are one sequence (:func:`_supervise`) over a backend that
+starts, kills, awaits and joins workers, so both transports crash,
+recover and stop the same way.
 """
 
 from __future__ import annotations
@@ -34,19 +41,13 @@ from typing import Any
 from ..api import MetricsView
 from ..obs import JsonlSink, LoopLagProbe, Tracer
 from .conformance import ConformanceReport, replay
-from .host import LiveHost
-from .journal import Journal
-from .resilience import ResilienceConfig, ResilientEndpoint
-from .storage import FileStableStorage, durable_global_seq
-from .transport import Endpoint, LocalTransport, TcpBroker
+from .storage import durable_global_seq
+from .transport import LocalTransport, TcpBroker
 from .wire import recover_frame, stop_frame
-from .workload import LIVE_WORKLOADS, drive, make_traffic
+from .worker import CONFIG_FILE, LiveRunConfig, Worker
 
 #: Default parent directory for run artifacts (gitignored).
 DEFAULT_RUN_ROOT = ".repro-live"
-
-#: File the supervisor writes a fault plan to for TCP workers to pick up.
-CHAOS_PLAN_FILE = "chaos-plan.json"
 
 
 class LiveSetupError(RuntimeError):
@@ -55,73 +56,6 @@ class LiveSetupError(RuntimeError):
     Distinct from a protocol failure: the CLI turns this into a clear
     one-line error and exit code 1 instead of a raw traceback.
     """
-
-
-@dataclass
-class LiveRunConfig:
-    """Everything one live run needs (CLI flags map 1:1 onto fields)."""
-
-    n: int = 4
-    transport: str = "local"            # "local" | "tcp"
-    duration: float = 5.0               # wall seconds of application work
-    checkpoint_interval: float = 1.0    # initiation period (wall seconds)
-    timeout: float = 0.5                # convergence timer (wall seconds)
-    workload: str = "uniform"
-    rate: float = 20.0                  # app msgs / process / second
-    msg_size: int = 256
-    seed: int = 0
-    crash_at: float | None = None       # inject a crash this far into the run
-    crash_pid: int | None = None        # victim (default: highest pid)
-    run_dir: str | None = None          # default: .repro-live/run-...
-    stop_grace: float = 10.0            # max wait for clean worker shutdown
-    trace: bool = False                 # repro.obs tracing (per-worker JSONL)
-    # -- connection establishment (satellite: no more hard-coded timeouts) --
-    connect_timeout: float = 10.0       # per-attempt worker→broker timeout
-    connect_attempts: int = 5           # worker→broker connection retries
-    connect_wait: float = 30.0          # supervisor wait for all workers
-    # -- resilient transport layer (repro.live.resilience) ------------------
-    resilience: bool = True             # bounded-retry send + ack/dedup
-    max_retries: int = 6                # retransmissions per frame
-    retry_base: float = 0.05            # first backoff delay (seconds)
-    retry_max: float = 1.0              # backoff ceiling (seconds)
-    # -- fault injection (repro.chaos) --------------------------------------
-    chaos: Any = None                   # FaultPlan | None
-    # -- cooperative early stop (repro.serve cancellation hook) -------------
-    #: A ``threading.Event`` settable from any thread: once set, the
-    #: supervisor cuts the remaining application-work window short and
-    #: runs the normal clean-stop path (stop broadcast, worker drain,
-    #: conformance replay) — a checkpoint-cancel, not an abort.
-    stop_event: Any = None
-
-    def validate(self) -> None:
-        """Reject configurations that cannot run."""
-        if self.n < 2:
-            raise ValueError("live runs need at least 2 workers")
-        if self.transport not in ("local", "tcp"):
-            raise ValueError(f"unknown transport {self.transport!r}")
-        if self.workload not in LIVE_WORKLOADS:
-            raise ValueError(f"unknown live workload {self.workload!r}; "
-                             f"choices: {sorted(LIVE_WORKLOADS)}")
-        if self.duration <= 0:
-            raise ValueError("duration must be positive")
-        if self.crash_at is not None and not (
-                0 < self.crash_at < self.duration):
-            raise ValueError("crash_at must fall inside the run duration")
-        if self.crash_pid is not None and not (0 <= self.crash_pid < self.n):
-            raise ValueError(f"crash_pid {self.crash_pid} out of range")
-        if self.connect_wait <= 0 or self.connect_timeout <= 0:
-            raise ValueError("connection timeouts must be positive")
-        if self.connect_attempts < 1:
-            raise ValueError("connect_attempts must be at least 1")
-        if self.chaos is not None:
-            self.chaos.validate()
-
-    @property
-    def victim(self) -> int:
-        """The pid a crash injection kills (never P_0, the coordinator,
-        unless explicitly requested — killing the highest pid exercises the
-        general path; crashing P_0 is a separate experiment)."""
-        return self.crash_pid if self.crash_pid is not None else self.n - 1
 
 
 @dataclass
@@ -293,14 +227,25 @@ async def run_live_async(cfg: LiveRunConfig) -> LiveRunReport:
         tracer.span_start("run", f"live:{cfg.transport}:{cfg.seed}",
                           loop.time(), n=cfg.n, transport=cfg.transport,
                           seed=cfg.seed)
+    # Executor thread for every write on the loop (REP101).  TCP workers
+    # read their whole configuration from this file.
+    config_json = cfg.to_json()
+    await loop.run_in_executor(
+        None, lambda: (run_dir / CONFIG_FILE).write_text(
+            config_json, encoding="utf-8"))
     started = time.monotonic()
     try:
         if cfg.transport == "local":
-            crash, dropped, causes, exits = await _run_local(cfg, run_dir,
-                                                             sup, tracer)
+            backend: _LocalBackend | _TcpBackend = _LocalBackend(cfg, run_dir)
         else:
-            crash, dropped, causes, exits = await _run_tcp(cfg, run_dir,
-                                                           sup, tracer)
+            hub = TcpBroker(epoch=0)
+            port = await hub.start()
+            sup.log("broker.listening", port=port)
+            backend = _TcpBackend(cfg, run_dir, hub, port)
+        try:
+            crash, exits = await _supervise(backend, sup, tracer)
+        finally:
+            await backend.close()
     finally:
         if probe is not None:
             probe.stop()
@@ -314,10 +259,9 @@ async def run_live_async(cfg: LiveRunConfig) -> LiveRunReport:
     conformance = replay(run_dir, cfg.n)
     report = LiveRunReport(config=cfg, conformance=conformance,
                            wall_seconds=wall, crash=crash,
-                           dropped_frames=dropped, drop_causes=causes,
+                           dropped_frames=backend.hub.dropped,
+                           drop_causes=dict(backend.hub.dropped_by_cause),
                            worker_exits=exits)
-    # Executor thread: the report write happens while worker loops may
-    # still be draining; a sync write here would stall them (REP101).
     report_json = json.dumps(report.as_dict(), indent=2, sort_keys=True)
     await loop.run_in_executor(
         None, lambda: (run_dir / "report.json").write_text(
@@ -342,314 +286,164 @@ async def _work_window(seconds: float, stop_event: Any) -> None:
         await asyncio.sleep(min(_STOP_POLL, seconds))
 
 
-# --------------------------------------------------------------------------
-# endpoint stack (shared by local workers here and TCP workers in worker.py)
-# --------------------------------------------------------------------------
-
-
-def build_endpoint(inner: Endpoint, storage: FileStableStorage,
-                   cfg: LiveRunConfig, *, incarnation: int = 0,
-                   tracer: Tracer | None = None
-                   ) -> tuple[Endpoint, Any, Any, Any]:
-    """Stack the chaos and resilience layers around a raw endpoint.
-
-    Order matters: chaos sits *below* resilience
-    (``host -> resilient -> chaos -> wire``) so retransmissions traverse
-    the faulty wire again.  Returns ``(endpoint, chaos, chaos_storage,
-    resilient)`` — the wrappers are exposed so run-end evidence
-    (:func:`journal_chaos_evidence`) can read their counters.
-    """
-    chaos = chaos_store = resilient = None
-    if cfg.chaos is not None and cfg.chaos:
-        # Imported lazily: repro.chaos.live itself imports live modules.
-        from ..chaos.live import ChaosEndpoint, chaos_storage
-        chaos = ChaosEndpoint(inner, cfg.chaos, seed=cfg.seed,
-                              tracer=tracer)
-        chaos_store = chaos_storage(storage, cfg.chaos, seed=cfg.seed)
-        inner = chaos
-    if cfg.resilience:
-        resilient = ResilientEndpoint(
-            inner,
-            ResilienceConfig(max_retries=cfg.max_retries,
-                             base_delay=cfg.retry_base,
-                             max_delay=cfg.retry_max),
-            incarnation=incarnation, seed=cfg.seed, tracer=tracer)
-        inner = resilient
-    return inner, chaos, chaos_store, resilient
-
-
-def journal_chaos_evidence(journal: Journal, chaos: Any, chaos_store: Any,
-                           resilient: Any, storage: FileStableStorage,
-                           host: LiveHost) -> None:
-    """Journal one run-end ``chaos`` event with injection/recovery counts.
-
-    The conformance replay ignores unknown event kinds, so this is pure
-    evidence for the chaos matrix (and ``repro trace report``): how many
-    faults were injected vs how many recovery actions healed them.
-    """
-    if chaos is None and chaos_store is None and resilient is None:
-        return
-    injected: dict[str, int] = dict(chaos.injected) if chaos else {}
-    if chaos_store is not None:
-        for kind, count in chaos_store.injected.items():
-            injected[kind] = injected.get(kind, 0) + count
-    data: dict[str, Any] = {
-        "injected": injected,
-        "retried_writes": storage.retried_writes,
-        "dup_dropped": host.dup_dropped,
-    }
-    if resilient is not None:
-        data["resilience"] = resilient.stats.as_dict()
-    journal.log("chaos", **data)
-
-
-# --------------------------------------------------------------------------
-# local (in-process) backend
-# --------------------------------------------------------------------------
-
-
-class _LocalWorker:
-    """One in-process worker: host + run task + workload driver."""
-
-    def __init__(self, cfg: LiveRunConfig, run_dir: Path,
-                 transport: LocalTransport, pid: int, incarnation: int,
-                 epoch: int, resume_seq: int | None) -> None:
-        self.journal = Journal(run_dir, pid, incarnation)
-        self.tracer: Tracer | None = None
-        if cfg.trace:
-            self.tracer = Tracer(
-                [JsonlSink(run_dir / f"trace-P{pid}-{incarnation}.jsonl")],
-                host="live", pid=pid)
-        storage = FileStableStorage(run_dir, pid)
-        endpoint, self.chaos, self.chaos_storage, self.resilient = (
-            build_endpoint(transport.endpoint(pid), storage, cfg,
-                           incarnation=incarnation, tracer=self.tracer))
-        self.storage = storage
-        self.host = LiveHost(
-            pid, cfg.n, endpoint, storage, self.journal,
-            checkpoint_interval=cfg.checkpoint_interval,
-            timeout=cfg.timeout, epoch=epoch, incarnation=incarnation,
-            tracer=self.tracer)
-        if resume_seq is not None:
-            self.host.resume(resume_seq)
-        else:
-            self.host.start()
-        traffic = make_traffic(cfg.workload, cfg.n, pid, rate=cfg.rate,
-                               msg_size=cfg.msg_size, seed=cfg.seed,
-                               incarnation=incarnation)
-        self.task = asyncio.ensure_future(self.host.run())
-        self.driver = asyncio.ensure_future(drive(self.host, traffic))
-
-    async def kill(self) -> None:
-        """Fail-stop: cancel both tasks, abandon all in-memory state."""
-        self.driver.cancel()
-        self.task.cancel()
-        await asyncio.gather(self.task, self.driver,
-                             return_exceptions=True)
-        # No chaos-evidence event: a fail-stop crash journals nothing.
-        self.journal.close()
-        if self.tracer is not None:
-            self.tracer.close()
-
-    async def join(self, grace: float) -> None:
-        """Wait for a clean stop (the host saw a ``stop`` frame)."""
-        try:
-            await asyncio.wait_for(
-                asyncio.gather(self.task, self.driver), timeout=grace)
-        except asyncio.TimeoutError:
-            await self.kill()
-            return
-        journal_chaos_evidence(self.journal, self.chaos,
-                               self.chaos_storage, self.resilient,
-                               self.storage, self.host)
-        self.journal.close()
-        if self.tracer is not None:
-            self.tracer.close()
-
-
-async def _run_local(cfg: LiveRunConfig, run_dir: Path, sup: _SupervisorLog,
-                     tracer: Tracer | None = None
-                     ) -> tuple[CrashOutcome | None, int, dict[str, int],
-                                dict[int, int]]:
-    """Local backend: every worker an asyncio task on this loop."""
-    transport = LocalTransport(cfg.n)
-    epoch = 0
-    workers = {pid: _LocalWorker(cfg, run_dir, transport, pid, 0, epoch,
-                                 None)
-               for pid in range(cfg.n)}
+async def _supervise(backend: _LocalBackend | _TcpBackend,
+                     sup: _SupervisorLog, tracer: Tracer | None
+                     ) -> tuple[CrashOutcome | None, dict[int, int]]:
+    """Start, optionally crash and recover, stop and join every worker;
+    returns the crash outcome and every worker's exit status."""
+    cfg, hub = backend.cfg, backend.hub
     loop = asyncio.get_running_loop()
+    for pid in range(cfg.n):
+        backend.start(pid, 0, None)
+    await backend.wait_connected()
     started = time.monotonic()
     crash: CrashOutcome | None = None
+    window = cfg.duration
     if cfg.crash_at is not None:
         await asyncio.sleep(cfg.crash_at)
         victim = cfg.victim
         kill_started = time.monotonic()
-        sup.log("crash.inject", pid=victim,
-                at=kill_started - started)
+        sup.log("crash.inject", pid=victim, at=kill_started - started)
         if tracer is not None:
             tracer.span_start("recovery", f"{victim}:1", loop.time(),
                               pid=victim)
-        await workers[victim].kill()
-        transport.disconnect(victim)
-        seq = durable_global_seq(run_dir, cfg.n)
-        epoch += 1
-        transport.broadcast(recover_frame(epoch, seq))
-        workers[victim] = _LocalWorker(cfg, run_dir, transport, victim, 1,
-                                       epoch, seq)
+        await backend.kill(victim)
+        # A reaped worker's connection may not have hit EOF yet; the wait
+        # below must count the new incarnation's handshake, not the dead
+        # connection, and frames for the victim must park meanwhile.
+        hub.disconnect(victim)
+        # The recovery line comes from what actually hit the disk.
+        seq = durable_global_seq(backend.run_dir, cfg.n)
+        hub.epoch += 1
+        hub.broadcast(recover_frame(hub.epoch, seq))
+        backend.start(victim, 1, seq)
+        await backend.wait_connected()
         recovery_seconds = time.monotonic() - kill_started
-        crash = CrashOutcome(pid=victim,
-                             killed_after=kill_started - started,
+        crash = CrashOutcome(pid=victim, killed_after=kill_started - started,
                              recovered_seq=seq,
                              recovery_seconds=recovery_seconds,
-                             epoch=epoch)
+                             epoch=hub.epoch)
         if tracer is not None:
             tracer.span_end("recovery", f"{victim}:1", loop.time(),
-                            pid=victim, seq=seq, epoch=epoch)
-        sup.log("crash.recovered", pid=victim, seq=seq, epoch=epoch,
+                            pid=victim, seq=seq, epoch=hub.epoch)
+        sup.log("crash.recovered", pid=victim, seq=seq, epoch=hub.epoch,
                 recovery_seconds=recovery_seconds)
-        await _work_window(max(0.0, cfg.duration - cfg.crash_at),
-                           cfg.stop_event)
-    else:
-        await _work_window(cfg.duration, cfg.stop_event)
-    transport.broadcast(stop_frame())
-    for pid in sorted(workers):
-        await workers[pid].join(cfg.stop_grace)
-    exits = {pid: 0 for pid in sorted(workers)}
-    return crash, transport.dropped, dict(transport.dropped_by_cause), exits
+        window = max(0.0, cfg.duration - cfg.crash_at)
+    await _work_window(window, cfg.stop_event)
+    hub.broadcast(stop_frame())
+    return crash, {pid: await backend.join(pid, cfg.stop_grace)
+                   for pid in range(cfg.n)}
 
 
-# --------------------------------------------------------------------------
-# TCP (multi-process) backend
-# --------------------------------------------------------------------------
+class _LocalBackend:
+    """Every worker a :class:`Worker` on this loop, over queue pairs."""
+
+    def __init__(self, cfg: LiveRunConfig, run_dir: Path) -> None:
+        self.cfg = cfg
+        self.run_dir = run_dir
+        self.hub = LocalTransport(cfg.n)
+        self.workers: dict[int, Worker] = {}
+
+    def start(self, pid: int, incarnation: int,
+              resume_seq: int | None) -> None:
+        """Start one worker incarnation as tasks on this loop."""
+        self.workers[pid] = Worker(self.cfg, self.run_dir, pid, incarnation,
+                                   self.hub.endpoint(pid), resume_seq)
+
+    async def kill(self, pid: int) -> None:
+        """Fail-stop: cancel the worker's tasks."""
+        await self.workers[pid].kill()
+
+    async def wait_connected(self) -> None:
+        """Queue endpoints are connected as soon as they exist."""
+
+    async def join(self, pid: int, grace: float) -> int:
+        """Wait for a clean stop; kill a worker that misses ``grace``."""
+        worker = self.workers[pid]
+        try:
+            await asyncio.wait_for(worker.task, grace)
+        except asyncio.TimeoutError:
+            await worker.kill()
+            return -9       # what Popen reports for a SIGKILLed child
+        await worker.finish()
+        return 0
+
+    async def close(self) -> None:
+        """Kill whatever still runs (a supervision that raised)."""
+        for pid in sorted(self.workers):
+            if not self.workers[pid].task.done():
+                await self.workers[pid].kill()
 
 
-def _worker_env() -> dict[str, str]:
-    """Subprocess environment with ``repro`` importable from source."""
-    src = str(Path(__file__).resolve().parents[2])
-    env = dict(os.environ)
-    existing = env.get("PYTHONPATH")
-    env["PYTHONPATH"] = (src if not existing
-                         else src + os.pathsep + existing)
-    return env
-
-
-def _spawn_worker(cfg: LiveRunConfig, run_dir: Path, port: int, pid: int,
-                  incarnation: int,
-                  resume_seq: int | None) -> subprocess.Popen:
-    """Start one ``python -m repro.live.worker`` OS process."""
-    cmd = [sys.executable, "-m", "repro.live.worker",
-           "--pid", str(pid), "--n", str(cfg.n), "--port", str(port),
-           "--dir", str(run_dir), "--inc", str(incarnation),
-           "--interval", str(cfg.checkpoint_interval),
-           "--timeout", str(cfg.timeout), "--workload", cfg.workload,
-           "--rate", str(cfg.rate), "--msg-size", str(cfg.msg_size),
-           "--seed", str(cfg.seed),
-           "--max-lifetime", str(cfg.duration + 60.0),
-           "--connect-timeout", str(cfg.connect_timeout),
-           "--connect-attempts", str(cfg.connect_attempts),
-           "--max-retries", str(cfg.max_retries),
-           "--retry-base", str(cfg.retry_base),
-           "--retry-max", str(cfg.retry_max)]
-    if not cfg.resilience:
-        cmd.append("--no-resilience")
-    if cfg.chaos is not None and cfg.chaos:
-        cmd += ["--chaos-plan", str(run_dir / CHAOS_PLAN_FILE)]
-    if cfg.trace:
-        cmd.append("--trace")
+def worker_argv(run_dir: Path, port: int, pid: int, incarnation: int,
+                resume_seq: int | None) -> list[str]:
+    """The command line of one ``python -m repro.live.worker`` process;
+    everything else it needs is in ``run_dir/config.json``."""
+    cmd = [sys.executable, "-m", "repro.live.worker", "--dir", str(run_dir),
+           "--pid", str(pid), "--port", str(port), "--inc", str(incarnation)]
     if resume_seq is not None:
         cmd += ["--resume-seq", str(resume_seq)]
-    log = (run_dir / f"worker-P{pid}-{incarnation}.log").open("wb")
-    return subprocess.Popen(cmd, env=_worker_env(), stdout=log, stderr=log)
+    return cmd
 
 
-async def _wait_proc(proc: subprocess.Popen, grace: float) -> int:
-    """Await a subprocess exit without blocking the loop; kill on timeout."""
-    loop = asyncio.get_running_loop()
-    try:
-        return await asyncio.wait_for(
-            loop.run_in_executor(None, proc.wait), timeout=grace)
-    except asyncio.TimeoutError:
-        proc.kill()
-        return await loop.run_in_executor(None, proc.wait)
+class _TcpBackend:
+    """Every worker its own OS process, connected to a :class:`TcpBroker`."""
 
+    def __init__(self, cfg: LiveRunConfig, run_dir: Path, hub: TcpBroker,
+                 port: int) -> None:
+        self.cfg = cfg
+        self.run_dir = run_dir
+        self.hub = hub
+        self.port = port
+        self.procs: dict[int, subprocess.Popen] = {}
+        # Workers import ``repro`` from this source tree.
+        src = str(Path(__file__).resolve().parents[2])
+        self.env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p)}
 
-async def _await_workers(broker: TcpBroker, cfg: LiveRunConfig,
-                         run_dir: Path) -> None:
-    """Wait for every worker to connect, or fail with a clear setup error."""
-    try:
-        await broker.wait_connected(cfg.n, timeout=cfg.connect_wait)
-    except asyncio.TimeoutError:
-        connected = broker.connected_pids
-        raise LiveSetupError(
-            f"only {len(connected)}/{cfg.n} workers connected within "
-            f"{cfg.connect_wait:g}s (connected pids: {connected}); "
-            f"see worker logs under {run_dir}") from None
+    def start(self, pid: int, incarnation: int,
+              resume_seq: int | None) -> None:
+        """Spawn one worker process (output to its own log file)."""
+        log_path = self.run_dir / f"worker-P{pid}-{incarnation}.log"
+        with log_path.open("wb") as log:
+            self.procs[pid] = subprocess.Popen(
+                worker_argv(self.run_dir, self.port, pid, incarnation,
+                            resume_seq),
+                env=self.env, stdout=log, stderr=log)
 
+    async def kill(self, pid: int) -> None:
+        """SIGKILL — a true fail-stop crash — and reap the process."""
+        self.procs[pid].kill()
+        await self.join(pid, grace=10.0)
 
-async def _run_tcp(cfg: LiveRunConfig, run_dir: Path, sup: _SupervisorLog,
-                   tracer: Tracer | None = None
-                   ) -> tuple[CrashOutcome | None, int, dict[str, int],
-                              dict[int, int]]:
-    """TCP backend: real worker processes over localhost sockets."""
-    broker = TcpBroker(epoch=0)
-    port = await broker.start()
-    sup.log("broker.listening", port=port)
-    loop = asyncio.get_running_loop()
-    if cfg.chaos is not None and cfg.chaos:
-        plan_json = json.dumps(cfg.chaos.as_dict(), indent=2,
-                               sort_keys=True)
-        await loop.run_in_executor(
-            None, lambda: (run_dir / CHAOS_PLAN_FILE).write_text(
-                plan_json, encoding="utf-8"))
-    procs = {pid: _spawn_worker(cfg, run_dir, port, pid, 0, None)
-             for pid in range(cfg.n)}
-    crash: CrashOutcome | None = None
-    try:
-        await _await_workers(broker, cfg, run_dir)
-        started = time.monotonic()
-        if cfg.crash_at is not None:
-            await asyncio.sleep(cfg.crash_at)
-            victim = cfg.victim
-            kill_started = time.monotonic()
-            sup.log("crash.inject", pid=victim, at=kill_started - started)
-            if tracer is not None:
-                tracer.span_start("recovery", f"{victim}:1", loop.time(),
-                                  pid=victim)
-            procs[victim].kill()   # SIGKILL — a true fail-stop crash
-            await _wait_proc(procs[victim], grace=10.0)
-            # Its EOF may not have been read yet; the wait below must
-            # count the new incarnation's handshake, not the dead socket.
-            broker.disconnect(victim)
-            # The recovery line comes from what actually hit the disk.
-            seq = durable_global_seq(run_dir, cfg.n)
-            broker.epoch += 1
-            broker.broadcast(recover_frame(broker.epoch, seq))
-            procs[victim] = _spawn_worker(cfg, run_dir, port, victim, 1,
-                                          seq)
-            await _await_workers(broker, cfg, run_dir)
-            recovery_seconds = time.monotonic() - kill_started
-            crash = CrashOutcome(pid=victim,
-                                 killed_after=kill_started - started,
-                                 recovered_seq=seq,
-                                 recovery_seconds=recovery_seconds,
-                                 epoch=broker.epoch)
-            if tracer is not None:
-                tracer.span_end("recovery", f"{victim}:1", loop.time(),
-                                pid=victim, seq=seq, epoch=broker.epoch)
-            sup.log("crash.recovered", pid=victim, seq=seq,
-                    epoch=broker.epoch,
-                    recovery_seconds=recovery_seconds)
-            await _work_window(max(0.0, cfg.duration - cfg.crash_at),
-                               cfg.stop_event)
-        else:
-            await _work_window(cfg.duration, cfg.stop_event)
-        broker.broadcast(stop_frame())
-        exits = {}
-        for pid in sorted(procs):
-            exits[pid] = await _wait_proc(procs[pid], cfg.stop_grace)
-        return crash, broker.dropped, dict(broker.dropped_by_cause), exits
-    finally:
-        for pid in sorted(procs):
-            if procs[pid].poll() is None:
-                procs[pid].kill()
-        await broker.close()
+    async def wait_connected(self) -> None:
+        """Wait for every worker's handshake, or fail with a setup error."""
+        try:
+            await self.hub.wait_connected(self.cfg.n,
+                                          timeout=self.cfg.connect_wait)
+        except asyncio.TimeoutError:
+            connected = self.hub.connected_pids
+            raise LiveSetupError(
+                f"only {len(connected)}/{self.cfg.n} workers connected "
+                f"within {self.cfg.connect_wait:g}s (connected pids: "
+                f"{connected}); see worker logs under {self.run_dir}"
+            ) from None
+
+    async def join(self, pid: int, grace: float) -> int:
+        """Await the process's exit without blocking the loop; SIGKILL it
+        after ``grace``."""
+        proc = self.procs[pid]
+        loop = asyncio.get_running_loop()
+        try:
+            return await asyncio.wait_for(
+                loop.run_in_executor(None, proc.wait), timeout=grace)
+        except asyncio.TimeoutError:
+            proc.kill()
+            return await loop.run_in_executor(None, proc.wait)
+
+    async def close(self) -> None:
+        """Kill leftover processes and close the broker."""
+        for pid in sorted(self.procs):
+            if self.procs[pid].poll() is None:
+                self.procs[pid].kill()
+        await self.hub.close()

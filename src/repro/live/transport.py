@@ -61,6 +61,8 @@ class Endpoint:
     """Interface a live host drives: sync send, awaitable recv."""
 
     pid: int
+    #: Recovery epoch the transport reported when this endpoint connected.
+    epoch: int = 0
 
     def send(self, frame: dict[str, Any]) -> None:
         """Queue one frame for delivery to ``frame['dst']``."""
@@ -69,6 +71,14 @@ class Endpoint:
     async def recv(self) -> dict[str, Any] | None:
         """Next inbound frame, or ``None`` once the transport closed."""
         raise NotImplementedError
+
+    async def drain(self) -> None:
+        """Wait until buffered sends reach the wire (backpressure); a
+        transport that never buffers has nothing to wait for."""
+
+    def set_pre_flush(self, hook: Callable[[], None]) -> None:
+        """Run ``hook`` before every wire write (the journal-flush hook);
+        a transport that never buffers needs none."""
 
     def close(self) -> None:
         """Tear the endpoint down (idempotent)."""
@@ -85,6 +95,8 @@ class LocalTransport:
 
     def __init__(self, n: int) -> None:
         self.n = n
+        #: Current recovery epoch (mirrors TcpBroker.epoch).
+        self.epoch = 0
         self._queues: dict[int, asyncio.Queue] = {
             pid: asyncio.Queue() for pid in range(n)}
         #: Frames addressed to a disconnected pid (crashed worker).
@@ -132,6 +144,7 @@ class LocalEndpoint(Endpoint):
     def __init__(self, transport: LocalTransport, pid: int) -> None:
         self.transport = transport
         self.pid = pid
+        self.epoch = transport.epoch
         self._closed = False
 
     def send(self, frame: dict[str, Any]) -> None:

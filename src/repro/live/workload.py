@@ -103,13 +103,12 @@ async def drive(host: LiveHost, traffic: LiveTraffic) -> None:
 
 async def _drive_uncapped(host: LiveHost, traffic: LiveTraffic) -> None:
     """Burst driver: saturate the transport under drain backpressure."""
-    drain = getattr(host.endpoint, "drain", None)
+    drain = host.endpoint.drain
     while not host.stopped.is_set():
         for _ in range(UNCAPPED_BURST):
             _, dst, size = traffic.sample()
             host.app_send(dst, size)
-        if drain is not None:
-            await drain()
+        await drain()
         # Always yield: timers (checkpoint initiation, convergence) and
         # the receive loop must run even when drain() never suspends.
         await asyncio.sleep(0)

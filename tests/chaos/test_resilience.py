@@ -5,7 +5,7 @@ from __future__ import annotations
 import asyncio
 
 from repro.live.resilience import ResilienceConfig, ResilientEndpoint
-from repro.live.transport import LocalTransport
+from repro.live.transport import Endpoint, LocalTransport
 from repro.live.wire import stop_frame
 
 
@@ -24,8 +24,8 @@ def app_frame(src: int, dst: int, uid: int) -> dict:
     return {"t": "app", "src": src, "dst": dst, "uid": uid}
 
 
-class LossyEndpoint:
-    """Duck-typed endpoint dropping the first ``losses`` reliable sends."""
+class LossyEndpoint(Endpoint):
+    """Endpoint dropping the first ``losses`` reliable sends."""
 
     def __init__(self, inner, losses: int) -> None:
         self.inner = inner

@@ -4,8 +4,10 @@ The REP101–REP104 rollout found and fixed real defects here:
 
 * ``supervisor.py`` wrote ``report.json`` and the chaos plan with
   synchronous ``write_text`` inside ``async def`` (REP101) — now routed
-  through ``loop.run_in_executor``;
-* ``worker.py`` read the chaos plan synchronously (REP101) — same fix;
+  through ``loop.run_in_executor`` (the plan now travels in
+  ``config.json``, written the same way);
+* ``worker.py`` read the chaos plan synchronously (REP101) — it now reads
+  ``config.json`` before its event loop starts;
 * ``transport.TcpBroker.close`` read ``self._server`` before an await
   and nulled it after (REP103 lost-update) — now take-then-null before
   suspending, which also makes concurrent double-close safe.

@@ -16,16 +16,16 @@ def write_worker(tmp_path, pid, events, incarnation=0):
     j = Journal(tmp_path, pid, incarnation)
     j.log("start", epoch=0, resume=None)
     j.log("finalize", csn=0, reason="initial", exclude=None, new_sent=[],
-          new_recv=[], logged=[], digest=0)
+          new_recv=[], digest=0)
     for ev, data in events:
         j.log(ev, **data)
     j.close()
 
 
-def finalize(csn, *, sent=(), recv=(), logged=(), digest=0):
+def finalize(csn, *, sent=(), recv=(), digest=0):
     return ("finalize", dict(csn=csn, reason="test", exclude=None,
                              new_sent=sorted(sent), new_recv=sorted(recv),
-                             logged=sorted(logged), digest=digest))
+                             digest=digest))
 
 
 class TestReplayVerdicts:
@@ -160,6 +160,30 @@ class TestReplayVerdicts:
     def test_empty_run_dir_is_a_problem(self, tmp_path):
         report = replay(tmp_path, 2)
         assert not report.consistent
+
+    def test_older_journals_with_logged_uids_replay_the_same(self, tmp_path):
+        # Journals written before the finalize record dropped its logged
+        # uid list still replay, to the very same verdict.
+        def run(root, **extra):
+            uid = 100
+            write_worker(root, 0, [
+                ("send", dict(uid=uid, dst=1, size=8)),
+                ("finalize", dict(finalize(1)[1], **extra)),
+                ("finalize", dict(finalize(2, sent=[uid])[1], **extra)),
+            ])
+            write_worker(root, 1, [
+                ("recv", dict(uid=uid, src=0, size=8)),
+                ("finalize", dict(finalize(1, recv=[uid])[1], **extra)),
+                ("finalize", dict(finalize(2)[1], **extra)),
+            ])
+            out = replay(root, 2).as_dict()
+            del out["run_dir"], out["round_latency"]
+            return out
+
+        new = run(tmp_path / "new")
+        old = run(tmp_path / "old", logged=[100])
+        assert old == new
+        assert not new["consistent"] and new["orphan_count"] == 1
 
     def test_as_dict_is_json_shaped(self, tmp_path):
         import json

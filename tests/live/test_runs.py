@@ -102,6 +102,25 @@ class TestLocalRun:
         assert payload["ok"] == report.ok
         assert payload["conformance"]["consistent"]
 
+    def test_config_json_written_and_finalize_records_carry_no_log(
+            self, tmp_path):
+        import dataclasses
+        from pathlib import Path
+
+        cfg = fast_cfg(tmp_path)
+        asyncio.run(run_live_async(cfg))
+        run_dir = Path(cfg.run_dir)
+        assert LiveRunConfig.from_json(
+            (run_dir / "config.json").read_text()) == dataclasses.replace(
+                cfg, run_dir=None)
+        assert not (run_dir / "chaos-plan.json").exists()
+        # The selective log lives in the C_k files; the journal's
+        # finalize records carry only the window increments.
+        finalizes = [ev for events in worker_events(run_dir).values()
+                     for ev in events if ev["ev"] == "finalize"]
+        assert len(finalizes) > cfg.n
+        assert not any("logged" in ev for ev in finalizes)
+
     def test_config_validation(self, tmp_path):
         import pytest
 
@@ -134,6 +153,40 @@ class TestTcpRun:
         assert all(code == 0 for code in report.worker_exits.values()), (
             report.worker_exits)
         assert len(report.conformance.rounds_completed) >= 1
+
+    def test_backends_report_the_same_shape(self, tmp_path):
+        # One worker body behind both transports: the same per-worker
+        # journal event vocabulary and the same report keys.
+        def vocabulary(run_dir):
+            return {pid: sorted({ev["ev"] for ev in events})
+                    for pid, events in worker_events(run_dir).items()}
+
+        reports, vocab = {}, {}
+        for transport in ("tcp", "local"):
+            cfg = fast_cfg(tmp_path / transport, transport=transport,
+                           duration=2.0, checkpoint_interval=0.4,
+                           timeout=0.2, rate=40.0)
+            reports[transport] = asyncio.run(run_live_async(cfg))
+            assert reports[transport].ok, reports[transport].render()
+            vocab[transport] = vocabulary(cfg.run_dir)
+        assert vocab["tcp"] == vocab["local"]
+        assert "chaos" in vocab["local"][0]     # run-end evidence, both
+        assert reports["tcp"].as_dict().keys() \
+            == reports["local"].as_dict().keys()
+        assert reports["tcp"].worker_exits == reports["local"].worker_exits \
+            == {0: 0, 1: 0, 2: 0}
+
+    def test_a_worker_that_misses_stop_grace_reports_killed(self, tmp_path):
+        # The local backend used to report 0 for every worker, even one it
+        # had to cancel; both backends now report the kill.
+        exits = {}
+        for transport in ("local", "tcp"):
+            cfg = fast_cfg(tmp_path / transport, transport=transport, n=2,
+                           duration=1.0, stop_grace=0.0)
+            exits[transport] = asyncio.run(run_live_async(cfg)).worker_exits
+        for transport, codes in exits.items():
+            assert sorted(codes) == [0, 1], (transport, codes)
+            assert codes[0] == -9, (transport, codes)
 
 
 class TestInitiationSchedule:

@@ -48,6 +48,32 @@ def test_worker_starts_without_numpy_networkx_or_the_simulator():
         "repro.live.supervisor", "repro.live.conformance"))
 
 
+def test_a_worker_runs_to_its_clean_stop_without_the_supervisor(tmp_path):
+    # The exit path journals the chaos/resilience evidence: that code
+    # lives in the worker module, so finishing loads no supervisor,
+    # conformance replay or causality layer.
+    run_fresh("""
+import asyncio
+from repro.live.transport import LocalTransport
+from repro.live.wire import stop_frame
+from repro.live.worker import LiveRunConfig, Worker
+
+async def main():
+    hub = LocalTransport(2)
+    cfg = LiveRunConfig(n=2, duration=1.0, rate=100.0)
+    workers = [Worker(cfg, "run", pid, 0, hub.endpoint(pid))
+               for pid in range(2)]
+    await asyncio.sleep(0.2)
+    hub.broadcast(stop_frame())
+    await asyncio.wait_for(asyncio.gather(*(w.task for w in workers)), 10)
+    for worker in workers:
+        await worker.finish()
+
+asyncio.run(main())
+""", ("numpy", "networkx", "repro.live.supervisor", "repro.live.conformance",
+      "repro.api", "repro.causality"), cwd=tmp_path)
+
+
 def test_supervisor_starts_without_numpy_or_networkx():
     run_fresh("import repro.live.supervisor", ("numpy", "networkx", "scipy"))
 
