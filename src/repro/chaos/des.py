@@ -247,14 +247,15 @@ def default_des_plan(kind: str, seed: int = 0) -> FaultPlan:
     raise ChaosError(f"unknown fault kind {kind!r}")
 
 
-def _last_fault_end(plan: FaultPlan) -> float:
-    """Simulated time after which the system runs fault-free."""
+def last_fault_end(plan: FaultPlan) -> float:
+    """Simulated time after which the system runs fault-free: a delay
+    window ends when the last message it held is redelivered."""
     end = 0.0
     for f in plan:
         if f.kind == "crash":
             end = max(end, (f.at or 0.0) + CRASH_RECOVERY_DELAY)
         elif f.end is not None:
-            end = max(end, f.end)
+            end = max(end, f.end + (f.delay if f.kind == "delay" else 0.0))
         else:
             end = max(end, f.start)
     return end
@@ -312,7 +313,7 @@ def run_des_cell(kind: str, seed: int = 0,
         injected["crash"] = len(rm.events)
     anomalies = result.runtime.anomalies()
     consistent = result.consistent and not anomalies
-    fault_end = _last_fault_end(plan)
+    fault_end = last_fault_end(plan)
     # Convergence after the faults: some round must have finalized at every
     # process strictly after the last fault ended (Theorem 1 post-fault).
     runtime = result.runtime

@@ -530,7 +530,7 @@ def _add_live_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("-n", "--n", "--procs", dest="n", type=int, default=4,
                    help="number of workers (alias: --procs)")
     p.add_argument("--transport", choices=("local", "tcp"), default="local",
-                   help="local = asyncio tasks over queue pairs; "
+                   help="local = asyncio tasks in this process; "
                         "tcp = one OS process per worker over localhost")
     p.add_argument("--duration", type=float, default=5.0,
                    help="wall seconds of application work")

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 from typing import Any, Callable
 
-from ..chaos.des import CRASH_RECOVERY_DELAY, DesChaosInjector
+from ..chaos.des import CRASH_RECOVERY_DELAY, DesChaosInjector, last_fault_end
 from ..core.types import ControlType
 from ..harness.experiment import ExperimentConfig, run_experiment
 from ..recovery.restart import RecoveryManager
@@ -152,7 +152,7 @@ def run_input(inp: FuzzInput, mutation: str | None = None,
             rollback_depths.append(len(above))
             seen -= above
 
-    fault_end = _last_fault_end_for(inp)
+    fault_end = last_fault_end(plan)
     post_fault_rounds = 0
     rounds = [s for s in runtime.finalized_seqs() if s > 0]
     for seq in rounds:
@@ -238,19 +238,6 @@ def run_input(inp: FuzzInput, mutation: str | None = None,
         "events": len(plan.faults) + app_delivered,
         "makespan": result.sim.now,
     }
-
-
-def _last_fault_end_for(inp: FuzzInput) -> float:
-    """Simulated time after which the input runs fault-free."""
-    end = 0.0
-    for f in inp.plan:
-        if f.kind == "crash":
-            end = max(end, (f.at or 0.0) + CRASH_RECOVERY_DELAY)
-        elif f.end is not None:
-            end = max(end, f.end + (f.delay if f.kind == "delay" else 0.0))
-        else:
-            end = max(end, f.start)
-    return end
 
 
 def run_item(item: tuple[dict[str, Any], str | None]) -> FuzzOutcome:

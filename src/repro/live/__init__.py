@@ -13,8 +13,8 @@ Layout:
 * :mod:`~repro.live.wire`        — length-prefixed binary frames
   carrying the piggyback ``(csn, stat, tentSet)`` via
   :mod:`repro.storage.serialize`;
-* :mod:`~repro.live.transport`   — two interchangeable backends:
-  in-process :class:`asyncio.Queue` pairs and a localhost TCP broker;
+* :mod:`~repro.live.transport`   — one broker routing wire bytes to
+  in-process workers (a queue each) and TCP workers (a socket each);
 * :mod:`~repro.live.storage`     — atomic file-backed stable storage and
   the on-disk recovery line (:func:`~repro.live.storage.durable_global_seq`);
 * :mod:`~repro.live.journal`     — crash-safe per-worker event journals;
@@ -57,7 +57,7 @@ if TYPE_CHECKING:
         run_live,
         run_live_async,
     )
-    from .transport import LocalTransport, TcpBroker, connect_tcp
+    from .transport import Broker, connect_tcp
     from .wire import MAX_INCARNATIONS, MAX_UID_COUNTER, SUPERVISOR, make_uid
     from .worker import LiveRunConfig
     from .workload import LIVE_WORKLOADS, LiveTraffic, drive, make_traffic
@@ -81,8 +81,7 @@ _LAZY = {
     "LiveSetupError": "supervisor",
     "run_live": "supervisor",
     "run_live_async": "supervisor",
-    "LocalTransport": "transport",
-    "TcpBroker": "transport",
+    "Broker": "transport",
     "connect_tcp": "transport",
     "MAX_INCARNATIONS": "wire",
     "MAX_UID_COUNTER": "wire",
@@ -98,6 +97,7 @@ _LAZY = {
 __getattr__, __dir__ = lazy_exports(globals(), _LAZY)
 
 __all__ = [
+    "Broker",
     "ConformanceReport",
     "CrashOutcome",
     "FileStableStorage",
@@ -108,14 +108,12 @@ __all__ = [
     "LiveRunReport",
     "LiveSetupError",
     "LiveTraffic",
-    "LocalTransport",
     "MAX_INCARNATIONS",
     "MAX_UID_COUNTER",
     "ResilienceConfig",
     "ResilienceStats",
     "ResilientEndpoint",
     "SUPERVISOR",
-    "TcpBroker",
     "connect_tcp",
     "drive",
     "durable_global_seq",

@@ -6,9 +6,10 @@ thin veneer over it).  It drives a complete live execution:
 1. create a run directory (stable-storage subdirectories + journals) and
    write the run's :class:`~repro.live.worker.LiveRunConfig` to
    ``config.json`` in it;
-2. start N :class:`~repro.live.worker.Worker` bodies — asyncio tasks over
-   queue pairs (``transport="local"``) or ``python -m repro.live.worker``
-   OS processes over localhost TCP (``transport="tcp"``);
+2. start N :class:`~repro.live.worker.Worker` bodies attached to one
+   :class:`~repro.live.transport.Broker` — asyncio tasks on this loop
+   (``transport="local"``) or ``python -m repro.live.worker`` OS processes
+   over localhost TCP (``transport="tcp"``);
 3. let the configured workload run for ``duration`` wall seconds while the
    optimistic protocol checkpoints on real timers;
 4. optionally inject one fail-stop crash (SIGKILL for TCP workers, task
@@ -22,8 +23,8 @@ thin veneer over it).  It drives a complete live execution:
    :mod:`repro.live.conformance` to assert Theorem 2 on the real run.
 
 Steps 2–5 are one sequence (:func:`_supervise`) over a backend that
-starts, kills, awaits and joins workers, so both transports crash,
-recover and stop the same way.
+starts, kills and joins workers, so both transports crash, recover, stop
+and lose frames the same way: one broker routes both.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from ..api import MetricsView
 from ..obs import JsonlSink, LoopLagProbe, Tracer
 from .conformance import ConformanceReport, replay
 from .storage import durable_global_seq
-from .transport import LocalTransport, TcpBroker
+from .transport import Broker
 from .wire import recover_frame, stop_frame
 from .worker import CONFIG_FILE, LiveRunConfig, Worker
 
@@ -77,10 +78,14 @@ class LiveRunReport:
     conformance: ConformanceReport
     wall_seconds: float
     crash: CrashOutcome | None = None
-    dropped_frames: int = 0
     #: Itemized transport losses: no_route / park_overflow / superseded.
     drop_causes: dict[str, int] = field(default_factory=dict)
     worker_exits: dict[int, int] = field(default_factory=dict)
+
+    @property
+    def dropped_frames(self) -> int:
+        """Transport losses, all causes."""
+        return sum(self.drop_causes.values())
 
     @property
     def ok(self) -> bool:
@@ -234,18 +239,20 @@ async def run_live_async(cfg: LiveRunConfig) -> LiveRunReport:
         None, lambda: (run_dir / CONFIG_FILE).write_text(
             config_json, encoding="utf-8"))
     started = time.monotonic()
+    hub = Broker()
     try:
         if cfg.transport == "local":
-            backend: _LocalBackend | _TcpBackend = _LocalBackend(cfg, run_dir)
+            backend: _LocalBackend | _TcpBackend = _LocalBackend(
+                cfg, run_dir, hub)
         else:
-            hub = TcpBroker(epoch=0)
             port = await hub.start()
             sup.log("broker.listening", port=port)
-            backend = _TcpBackend(cfg, run_dir, hub, port)
+            backend = _TcpBackend(cfg, run_dir, port)
         try:
-            crash, exits = await _supervise(backend, sup, tracer)
+            crash, exits = await _supervise(backend, hub, sup, tracer)
         finally:
             await backend.close()
+            await hub.close()
     finally:
         if probe is not None:
             probe.stop()
@@ -259,8 +266,7 @@ async def run_live_async(cfg: LiveRunConfig) -> LiveRunReport:
     conformance = replay(run_dir, cfg.n)
     report = LiveRunReport(config=cfg, conformance=conformance,
                            wall_seconds=wall, crash=crash,
-                           dropped_frames=backend.hub.dropped,
-                           drop_causes=dict(backend.hub.dropped_by_cause),
+                           drop_causes=dict(hub.dropped_by_cause),
                            worker_exits=exits)
     report_json = json.dumps(report.as_dict(), indent=2, sort_keys=True)
     await loop.run_in_executor(
@@ -286,16 +292,27 @@ async def _work_window(seconds: float, stop_event: Any) -> None:
         await asyncio.sleep(min(_STOP_POLL, seconds))
 
 
-async def _supervise(backend: _LocalBackend | _TcpBackend,
+async def _supervise(backend: _LocalBackend | _TcpBackend, hub: Broker,
                      sup: _SupervisorLog, tracer: Tracer | None
                      ) -> tuple[CrashOutcome | None, dict[int, int]]:
     """Start, optionally crash and recover, stop and join every worker;
     returns the crash outcome and every worker's exit status."""
-    cfg, hub = backend.cfg, backend.hub
+    cfg = backend.cfg
     loop = asyncio.get_running_loop()
+
+    async def all_connected() -> None:
+        try:
+            await hub.wait_connected(cfg.n, timeout=cfg.connect_wait)
+        except asyncio.TimeoutError:
+            connected = hub.connected_pids
+            raise LiveSetupError(
+                f"only {len(connected)}/{cfg.n} workers connected within "
+                f"{cfg.connect_wait:g}s (connected pids: {connected}); see "
+                f"worker logs under {backend.run_dir}") from None
+
     for pid in range(cfg.n):
         backend.start(pid, 0, None)
-    await backend.wait_connected()
+    await all_connected()
     started = time.monotonic()
     crash: CrashOutcome | None = None
     window = cfg.duration
@@ -317,7 +334,7 @@ async def _supervise(backend: _LocalBackend | _TcpBackend,
         hub.epoch += 1
         hub.broadcast(recover_frame(hub.epoch, seq))
         backend.start(victim, 1, seq)
-        await backend.wait_connected()
+        await all_connected()
         recovery_seconds = time.monotonic() - kill_started
         crash = CrashOutcome(pid=victim, killed_after=kill_started - started,
                              recovered_seq=seq,
@@ -336,12 +353,14 @@ async def _supervise(backend: _LocalBackend | _TcpBackend,
 
 
 class _LocalBackend:
-    """Every worker a :class:`Worker` on this loop, over queue pairs."""
+    """Every worker a :class:`Worker` on this loop, attached to the
+    broker in-process."""
 
-    def __init__(self, cfg: LiveRunConfig, run_dir: Path) -> None:
+    def __init__(self, cfg: LiveRunConfig, run_dir: Path,
+                 hub: Broker) -> None:
         self.cfg = cfg
         self.run_dir = run_dir
-        self.hub = LocalTransport(cfg.n)
+        self.hub = hub
         self.workers: dict[int, Worker] = {}
 
     def start(self, pid: int, incarnation: int,
@@ -353,9 +372,6 @@ class _LocalBackend:
     async def kill(self, pid: int) -> None:
         """Fail-stop: cancel the worker's tasks."""
         await self.workers[pid].kill()
-
-    async def wait_connected(self) -> None:
-        """Queue endpoints are connected as soon as they exist."""
 
     async def join(self, pid: int, grace: float) -> int:
         """Wait for a clean stop; kill a worker that misses ``grace``."""
@@ -387,13 +403,11 @@ def worker_argv(run_dir: Path, port: int, pid: int, incarnation: int,
 
 
 class _TcpBackend:
-    """Every worker its own OS process, connected to a :class:`TcpBroker`."""
+    """Every worker its own OS process, connected to the broker's port."""
 
-    def __init__(self, cfg: LiveRunConfig, run_dir: Path, hub: TcpBroker,
-                 port: int) -> None:
+    def __init__(self, cfg: LiveRunConfig, run_dir: Path, port: int) -> None:
         self.cfg = cfg
         self.run_dir = run_dir
-        self.hub = hub
         self.port = port
         self.procs: dict[int, subprocess.Popen] = {}
         # Workers import ``repro`` from this source tree.
@@ -416,19 +430,6 @@ class _TcpBackend:
         self.procs[pid].kill()
         await self.join(pid, grace=10.0)
 
-    async def wait_connected(self) -> None:
-        """Wait for every worker's handshake, or fail with a setup error."""
-        try:
-            await self.hub.wait_connected(self.cfg.n,
-                                          timeout=self.cfg.connect_wait)
-        except asyncio.TimeoutError:
-            connected = self.hub.connected_pids
-            raise LiveSetupError(
-                f"only {len(connected)}/{self.cfg.n} workers connected "
-                f"within {self.cfg.connect_wait:g}s (connected pids: "
-                f"{connected}); see worker logs under {self.run_dir}"
-            ) from None
-
     async def join(self, pid: int, grace: float) -> int:
         """Await the process's exit without blocking the loop; SIGKILL it
         after ``grace``."""
@@ -442,8 +443,7 @@ class _TcpBackend:
             return await loop.run_in_executor(None, proc.wait)
 
     async def close(self) -> None:
-        """Kill leftover processes and close the broker."""
+        """Kill leftover processes."""
         for pid in sorted(self.procs):
             if self.procs[pid].poll() is None:
                 self.procs[pid].kill()
-        await self.hub.close()

@@ -1,21 +1,24 @@
-"""Live transports: in-process queue pairs and real TCP sockets.
+"""Live transports: one broker, in-process and TCP workers.
 
-Two backends behind one tiny interface.  An :class:`Endpoint` is what a
-:class:`~repro.live.host.LiveHost` holds: ``send(frame)`` is synchronous
-(enqueue / batcher push, never blocks the protocol), ``recv()`` is an
-awaitable that yields the next inbound frame or ``None`` once the
-transport is closed.
+An :class:`Endpoint` is what a :class:`~repro.live.host.LiveHost` holds:
+``send(frame)`` is synchronous (a push into a buffer, never blocks the
+protocol), ``recv()`` is an awaitable that yields the next inbound frame
+or ``None`` once the connection is closed.
 
-* :class:`LocalTransport` — every worker is an asyncio task in one
-  process; frames travel through per-worker :class:`asyncio.Queue` pairs.
+Every frame crosses one router, the supervisor-owned :class:`Broker`, as
+:mod:`repro.live.wire` bytes: encoded at the sender, routed by the
+payload's ``dst`` field (a hub topology: N connections instead of N²),
+decoded at the receiver.  The broker is also the supervisor's injection
+point for ``recover`` / ``stop`` broadcasts and its crash detector.  A
+worker attaches in one of two ways:
+
+* :meth:`Broker.endpoint` — the worker is an asyncio task on the broker's
+  own loop and its connection is an in-process queue of encoded frames.
   Zero setup cost; what the fast tests and ``--transport local`` runs use.
-* :class:`TcpBroker` / :class:`connect_tcp` — workers are separate OS
-  processes; each opens one real TCP connection to a broker socket owned
-  by the supervisor, which routes frames by their ``dst`` field (a hub
-  topology: N connections instead of N²; every byte still crosses the
-  loopback TCP stack).  The broker is also the supervisor's injection
-  point for ``recover`` / ``stop`` broadcasts and its crash detector
-  (a SIGKILLed worker surfaces as a connection reset).
+* :func:`connect_tcp` — the worker is a separate OS process with one real
+  TCP connection to the socket :meth:`Broker.start` opens; every byte
+  crosses the loopback stack, and a SIGKILLed worker surfaces as a
+  connection reset.
 
 Every TCP write goes through a :class:`FrameBatcher`: sends coalesce into
 one buffered socket write per event-loop pass, and the flush task awaits
@@ -25,15 +28,17 @@ how the journal-before-send discipline survives buffered journals: the
 worker points it at ``Journal.flush``, making every ``send`` record
 durable before the frame it describes can reach the wire.
 
-Frames addressed to a pid with no live connection are no longer silently
+Frames addressed to a pid with no live connection are not silently
 dropped: frames for a *known* pid (one that connected before — the
 crash/reconnect window) are parked and either replayed on reconnect or
 superseded by the next ``recover`` broadcast; frames for an unknown pid
-are counted.  ``dropped_by_cause`` itemizes every loss.
+are counted.  ``dropped_by_cause`` itemizes every loss, whichever way the
+worker attached.
 
-Both backends preserve per-sender FIFO order, which the epoch-based
-stale-message filter relies on (a ``recover`` broadcast is enqueued to
-every peer before any post-recovery frame can be routed to it).
+Both kinds of connection preserve per-sender FIFO order, which the
+epoch-based stale-message filter relies on (a ``recover`` broadcast is
+enqueued to every peer before any post-recovery frame can be routed to
+it).
 """
 
 from __future__ import annotations
@@ -43,8 +48,10 @@ from typing import Any, Callable
 
 from .wire import (
     check_handshake,
+    decode_frame,
     decode_payload,
     encode_frame,
+    encode_payload,
     frame_prefix,
     hello_frame,
     payload_dst,
@@ -61,7 +68,7 @@ class Endpoint:
     """Interface a live host drives: sync send, awaitable recv."""
 
     pid: int
-    #: Recovery epoch the transport reported when this endpoint connected.
+    #: Recovery epoch the broker reported when this endpoint attached.
     epoch: int = 0
 
     def send(self, frame: dict[str, Any]) -> None:
@@ -86,86 +93,7 @@ class Endpoint:
 
 
 # --------------------------------------------------------------------------
-# in-process backend
-# --------------------------------------------------------------------------
-
-
-class LocalTransport:
-    """All workers in one event loop; frames through asyncio queues."""
-
-    def __init__(self, n: int) -> None:
-        self.n = n
-        #: Current recovery epoch (mirrors TcpBroker.epoch).
-        self.epoch = 0
-        self._queues: dict[int, asyncio.Queue] = {
-            pid: asyncio.Queue() for pid in range(n)}
-        #: Frames addressed to a disconnected pid (crashed worker).
-        self.dropped = 0
-        #: Same losses, itemized (mirrors TcpBroker.dropped_by_cause).
-        self.dropped_by_cause: dict[str, int] = {}
-
-    def endpoint(self, pid: int) -> "LocalEndpoint":
-        """The endpoint for worker ``pid`` (reconnects after a crash)."""
-        if pid not in self._queues:
-            self._queues[pid] = asyncio.Queue()
-        return LocalEndpoint(self, pid)
-
-    def _drop(self, cause: str) -> None:
-        self.dropped += 1
-        self.dropped_by_cause[cause] = self.dropped_by_cause.get(cause, 0) + 1
-
-    def route(self, frame: dict[str, Any]) -> None:
-        """Deliver a frame to its ``dst`` queue (drop if disconnected)."""
-        queue = self._queues.get(frame["dst"])
-        if queue is None:
-            self._drop("no_route")
-            return
-        queue.put_nowait(frame)
-
-    def disconnect(self, pid: int) -> None:
-        """Simulate a crash: discard the worker's queue and future frames."""
-        self._queues.pop(pid, None)
-
-    def inject(self, dst: int, frame: dict[str, Any]) -> None:
-        """Supervisor-originated frame to one worker."""
-        queue = self._queues.get(dst)
-        if queue is not None:
-            queue.put_nowait(frame)
-
-    def broadcast(self, frame: dict[str, Any]) -> None:
-        """Supervisor-originated frame to every connected worker."""
-        for pid in sorted(self._queues):
-            self._queues[pid].put_nowait(frame)
-
-
-class LocalEndpoint(Endpoint):
-    """One worker's handle on a :class:`LocalTransport`."""
-
-    def __init__(self, transport: LocalTransport, pid: int) -> None:
-        self.transport = transport
-        self.pid = pid
-        self.epoch = transport.epoch
-        self._closed = False
-
-    def send(self, frame: dict[str, Any]) -> None:
-        """Route the frame through the shared in-process switch."""
-        if not self._closed:
-            self.transport.route(frame)
-
-    async def recv(self) -> dict[str, Any] | None:
-        """Wait on this worker's queue."""
-        queue = self.transport._queues.get(self.pid)
-        if self._closed or queue is None:
-            return None
-        return await queue.get()
-
-    def close(self) -> None:
-        """Stop sending; the queue stays until ``disconnect``."""
-        self._closed = True
-
-
-# --------------------------------------------------------------------------
-# write batching
+# connections: what the broker pushes encoded frames into
 # --------------------------------------------------------------------------
 
 
@@ -250,13 +178,26 @@ class FrameBatcher:
         self._writer.close()
 
 
+class _Pipe(asyncio.Queue[bytes | None]):
+    """An in-process connection: encoded frames queued for one worker;
+    ``None`` is its end of stream."""
+
+    def push(self, data: bytes) -> None:
+        """Queue one encoded frame (sync)."""
+        self.put_nowait(data)
+
+    def close(self) -> None:
+        """End the stream: the worker's pending ``recv`` returns ``None``."""
+        self.put_nowait(None)
+
+
 # --------------------------------------------------------------------------
-# TCP backend
+# the router
 # --------------------------------------------------------------------------
 
 
-class TcpBroker:
-    """Supervisor-side hub: accepts worker connections, routes frames.
+class Broker:
+    """Supervisor-side hub: attaches workers, routes frames.
 
     ``on_disconnect`` (if set) is called with the pid whenever a worker's
     connection drops — the supervisor's crash detector.  Frames for a pid
@@ -268,18 +209,17 @@ class TcpBroker:
     def __init__(self, epoch: int = 0) -> None:
         self.epoch = epoch
         self._server: asyncio.AbstractServer | None = None
-        self._conns: dict[int, FrameBatcher] = {}
+        self._conns: dict[int, FrameBatcher | _Pipe] = {}
         #: Pids that have connected at least once (reconnect-window set).
         self._known_pids: set[int] = set()
         #: Frames awaiting a known pid's reconnection.
         self._parked: dict[int, list[dict[str, Any]]] = {}
         self._connected = asyncio.Event()
         self.port: int | None = None
-        #: Frames addressed to a pid with no live connection (total).
-        self.dropped = 0
-        #: The same losses, itemized: no_route (never-connected pid),
-        #: park_overflow (reconnect window overran PARK_LIMIT),
-        #: superseded (parked frames made obsolete by a recover order).
+        #: Frames addressed to a pid with no live connection, by cause:
+        #: no_route (never-connected pid), park_overflow (reconnect window
+        #: overran PARK_LIMIT), superseded (parked frames made obsolete by
+        #: a recover order).
         self.dropped_by_cause: dict[str, int] = {}
         self.on_disconnect: Callable[[int], None] | None = None
 
@@ -289,6 +229,14 @@ class TcpBroker:
             self._handle, host="127.0.0.1", port=0)
         self.port = self._server.sockets[0].getsockname()[1]
         return self.port
+
+    def endpoint(self, pid: int) -> InProcessEndpoint:
+        """Attach worker ``pid`` as a task on this loop; a pid seen
+        before gets its parked frames, like a TCP reconnect."""
+        pipe = _Pipe()
+        endpoint = InProcessEndpoint(self, pid, pipe)
+        self._attach(pid, pipe)
+        return endpoint
 
     @property
     def connected_pids(self) -> list[int]:
@@ -318,10 +266,26 @@ class TcpBroker:
         if conn is not None:
             conn.close()
 
+    def _attach(self, pid: int, conn: FrameBatcher | _Pipe) -> None:
+        """Register ``pid``'s connection and replay its parked frames."""
+        self._conns[pid] = conn
+        self._known_pids.add(pid)
+        for frame in self._parked.pop(pid, []):
+            conn.push(encode_frame(frame))
+        self._connected.set()
+
+    def _detach(self, pid: int, conn: FrameBatcher | _Pipe) -> None:
+        """``pid``'s connection ``conn`` ended; a newer one stays."""
+        if self._conns.get(pid) is conn:
+            del self._conns[pid]
+            if self.on_disconnect is not None:
+                self.on_disconnect(pid)
+        conn.close()
+
     async def _handle(self, reader: asyncio.StreamReader,
                       writer: asyncio.StreamWriter) -> None:
         """Per-connection task: handshake, then route until EOF."""
-        pid = None
+        pid = 0
         conn = None
         try:
             hello = await read_wire_frame(reader)
@@ -329,12 +293,8 @@ class TcpBroker:
                 return
             pid = check_handshake(hello, "hello")["pid"]
             conn = FrameBatcher(writer)
-            self._conns[pid] = conn
-            self._known_pids.add(pid)
             conn.push(encode_frame(welcome_frame(self.epoch)))
-            for frame in self._parked.pop(pid, []):
-                conn.push(encode_frame(frame))
-            self._connected.set()
+            self._attach(pid, conn)
             while True:
                 payload = await read_wire(reader)
                 if payload is None:
@@ -343,19 +303,14 @@ class TcpBroker:
         except (ConnectionError, ValueError, asyncio.IncompleteReadError):
             pass
         finally:
-            if pid is not None and self._conns.get(pid) is conn:
-                del self._conns[pid]
-                if self.on_disconnect is not None:
-                    self.on_disconnect(pid)
             if conn is not None:
-                conn.close()
+                self._detach(pid, conn)
             else:
                 writer.close()
 
     # -- routing -----------------------------------------------------------
 
     def _drop(self, cause: str, count: int = 1) -> None:
-        self.dropped += count
         self.dropped_by_cause[cause] = (
             self.dropped_by_cause.get(cause, 0) + count)
 
@@ -380,12 +335,6 @@ class TcpBroker:
             self._no_route(dst, decode_payload(payload))
             return
         conn.push(frame_prefix(payload) + payload)
-
-    def inject(self, dst: int, frame: dict[str, Any]) -> None:
-        """Supervisor-originated frame to one worker."""
-        conn = self._conns.get(dst)
-        if conn is not None:
-            conn.push(encode_frame(frame))
 
     def broadcast(self, frame: dict[str, Any]) -> None:
         """Supervisor-originated frame to every connected worker.
@@ -413,6 +362,45 @@ class TcpBroker:
         for pid in sorted(self._conns):
             self._conns[pid].close()
         self._conns.clear()
+
+
+# --------------------------------------------------------------------------
+# worker-side endpoints
+# --------------------------------------------------------------------------
+
+
+class InProcessEndpoint(Endpoint):
+    """A worker on the broker's own loop (:meth:`Broker.endpoint`)."""
+
+    def __init__(self, broker: Broker, pid: int, pipe: _Pipe) -> None:
+        self.pid = pid
+        self.epoch = broker.epoch
+        self._broker = broker
+        self._pipe = pipe
+        self._closed = False
+
+    def send(self, frame: dict[str, Any]) -> None:
+        """Encode the frame and route it, as the broker routes a TCP
+        worker's bytes."""
+        if not self._closed:
+            payload = encode_payload(frame)
+            self._broker._route_payload(payload_dst(payload), payload)
+
+    async def recv(self) -> dict[str, Any] | None:
+        """Decode the next queued frame; ``None`` once the broker dropped
+        this connection or the endpoint closed."""
+        if self._closed:
+            return None
+        data = await self._pipe.get()
+        if data is None:
+            self._pipe.close()      # every later recv sees the end too
+            return None
+        return decode_frame(data)
+
+    def close(self) -> None:
+        """Detach from the broker, like closing a socket (idempotent)."""
+        self._closed = True
+        self._broker._detach(self.pid, self._pipe)
 
 
 class TcpEndpoint(Endpoint):
@@ -467,16 +455,22 @@ async def connect_tcp(port: int, pid: int, incarnation: int,
     Retries up to ``attempts`` times with exponential backoff starting at
     ``retry_delay`` (capped at 2 s per wait) — a worker spawned before the
     broker finished binding, or racing a broker restart, reconnects
-    instead of dying on the first refused connection.
+    instead of dying on the first refused connection.  A failed attempt
+    closes its socket.
     """
 
     async def _handshake() -> TcpEndpoint:
         reader, writer = await asyncio.open_connection(host, port)
-        writer.write(encode_frame(hello_frame(pid, incarnation)))
-        frame = await read_wire_frame(reader)
-        if frame is None:
-            raise ConnectionError("broker closed during handshake")
-        welcome = check_handshake(frame, "welcome")
+        try:
+            writer.write(encode_frame(hello_frame(pid, incarnation)))
+            frame = await read_wire_frame(reader)
+            if frame is None:
+                raise ConnectionError("broker closed during handshake")
+            welcome = check_handshake(frame, "welcome")
+        except BaseException:
+            # Refused version, early EOF or wait_for's cancellation.
+            writer.close()
+            raise
         return TcpEndpoint(pid, reader, writer, epoch=welcome["epoch"])
 
     last: Exception | None = None

@@ -1,8 +1,9 @@
 """Live wire format: length-prefixed binary frames.
 
-Both live transports (in-process queue pairs and TCP sockets, see
-:mod:`repro.live.transport`) carry the same frame *dicts* in memory; this
-module is the only place they become bytes.  A frame on the socket is::
+Hosts build and read frame *dicts*; this module is the only place they
+become bytes.  Both ways a worker attaches to the broker (an in-process
+queue or a TCP socket, see :mod:`repro.live.transport`) carry the bytes
+below, encoded at the sender and decoded at the receiver.  A frame is::
 
     +----------------+---------------------------------------------+
     | length  !I (4) | payload (length bytes, < MAX_FRAME_BYTES)   |

@@ -29,6 +29,16 @@ def test_different_seeds_draw_different_faults():
     assert a["injected"] != b["injected"] or a["rounds"] != b["rounds"]
 
 
+def test_delay_plan_is_fault_free_after_its_last_redelivery():
+    # end=70, delay=3: a message held at t=70 is redelivered at t=73, so a
+    # round finalizing in (70, 73] is not yet post-fault.
+    from repro.chaos.des import default_des_plan, last_fault_end
+
+    assert last_fault_end(default_des_plan("delay")) == 73.0
+    assert last_fault_end(default_des_plan("drop")) == \
+        default_des_plan("drop").faults[0].end
+
+
 def test_unknown_kind_raises():
     with pytest.raises(ChaosError):
         run_des_cell("bit-flip")

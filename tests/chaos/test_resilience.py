@@ -4,9 +4,10 @@ from __future__ import annotations
 
 import asyncio
 
+from repro.core.types import ControlMessage, ControlType, Piggyback, Status
 from repro.live.resilience import ResilienceConfig, ResilientEndpoint
-from repro.live.transport import Endpoint, LocalTransport
-from repro.live.wire import stop_frame
+from repro.live.transport import Broker, Endpoint
+from repro.live.wire import SUPERVISOR, ack_frame, app_frame, ctl_frame, stop_frame
 
 
 def run(coro):
@@ -20,8 +21,9 @@ def fast_config(**kw) -> ResilienceConfig:
     return ResilienceConfig(**kw)
 
 
-def app_frame(src: int, dst: int, uid: int) -> dict:
-    return {"t": "app", "src": src, "dst": dst, "uid": uid}
+def app(src: int, dst: int, uid: int) -> dict:
+    return app_frame(src, dst, uid, 16,
+                     Piggyback(0, Status.NORMAL, frozenset()), epoch=0)
 
 
 class LossyEndpoint(Endpoint):
@@ -65,10 +67,10 @@ async def settle(ep: ResilientEndpoint, timeout: float = 2.0) -> None:
 class TestHappyPath:
     def test_reliable_frame_gets_rs_and_ack_settles_it(self):
         async def body():
-            t = LocalTransport(2)
+            t = Broker()
             a = ResilientEndpoint(t.endpoint(0), fast_config())
             b = ResilientEndpoint(t.endpoint(1), fast_config())
-            a.send(app_frame(0, 1, 7))
+            a.send(app(0, 1, 7))
             frame = await asyncio.wait_for(b.recv(), 1.0)
             assert frame["uid"] == 7 and "rs" in frame
             assert b.stats.acks_sent == 1
@@ -81,22 +83,26 @@ class TestHappyPath:
 
     def test_supervisor_and_nonreliable_frames_pass_through(self):
         async def body():
-            t = LocalTransport(2)
+            t = Broker()
             a = ResilientEndpoint(t.endpoint(0), fast_config())
-            a.send({"t": "ctl", "src": 0, "dst": -1})  # supervisor-bound
-            a.send({"t": "hello", "src": 0, "dst": 1})  # unreliable kind
+            b = t.endpoint(1)
+            cm = ControlMessage(ControlType.CK_END, 1)
+            a.send(ctl_frame(0, SUPERVISOR, cm, 0))   # supervisor-bound
+            a.send(ack_frame(0, 1, 5))                # unreliable kind
             assert a._pending == {} and a.stats.sent == 0
-            assert "rs" not in await t.endpoint(1).recv()
+            assert await b.recv() == ack_frame(0, 1, 5)   # not re-stamped
+            assert t.dropped_by_cause == {"no_route": 1}
 
         run(body())
 
     def test_disabled_layer_is_a_passthrough(self):
         async def body():
-            t = LocalTransport(2)
+            t = Broker()
             a = ResilientEndpoint(t.endpoint(0),
                                   fast_config(enabled=False))
-            a.send(app_frame(0, 1, 1))
-            frame = await t.endpoint(1).recv()
+            b = t.endpoint(1)
+            a.send(app(0, 1, 1))
+            frame = await b.recv()
             assert "rs" not in frame
             assert a._pending == {}
 
@@ -106,11 +112,11 @@ class TestHappyPath:
 class TestLossRecovery:
     def test_dropped_frame_is_retransmitted_until_delivered(self):
         async def body():
-            t = LocalTransport(2)
+            t = Broker()
             lossy = LossyEndpoint(t.endpoint(0), losses=2)
             a = ResilientEndpoint(lossy, fast_config())
             b = ResilientEndpoint(t.endpoint(1), fast_config())
-            a.send(app_frame(0, 1, 9))
+            a.send(app(0, 1, 9))
             frame = await asyncio.wait_for(b.recv(), 2.0)
             assert frame["uid"] == 9
             assert a.stats.retries >= 2
@@ -121,10 +127,10 @@ class TestLossRecovery:
 
     def test_gives_up_after_max_retries(self):
         async def body():
-            t = LocalTransport(2)
+            t = Broker()
             lossy = LossyEndpoint(t.endpoint(0), losses=10**9)
             a = ResilientEndpoint(lossy, fast_config(max_retries=2))
-            a.send(app_frame(0, 1, 1))
+            a.send(app(0, 1, 1))
             deadline = asyncio.get_event_loop().time() + 2.0
             while (a.stats.give_ups == 0
                    and asyncio.get_event_loop().time() < deadline):
@@ -137,10 +143,10 @@ class TestLossRecovery:
 
     def test_close_cancels_outstanding_retransmissions(self):
         async def body():
-            t = LocalTransport(2)
+            t = Broker()
             lossy = LossyEndpoint(t.endpoint(0), losses=10**9)
             a = ResilientEndpoint(lossy, fast_config())
-            a.send(app_frame(0, 1, 1))
+            a.send(app(0, 1, 1))
             a.close()
             await asyncio.sleep(0.05)
             assert a.stats.give_ups == 0 and a._pending == {}
@@ -151,16 +157,16 @@ class TestLossRecovery:
 class TestDedup:
     def test_duplicate_rs_dropped_but_still_acked(self):
         async def body():
-            t = LocalTransport(2)
+            t = Broker()
             a = ResilientEndpoint(t.endpoint(0), fast_config())
             b = ResilientEndpoint(t.endpoint(1), fast_config())
-            a.send(app_frame(0, 1, 4))
+            a.send(app(0, 1, 4))
             sent = next(iter(a._pending.values()))[0]
             frame = await asyncio.wait_for(b.recv(), 1.0)
             assert frame["uid"] == 4
             # A retransmitted copy arrives after delivery: acked, dropped.
             a.inner.send(dict(sent))
-            t.inject(1, stop_frame())
+            t.broadcast(stop_frame())
             tail = await asyncio.wait_for(b.recv(), 1.0)
             assert tail["t"] == "stop"
             assert b.stats.dup_dropped == 1
@@ -170,13 +176,13 @@ class TestDedup:
 
     def test_rs_namespace_distinct_across_incarnations(self):
         async def body():
-            t = LocalTransport(2)
+            t = Broker()
             a0 = ResilientEndpoint(t.endpoint(0), fast_config(),
                                    incarnation=0)
             a1 = ResilientEndpoint(t.endpoint(0), fast_config(),
                                    incarnation=1)
-            a0.send(app_frame(0, 1, 1))
-            a1.send(app_frame(0, 1, 1))
+            a0.send(app(0, 1, 1))
+            a1.send(app(0, 1, 1))
             rs = set(a0._pending) | set(a1._pending)
             assert len(rs) == 2
             a0.close()

@@ -8,8 +8,8 @@ The REP101–REP104 rollout found and fixed real defects here:
   ``config.json``, written the same way);
 * ``worker.py`` read the chaos plan synchronously (REP101) — it now reads
   ``config.json`` before its event loop starts;
-* ``transport.TcpBroker.close`` read ``self._server`` before an await
-  and nulled it after (REP103 lost-update) — now take-then-null before
+* ``transport.Broker.close`` read ``self._server`` before an await and
+  nulled it after (REP103 lost-update) — now take-then-null before
   suspending, which also makes concurrent double-close safe.
 
 These tests pin the fixes by linting the shipped packages with the
@@ -53,13 +53,13 @@ def test_live_host_satisfies_journal_before_send_dominance():
 
 
 def test_tcp_broker_double_close_is_safe():
-    # The REP103 fix in TcpBroker.close (take-then-null before awaiting)
+    # The REP103 fix in Broker.close (take-then-null before awaiting)
     # must make concurrent close() calls idempotent rather than
     # re-closing a server another task already started tearing down.
-    from repro.live.transport import TcpBroker
+    from repro.live.transport import Broker
 
     async def scenario():
-        broker = TcpBroker()
+        broker = Broker()
         await broker.start()
         await asyncio.gather(broker.close(), broker.close())
         assert broker._server is None

@@ -34,6 +34,29 @@ class TestLocalRun:
         assert report.dropped_frames == 0
         assert report.msgs_per_sec > 0
 
+    def test_every_frame_crosses_the_wire_codec(self, tmp_path, monkeypatch):
+        # In-process workers attach to the same broker as TCP workers:
+        # each frame is encoded at its sender and decoded at its receiver.
+        from repro.live import transport
+
+        calls = {"encode": 0, "decode": 0}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(transport, "encode_payload", counted(
+            "encode", transport.encode_payload))
+        monkeypatch.setattr(transport, "decode_frame", counted(
+            "decode", transport.decode_frame))
+        report = asyncio.run(run_live_async(fast_cfg(tmp_path)))
+        assert report.ok, report.render()
+        sends, receives = report.conformance.sends, report.conformance.receives
+        assert calls["encode"] >= sends > 0
+        assert calls["decode"] >= receives > 0
+
     def test_traced_run_still_delivers_and_its_trace_validates(self, tmp_path):
         # What tracing costs is the ledger's trace_overhead_frac; what it
         # must never cost is the run: same verdict, schema-valid traces
@@ -199,11 +222,11 @@ class TestInitiationSchedule:
     """
 
     def _joined_round_deadline(self, tmp_path, frame_for):
-        from repro.live import FileStableStorage, Journal, LiveHost, LocalTransport
+        from repro.live import Broker, FileStableStorage, Journal, LiveHost
 
         async def scenario():
             loop = asyncio.get_running_loop()
-            host = LiveHost(1, 2, LocalTransport(2).endpoint(1),
+            host = LiveHost(1, 2, Broker().endpoint(1),
                             FileStableStorage(tmp_path, 1),
                             Journal(tmp_path, 1, 0),
                             checkpoint_interval=5.0, timeout=5.0)

@@ -1,12 +1,14 @@
-"""Transport backend tests: queue pairs and real TCP sockets."""
+"""Transport tests: one broker, in-process and real TCP workers."""
 
 from __future__ import annotations
 
 import asyncio
+import gc
+import warnings
 
 import pytest
 
-from repro.live.transport import LocalTransport, TcpBroker, connect_tcp
+from repro.live.transport import Broker, connect_tcp
 from repro.live.wire import (SUPERVISOR, WIRE_VERSION, encode_frame,
                              encode_payload, hello_frame, recover_frame,
                              stop_frame)
@@ -28,57 +30,203 @@ def route(broker, frame):
     broker._route_payload(frame["dst"], encode_payload(frame))
 
 
-class TestLocalTransport:
+#: uid of the marker frame :meth:`_RoutingCases.routed` bounces.
+MARK = 99
+
+
+class _RoutingCases:
+    """What the router does for a worker, whichever way it attached.
+
+    Each subclass runs every case over one kind of endpoint: the loss
+    policy (park, replay, supersede, overflow, no route) exists once.
+    """
+
+    tcp: bool
+
+    async def broker(self):
+        broker = Broker()
+        if self.tcp:
+            await broker.start()
+        self.gone = asyncio.Queue()
+        broker.on_disconnect = self.gone.put_nowait
+        return broker
+
+    async def connect(self, broker, pid, incarnation=0):
+        if self.tcp:
+            return await connect_tcp(broker.port, pid, incarnation)
+        return broker.endpoint(pid)
+
+    async def pair(self, broker):
+        a = await self.connect(broker, 0)
+        b = await self.connect(broker, 1)
+        await broker.wait_connected(2)
+        return a, b
+
+    async def routed(self, ep):
+        """Return once the broker routed everything ``ep`` sent: per-sender
+        FIFO, so a marker it sends itself comes back last."""
+        ep.send(app(ep.pid, ep.pid, MARK))
+        await ep.drain()
+        assert (await asyncio.wait_for(ep.recv(), 5.0))["uid"] == MARK
+
+    async def crash(self, ep):
+        ep.close()
+        assert await asyncio.wait_for(self.gone.get(), 5.0) == ep.pid
+
+    async def close(self, broker, *endpoints):
+        for ep in endpoints:
+            ep.close()
+        await broker.close()
+
+    def test_route_to_dead_pid_counts_dropped(self):
+        async def body():
+            broker = await self.broker()
+            a, b = await self.pair(broker)
+            a.send(app(0, 7, 1))
+            await self.routed(a)
+            assert broker.dropped_by_cause == {"no_route": 1}
+            await self.close(broker, a, b)
+
+        run(body())
+
+    def test_frame_addressed_to_the_supervisor_is_counted(self):
+        # The broker has no reader for such frames: they take the same
+        # path as any frame for a pid that never connected.
+        async def body():
+            broker = await self.broker()
+            a, b = await self.pair(broker)
+            a.send(app(0, SUPERVISOR, 3))
+            a.send(app(0, 1, 4))
+            await a.drain()
+            # Per-sender FIFO: once uid 4 arrived, uid 3 was routed.
+            assert (await asyncio.wait_for(b.recv(), 5.0))["uid"] == 4
+            assert broker.dropped_by_cause == {"no_route": 1}
+            assert broker._parked == {}
+            await self.close(broker, a, b)
+
+        run(body())
+
+    def test_reconnect_window_frames_are_parked_and_replayed(self):
+        async def body():
+            broker = await self.broker()
+            a, b = await self.pair(broker)
+            await self.crash(b)
+            # pid 1 is known (it connected before): park, don't drop.
+            a.send(app(0, 1, 6))
+            await self.routed(a)
+            assert broker.dropped_by_cause == {}
+            b2 = await self.connect(broker, 1, 1)
+            frame = await asyncio.wait_for(b2.recv(), 5.0)
+            assert frame == app(0, 1, 6)
+            await self.close(broker, a, b2)
+
+        run(body())
+
+    def test_recover_broadcast_supersedes_parked_frames(self):
+        async def body():
+            broker = await self.broker()
+            a, b = await self.pair(broker)
+            await self.crash(b)
+            a.send(app(0, 1, 6))
+            a.send(app(0, 1, 7))
+            await self.routed(a)
+            # The execution those frames belonged to is being discarded.
+            broker.broadcast(recover_frame(1, 0))
+            assert broker.dropped_by_cause == {"superseded": 2}
+            await self.close(broker, a)
+
+        run(body())
+
+    def test_park_overflow_counts_drops(self, monkeypatch):
+        from repro.live import transport as transport_mod
+        monkeypatch.setattr(transport_mod, "PARK_LIMIT", 2)
+
+        async def body():
+            broker = await self.broker()
+            a, b = await self.pair(broker)
+            await self.crash(b)
+            for uid in range(4):
+                a.send(app(0, 1, uid))
+            await self.routed(a)
+            assert broker.dropped_by_cause == {"park_overflow": 2}
+            await self.close(broker, a)
+
+        run(body())
+
+
+class TestLocalTransport(_RoutingCases):
+    """Workers on the broker's loop (``Broker.endpoint``)."""
+
+    tcp = False
+
     def test_route_between_endpoints(self):
         async def body():
-            t = LocalTransport(2)
-            a, b = t.endpoint(0), t.endpoint(1)
-            a.send({"t": "app", "src": 0, "dst": 1, "uid": 7})
+            broker = Broker()
+            a, b = broker.endpoint(0), broker.endpoint(1)
+            sent = app(0, 1, 7)
+            a.send(sent)
             frame = await b.recv()
-            assert frame["uid"] == 7
+            # Decoded from the wire bytes: equal, never the sent object.
+            assert frame == sent and frame is not sent
+            await broker.close()
 
         run(body())
 
     def test_disconnect_drops_and_counts(self):
         async def body():
-            t = LocalTransport(2)
-            a = t.endpoint(0)
-            t.disconnect(1)
-            a.send({"t": "app", "src": 0, "dst": 1, "uid": 7})
-            assert t.dropped == 1
-            # Reconnect gives a fresh, empty queue.
-            b = t.endpoint(1)
-            t.inject(1, stop_frame())
-            assert (await b.recv())["t"] == "stop"
+            broker = Broker()
+            a, b = broker.endpoint(0), broker.endpoint(1)
+            broker.disconnect(1)
+            assert await b.recv() is None
+            a.send(app(0, 1, 7))            # parks for pid 1 ...
+            broker.epoch += 1
+            broker.broadcast(recover_frame(broker.epoch, 0))
+            assert broker.dropped_by_cause == {"superseded": 1}
+            # ... and the reconnect is a fresh, empty queue.
+            b2 = broker.endpoint(1)
+            assert b2.epoch == 1
+            broker.broadcast(stop_frame())
+            assert (await b2.recv())["t"] == "stop"
+            await broker.close()
 
         run(body())
 
     def test_broadcast_reaches_every_worker(self):
         async def body():
-            t = LocalTransport(3)
-            eps = [t.endpoint(pid) for pid in range(3)]
-            t.broadcast(stop_frame())
+            broker = Broker()
+            eps = [broker.endpoint(pid) for pid in range(3)]
+            assert broker.connected_pids == [0, 1, 2]   # no handshake
+            broker.broadcast(stop_frame())
             for ep in eps:
                 assert (await ep.recv())["t"] == "stop"
+            await broker.close()
+            assert [await ep.recv() for ep in eps] == [None] * 3
 
         run(body())
 
     def test_closed_endpoint_stops_sending_and_receiving(self):
         async def body():
-            t = LocalTransport(2)
-            a = t.endpoint(0)
+            broker = Broker()
+            a, b = broker.endpoint(0), broker.endpoint(1)
             a.close()
-            a.send({"t": "app", "src": 0, "dst": 1, "uid": 1})
-            assert t._queues[1].empty()
+            assert broker.connected_pids == [1]
+            a.send(app(0, 1, 1))
+            broker.broadcast(stop_frame())
+            assert (await b.recv())["t"] == "stop"  # nothing ahead of it
             assert await a.recv() is None
+            await broker.close()
 
         run(body())
 
 
-class TestTcpTransport:
+class TestTcpTransport(_RoutingCases):
+    """Worker processes' side: one socket each (``connect_tcp``)."""
+
+    tcp = True
+
     def test_connect_route_and_broadcast(self):
         async def body():
-            broker = TcpBroker()
+            broker = Broker()
             port = await broker.start()
             a = await connect_tcp(port, 0, 0)
             b = await connect_tcp(port, 1, 0)
@@ -94,23 +242,23 @@ class TestTcpTransport:
             broker.broadcast(stop_frame())
             assert (await asyncio.wait_for(a.recv(), 5.0))["t"] == "stop"
             assert (await asyncio.wait_for(b.recv(), 5.0))["t"] == "stop"
-            await broker.close()
+            await self.close(broker, a, b)
 
         run(body())
 
     def test_welcome_carries_current_epoch(self):
         async def body():
-            broker = TcpBroker(epoch=3)
+            broker = Broker(epoch=3)
             port = await broker.start()
             ep = await connect_tcp(port, 0, 1)
             assert ep.epoch == 3
-            await broker.close()
+            await self.close(broker, ep)
 
         run(body())
 
     def test_disconnect_callback_fires(self):
         async def body():
-            broker = TcpBroker()
+            broker = Broker()
             port = await broker.start()
             gone = asyncio.Queue()
             broker.on_disconnect = gone.put_nowait
@@ -124,37 +272,6 @@ class TestTcpTransport:
 
         run(body())
 
-    def test_route_to_dead_pid_counts_dropped(self):
-        async def body():
-            broker = TcpBroker()
-            await broker.start()
-            route(broker, app(0, 7, 1))
-            assert broker.dropped == 1
-            assert broker.dropped_by_cause == {"no_route": 1}
-            await broker.close()
-
-        run(body())
-
-    def test_frame_addressed_to_the_supervisor_is_counted(self):
-        # The broker has no reader for such frames: they take the same
-        # path as any frame for a pid that never connected.
-        async def body():
-            broker = TcpBroker()
-            port = await broker.start()
-            a = await connect_tcp(port, 0, 0)
-            b = await connect_tcp(port, 1, 0)
-            await broker.wait_connected(2)
-            a.send(app(0, SUPERVISOR, 3))
-            a.send(app(0, 1, 4))
-            await a.drain()
-            # Per-sender FIFO: once uid 4 arrived, uid 3 was routed.
-            assert (await asyncio.wait_for(b.recv(), 5.0))["uid"] == 4
-            assert broker.dropped_by_cause == {"no_route": 1}
-            assert broker._parked == {}
-            await broker.close()
-
-        run(body())
-
     def test_handshake_version_mismatch_closes_connection(self):
         future = bytearray(encode_frame(hello_frame(0, 0)))
         future[4] = 99  # the payload's version byte
@@ -162,7 +279,7 @@ class TestTcpTransport:
         text = b'{"t":"hello","v":2,"pid":0,"inc":0}\n'
 
         async def body(hello):
-            broker = TcpBroker()
+            broker = Broker()
             port = await broker.start()
             reader, writer = await asyncio.open_connection("127.0.0.1",
                                                            port)
@@ -180,7 +297,7 @@ class TestTcpTransport:
         # StreamReader's 64 KiB line limit does not apply to
         # length-prefixed frames.
         async def body():
-            broker = TcpBroker()
+            broker = Broker()
             port = await broker.start()
             a = await connect_tcp(port, 0, 0)
             b = await connect_tcp(port, 1, 0)
@@ -191,83 +308,41 @@ class TestTcpTransport:
             await a.drain()
             frame = await asyncio.wait_for(b.recv(), 5.0)
             assert frame == big
-            await broker.close()
-
-        run(body())
-
-    def test_reconnect_window_frames_are_parked_and_replayed(self):
-        async def body():
-            broker = TcpBroker()
-            port = await broker.start()
-            gone = asyncio.Queue()
-            broker.on_disconnect = gone.put_nowait
-            a = await connect_tcp(port, 0, 0)
-            b = await connect_tcp(port, 1, 0)
-            await broker.wait_connected(2)
-            b.close()
-            await asyncio.wait_for(gone.get(), 5.0)
-            # pid 1 is known (it connected before): park, don't drop.
-            route(broker, app(0, 1, 6))
-            assert broker.dropped == 0
-            b2 = await connect_tcp(port, 1, 1)
-            frame = await asyncio.wait_for(b2.recv(), 5.0)
-            assert frame == app(0, 1, 6)
-            a.close()
-            b2.close()
-            await broker.close()
-
-        run(body())
-
-    def test_recover_broadcast_supersedes_parked_frames(self):
-        async def body():
-            broker = TcpBroker()
-            port = await broker.start()
-            gone = asyncio.Queue()
-            broker.on_disconnect = gone.put_nowait
-            b = await connect_tcp(port, 1, 0)
-            await broker.wait_connected(1)
-            b.close()
-            await asyncio.wait_for(gone.get(), 5.0)
-            route(broker, app(0, 1, 6))
-            route(broker, app(0, 1, 7))
-            # The execution those frames belonged to is being discarded.
-            broker.broadcast(recover_frame(1, 0))
-            assert broker.dropped == 2
-            assert broker.dropped_by_cause == {"superseded": 2}
-            await broker.close()
-
-        run(body())
-
-    def test_park_overflow_counts_drops(self, monkeypatch):
-        from repro.live import transport as transport_mod
-        monkeypatch.setattr(transport_mod, "PARK_LIMIT", 2)
-
-        async def body():
-            broker = TcpBroker()
-            port = await broker.start()
-            gone = asyncio.Queue()
-            broker.on_disconnect = gone.put_nowait
-            b = await connect_tcp(port, 1, 0)
-            await broker.wait_connected(1)
-            b.close()
-            await asyncio.wait_for(gone.get(), 5.0)
-            for uid in range(4):
-                route(broker, app(0, 1, uid))
-            assert broker.dropped == 2
-            assert broker.dropped_by_cause == {"park_overflow": 2}
-            await broker.close()
+            await self.close(broker, a, b)
 
         run(body())
 
     def test_wait_connected_times_out(self):
         async def body():
-            broker = TcpBroker()
+            broker = Broker()
             await broker.start()
             with pytest.raises(asyncio.TimeoutError):
                 await broker.wait_connected(1, timeout=0.05)
             await broker.close()
 
         run(body())
+
+    def test_failed_handshake_closes_its_socket(self):
+        # A broker that hangs up before the welcome, on every attempt:
+        # each attempt's socket is closed, not left to the collector.
+        async def body():
+            async def hang_up(reader, writer):
+                await reader.read(1)
+                writer.close()
+
+            server = await asyncio.start_server(hang_up, "127.0.0.1", 0)
+            port = server.sockets[0].getsockname()[1]
+            with pytest.raises(ConnectionError, match="2 attempt"):
+                await connect_tcp(port, 0, 0, attempts=2, retry_delay=0.01)
+            server.close()
+            await server.wait_closed()
+
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            run(body())
+            gc.collect()
+        assert [str(w.message) for w in caught
+                if issubclass(w.category, ResourceWarning)] == []
 
 
 class _NullWriter:
@@ -290,7 +365,7 @@ class TestRespawnWait:
 
     def test_wait_needs_the_new_incarnations_hello(self):
         async def body():
-            broker = TcpBroker()            # in memory: never listens
+            broker = Broker()               # in memory: never listens
 
             def connect(pid, incarnation):
                 reader = asyncio.StreamReader()
@@ -331,7 +406,7 @@ class TestRespawnWait:
 
     def test_frames_for_a_dropped_pid_park_for_its_next_incarnation(self):
         async def body():
-            broker = TcpBroker()
+            broker = Broker()
             reader = asyncio.StreamReader()
             reader.feed_data(encode_frame(hello_frame(1, 0)))
             task = asyncio.ensure_future(
@@ -340,7 +415,7 @@ class TestRespawnWait:
             broker.disconnect(1)
             route(broker, app(0, 1, 7))
             assert broker._parked[1] == [app(0, 1, 7)]
-            assert broker.dropped == 0
+            assert broker.dropped_by_cause == {}
             broker.disconnect(1)            # idempotent
             reader.feed_eof()
             await asyncio.wait_for(task, 5.0)

@@ -12,7 +12,7 @@ import json
 
 from repro.chaos import Fault, FaultPlan
 from repro.live.supervisor import worker_argv
-from repro.live.transport import Endpoint, LocalTransport
+from repro.live.transport import Broker, Endpoint
 from repro.live.wire import stop_frame
 from repro.live.worker import LiveRunConfig, Worker, build_endpoint, build_parser
 
@@ -132,7 +132,7 @@ class TestEndpointStack:
 
     def test_local_endpoints_read_the_transport_epoch(self):
         async def body():
-            hub = LocalTransport(2)
+            hub = Broker()
             assert hub.endpoint(0).epoch == 0
             hub.epoch += 1
             assert hub.endpoint(1).epoch == 1
@@ -144,7 +144,7 @@ def test_a_worker_starts_finishes_and_journals_its_evidence(tmp_path):
     from repro.live.journal import worker_events
 
     async def body():
-        hub = LocalTransport(2)
+        hub = Broker()
         cfg = LiveRunConfig(n=2, duration=1.0, rate=100.0,
                             checkpoint_interval=0.1, timeout=0.05)
         workers = [Worker(cfg, tmp_path, pid, 0, hub.endpoint(pid))

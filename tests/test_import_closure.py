@@ -54,12 +54,12 @@ def test_a_worker_runs_to_its_clean_stop_without_the_supervisor(tmp_path):
     # conformance replay or causality layer.
     run_fresh("""
 import asyncio
-from repro.live.transport import LocalTransport
+from repro.live.transport import Broker
 from repro.live.wire import stop_frame
 from repro.live.worker import LiveRunConfig, Worker
 
 async def main():
-    hub = LocalTransport(2)
+    hub = Broker()
     cfg = LiveRunConfig(n=2, duration=1.0, rate=100.0)
     workers = [Worker(cfg, "run", pid, 0, hub.endpoint(pid))
                for pid in range(2)]
