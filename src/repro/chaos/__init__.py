@@ -34,7 +34,7 @@ from .plan import (
 )
 
 if TYPE_CHECKING:
-    from .des import DesChaosInjector, default_des_plan, run_des_cell
+    from .des import DesChaosInjector, default_des_plan, run_des_cell, run_plan
     from .live import ChaosEndpoint, ChaosStorage, chaos_storage, lost_messages
     from .matrix import (
         DEFAULT_KINDS,
@@ -50,6 +50,7 @@ _LAZY = {
     "DesChaosInjector": "des",
     "default_des_plan": "des",
     "run_des_cell": "des",
+    "run_plan": "des",
     "ChaosEndpoint": "live",
     "ChaosStorage": "live",
     "chaos_storage": "live",
@@ -87,5 +88,6 @@ __all__ = [
     "run_des_cell",
     "run_live_cell",
     "run_matrix",
+    "run_plan",
     "single_fault_plan",
 ]

@@ -1,33 +1,54 @@
-"""DES fault injection: the plan interposed on the simulated network.
+"""DES fault injection and the one judge of a faulted DES run.
 
 :class:`DesChaosInjector` chains onto ``Network.delivery_gate`` (the same
 idiom the failure and partition injectors use), draws every fault decision
 from a named ``sim.rng`` stream (``chaos.<kind>.<index>``), and therefore
 replays byte-identically for the same seed + plan.  Partition faults
 delegate to the existing :class:`~repro.recovery.partition.PartitionInjector`
-(park + redeliver at heal); crash faults are composed by the cell runner
+(park + redeliver at heal); crash faults are composed by :func:`run_plan`
 through :class:`~repro.recovery.restart.RecoveryManager`; storage faults
 wrap ``StableStorage.write``.
 
-``run_des_cell`` is one matrix cell: build the standard small experiment,
-install the injector before the first event, run to quiescence, and judge
-the outcome — *consistent* (the independent verifier finds no orphans and
-no host recorded a protocol anomaly) and *recovered* (the run quiesced and
-at least one checkpoint round finalized everywhere strictly after the last
-fault ended — the paper's Theorem 1 convergence, demonstrated post-fault).
+:func:`run_plan` is the judge every faulted DES run goes through — the
+chaos matrix cell (:func:`run_des_cell`), the fuzz oracle
+(:func:`repro.fuzz.oracle.run_input`) and ``repro chaos --plan``.  It
+installs the injector before the first event, runs to quiescence, and
+returns the outcome record; the run *violates* iff its ``violations``
+list is non-empty:
+
+* **orphans** (Theorem 2) — the independent causality verifier finds an
+  orphan message against a collected global checkpoint;
+* **anomaly** — a host observed a §3.4.3/§3.5.1 message proven
+  impossible under the protocol's assumptions;
+* **liveness** (Theorem 1) — the run hit its event budget: a stuck round
+  re-arms its escalation timers forever, so truncation is the detection;
+* **stuck-status** — a process is still tentative at quiescence;
+* **sequence** — a host's finalized csns are not dense ``0..max``;
+* **divergence** — hosts disagree on the set of finalized csns;
+* **recovery-incomplete** — a planned crash never completed its
+  crash/rollback/restart cycle.
+
+``recovered`` rides alongside: faults were injected, the run quiesced,
+and some round finalized everywhere strictly after the last fault ended
+(Theorem 1 convergence, demonstrated post-fault).
+
+``PROTOCOL_MUTATIONS`` are deliberate protocol breaks the judge must
+catch: ``drop-ck-req`` discards every CK_REQ, so the §3.5.1 wave never
+tours (a Theorem 1 liveness bug the clean protocol must not show).
 """
 
 from __future__ import annotations
 
-from typing import Any
+from collections import Counter
+from typing import Any, Callable
 
-from ..harness.executor import config_key
+from ..core.types import ControlType
 from ..harness.experiment import ExperimentConfig, run_experiment
 from ..net.message import Message
 from ..net.network import Network
 from ..recovery.partition import PartitionInjector
 from ..recovery.restart import RecoveryManager
-from .plan import ChaosError, Fault, FaultPlan, fault_plan_key, single_fault_plan
+from .plan import ChaosError, FaultPlan, single_fault_plan
 
 #: Spacing for duplicate/reorder/delay redeliveries (mirrors the partition
 #: injector's heal spacing: deterministic order, no zero-duration bursts).
@@ -261,48 +282,82 @@ def last_fault_end(plan: FaultPlan) -> float:
     return end
 
 
-def run_des_cell(kind: str, seed: int = 0,
-                 plan: FaultPlan | None = None,
-                 tracer: Any | None = None,
-                 cache: Any | None = None) -> dict[str, Any]:
-    """Run one DES matrix cell; returns a picklable outcome record.
-
-    ``cache`` (a :class:`~repro.harness.executor.ResultCache`) memoizes the
-    outcome record.  The key salts in :func:`fault_plan_key` — the config
-    hash alone is blind to the injected plan, and two cells differing only
-    in fault plan must never collide on a cached result.
-    """
-    if plan is None:
-        plan = default_des_plan(kind, seed)
-    plan.validate()
-    cfg = ExperimentConfig(
+def cell_config(seed: int = 0) -> ExperimentConfig:
+    """The matrix cell's experiment: the geometry above at ``seed``."""
+    return ExperimentConfig(
         protocol="optimistic", n=DES_N, seed=seed, horizon=DES_HORIZON,
         checkpoint_interval=DES_INTERVAL, timeout=DES_TIMEOUT,
         state_bytes=1_000_000,
         workload_kwargs={"rate": 1.0, "msg_size": 512})
-    key = ""
-    if cache is not None and tracer is None:
-        key = config_key(
-            cfg, salt=f"chaos-cell:{kind}:{fault_plan_key(plan)}")
-        hit = cache.load_json(key)
-        if hit is not None and "cell" in hit:
-            return hit["cell"]
+
+
+# -- the judge -------------------------------------------------------------
+
+
+def _install_drop_ck_req(sim: Any, net: Any, storage: Any,
+                         runtime: Any) -> None:
+    """The seeded protocol bug: CK_REQ messages vanish in the network."""
+    prev = net.delivery_gate
+
+    def gate(msg: Any) -> bool:
+        if msg.kind == "ctl" and msg.payload.ctype is ControlType.CK_REQ:
+            msg.meta["drop_cause"] = "mutation.drop-ck-req"
+            return False
+        return True if prev is None else prev(msg)
+
+    net.delivery_gate = gate
+
+
+#: name -> before_run installer, applied underneath the chaos injector.
+PROTOCOL_MUTATIONS: dict[str, Callable[..., None]] = {
+    "drop-ck-req": _install_drop_ck_req,
+}
+
+
+def run_plan(plan: FaultPlan, cfg: ExperimentConfig, *,
+             mutation: str | None = None,
+             tracer: Any | None = None) -> dict[str, Any]:
+    """Run ``plan`` at ``cfg`` and judge it; returns a picklable record.
+
+    The record carries the verdict (``violations``, ``consistent``,
+    ``recovered``) and the behavioral fields :mod:`repro.fuzz.coverage`
+    tokenizes.  ``mutation`` names a :data:`PROTOCOL_MUTATIONS` entry.
+    """
+    if mutation is not None and mutation not in PROTOCOL_MUTATIONS:
+        raise ValueError(f"unknown protocol mutation {mutation!r}")
+    crashes = [f for _, f in plan.crash_faults()]
     holder: dict[str, Any] = {}
 
     def before_run(sim: Any, net: Any, storage: Any, runtime: Any) -> None:
+        if mutation is not None:
+            PROTOCOL_MUTATIONS[mutation](sim, net, storage, runtime)
         injector = DesChaosInjector(sim, net, plan)
         injector.attach_storage(storage)
         holder["injector"] = injector
-        if plan.crash_faults():
+        if crashes:
             rm = RecoveryManager(runtime)
-            for _, f in plan.crash_faults():
+            for f in crashes:
                 rm.crash_and_recover(f.pid, f.at,
                                      recovery_delay=CRASH_RECOVERY_DELAY)
             holder["recovery"] = rm
+        for host in runtime.hosts.values():
+            host.driver.case_counts = {}
 
     result = run_experiment(cfg, tracer=tracer, before_run=before_run)
+    runtime = result.runtime
     injector: DesChaosInjector = holder["injector"]
     rm: RecoveryManager | None = holder.get("recovery")
+
+    # -- behavioral aggregates (coverage food) ------------------------------
+    # Counter.update keeps zero counts (``+`` would drop them).
+    case_counts: Counter[str] = Counter()
+    finalize_reasons: Counter[str] = Counter()
+    ctl_sent: Counter[str] = Counter()
+    for host in runtime.hosts.values():
+        case_counts.update(host.driver.case_counts or {})
+        finalize_reasons.update(host.finalize_reasons)
+        ctl_sent.update(host.ctl_sent)
+
     injected = dict(injector.injected)
     dropped_by_cause = result.network.dropped_by_cause()
     if plan.partition_faults():
@@ -311,47 +366,108 @@ def run_des_cell(kind: str, seed: int = 0,
         injected["partition"] = dropped_by_cause.get("partition", 0)
     if rm is not None:
         injected["crash"] = len(rm.events)
-    anomalies = result.runtime.anomalies()
-    consistent = result.consistent and not anomalies
-    fault_end = last_fault_end(plan)
+
+    redelivered = 0
+    rollbacks = 0
+    rollback_depths: list[int] = []
+    finalized_seen: dict[int, set[int]] = {}
+    for rec in result.sim.trace.records:
+        kind = rec.kind
+        if kind == "msg.deliver":
+            if rec.data.get("redelivered"):
+                redelivered += 1
+        elif kind == "ckpt.finalize":
+            finalized_seen.setdefault(rec.process, set()).add(
+                rec.data.get("csn", 0))
+        elif kind == "ckpt.rollback":
+            rollbacks += 1
+            csn = rec.data.get("csn", 0)
+            seen = finalized_seen.setdefault(rec.process, set())
+            above = {k for k in seen if k > csn}
+            rollback_depths.append(len(above))
+            seen -= above
+
     # Convergence after the faults: some round must have finalized at every
     # process strictly after the last fault ended (Theorem 1 post-fault).
-    runtime = result.runtime
-    post_fault_rounds = 0
-    for seq in runtime.finalized_seqs():
-        if seq == 0:
-            continue
-        ends = [runtime.hosts[pid].finalized[seq].finalized_at
-                for pid in runtime.hosts]
-        if min(ends) > fault_end:
-            post_fault_rounds += 1
+    fault_end = last_fault_end(plan)
+    rounds = [s for s in runtime.finalized_seqs() if s > 0]
+    post_fault_rounds = sum(
+        1 for seq in rounds
+        if min(host.finalized[seq].finalized_at
+               for host in runtime.hosts.values()) > fault_end)
     recovered = (not result.truncated and post_fault_rounds >= 1
                  and sum(injected.values()) > 0)
-    if rm is not None:
-        recovered = recovered and len(rm.events) == len(
-            list(plan.crash_faults()))
-    cell = {
-        "runtime": "des",
-        "fault": kind,
-        "seed": seed,
-        "consistent": consistent,
-        "recovered": recovered,
+
+    anomalies = runtime.anomalies()
+    orphans = sum(result.orphans.values())
+    app_delivered = result.network.delivered_by_kind.get("app", 0)
+
+    # -- the verdict --------------------------------------------------------
+    violations: list[dict[str, str]] = []
+
+    def violate(kind: str, detail: str) -> None:
+        violations.append({"kind": kind, "detail": detail})
+
+    if orphans:
+        violate("orphans", f"{orphans} orphan message(s) against the"
+                           f" collected global checkpoint (Theorem 2)")
+    if anomalies:
+        violate("anomaly", "; ".join(anomalies[:4]))
+    if result.truncated:
+        violate("liveness", f"no quiescence within {cfg.max_events} events"
+                            f" — a checkpoint round is stuck (Theorem 1)")
+    else:
+        stuck = [pid for pid, host in runtime.hosts.items()
+                 if host.machine.tentative]
+        if stuck:
+            violate("stuck-status",
+                    f"processes {stuck} still tentative at quiescence")
+        seq_sets = {pid: frozenset(host.finalized)
+                    for pid, host in runtime.hosts.items()}
+        for pid, seqs in seq_sets.items():
+            dense = frozenset(range(max(seqs) + 1)) if seqs else frozenset()
+            if seqs != dense:
+                violate("sequence", f"P{pid} finalized csns not dense:"
+                                    f" {sorted(seqs)[:12]}")
+                break
+        if len(set(seq_sets.values())) > 1:
+            violate("divergence", "hosts disagree on finalized csn sets: "
+                    + str({p: max(s, default=0)
+                           for p, s in seq_sets.items()}))
+        if rm is not None and len(rm.events) != len(crashes):
+            violate("recovery-incomplete", f"{len(rm.events)} of"
+                    f" {len(crashes)} crash cycles completed")
+
+    return {
+        "mutation": mutation,
+        "violations": violations,
         "truncated": result.truncated,
+        "recovered": recovered,
+        "consistent": not orphans and not anomalies,
+        "case_counts": dict(case_counts),
+        "finalize_reasons": dict(finalize_reasons),
+        "ctl_sent": dict(ctl_sent),
         "injected": injected,
-        "recovered_actions": {
-            "redelivered": sum(1 for rec in result.sim.trace.records
-                               if rec.kind == "msg.deliver"
-                               and rec.data.get("redelivered")),
-            "rollbacks": sum(1 for rec in result.sim.trace.records
-                             if rec.kind == "ckpt.rollback"),
-        },
-        "rounds": len([s for s in runtime.finalized_seqs() if s > 0]),
+        "dropped_by_cause": dropped_by_cause,
+        "recovered_actions": {"redelivered": redelivered,
+                              "rollbacks": rollbacks},
+        "rollback_depths": rollback_depths,
+        "rounds": len(rounds),
         "post_fault_rounds": post_fault_rounds,
         "anomalies": anomalies,
-        "orphans": sum(result.orphans.values()),
-        "dropped_by_cause": dropped_by_cause,
+        "orphans": orphans,
+        "app_delivered": app_delivered,
+        "events": len(plan.faults) + app_delivered,
         "makespan": result.sim.now,
     }
-    if cache is not None and key:
-        cache.store_json(key, {"cell": cell})
-    return cell
+
+
+def run_des_cell(kind: str, seed: int = 0,
+                 plan: FaultPlan | None = None,
+                 tracer: Any | None = None) -> dict[str, Any]:
+    """Run one DES matrix cell: ``plan`` (default: the canonical one-fault
+    plan for ``kind``) judged at :func:`cell_config` (``seed``)."""
+    if plan is None:  # an empty FaultPlan is falsy but still explicit
+        plan = default_des_plan(kind, seed)
+    outcome = run_plan(plan, cell_config(seed), tracer=tracer)
+    return {"runtime": "des", "fault": kind, "seed": seed, **outcome}

@@ -13,7 +13,10 @@ survived it:
   every recovery obligation specific to the kind held: wire faults lost
   no message for good (:func:`~repro.chaos.live.lost_messages`), storage
   faults were healed by the bounded write retry, crashes completed the
-  rollback-and-restart cycle.
+  rollback-and-restart cycle.  A DES cell is also not recovered when
+  :func:`~repro.chaos.des.run_plan` — the judge the fuzzer shares —
+  reports any other violation (stuck status, non-dense or divergent
+  finalized csns, an incomplete crash cycle).
 
 The matrix must *discriminate*: an unknown fault kind yields a failing
 cell (not a silent skip), and running the live wire cells with the
@@ -149,7 +152,8 @@ def _des_cell_result(kind: str, outcome: Any) -> CellResult:
         return CellResult(runtime="des", fault=kind, error=outcome.error)
     return CellResult(
         runtime="des", fault=kind,
-        consistent=outcome["consistent"], recovered=outcome["recovered"],
+        consistent=not outcome["orphans"] and not outcome["anomalies"],
+        recovered=outcome["recovered"] and not outcome["violations"],
         injected=outcome["injected"],
         recovered_actions=outcome["recovered_actions"],
         detail={"rounds": outcome["rounds"],

@@ -611,16 +611,18 @@ def cmd_chaos(args: argparse.Namespace) -> int:
 
 
 def _chaos_replay_plan(args: argparse.Namespace) -> int:
-    """``repro chaos --plan FILE``: replay one saved plan or fuzz input.
+    """``repro chaos --plan FILE``: judge one saved plan or fuzz input.
 
-    Two file shapes are accepted: a bare :class:`FaultPlan` JSON (run
-    through the standard DES conformance cell) and a full fuzz-input
-    JSON with ``plan``/``schedule`` keys — e.g. a shrunk counterexample's
-    ``input.json`` — which replays through the fuzz oracle, including
-    its protocol ``--mutate`` if the bug needs one to reproduce.  Exit 0
-    when the replay is healthy, 1 when it violates.
+    A fuzz-input JSON with ``plan``/``schedule`` keys — e.g. a shrunk
+    counterexample's ``input.json`` — runs at its own config; a bare
+    :class:`FaultPlan` JSON runs at the matrix cell's config at
+    ``--seed``.  Both go through the one DES judge,
+    :func:`repro.chaos.des.run_plan`, with ``--mutate`` re-applying a
+    protocol mutation.  Exit 0 when the replay is healthy, 1 when it
+    violates.
     """
-    from .chaos import FaultPlan, run_des_cell
+    from .chaos import FaultPlan
+    from .chaos.des import cell_config, run_plan
     try:
         payload = json.loads(Path(args.plan).read_text("utf-8"))
     except (OSError, ValueError) as exc:
@@ -628,41 +630,31 @@ def _chaos_replay_plan(args: argparse.Namespace) -> int:
               file=sys.stderr)
         return 2
     if "schedule" in payload:
-        from .fuzz import FuzzInput, run_input
+        from .fuzz import FuzzInput
+        from .fuzz.oracle import experiment_config
         inp = FuzzInput.from_dict(payload)
         inp.validate()
-        outcome = run_input(inp, mutation=args.mutate)
-        if args.format == "json":
-            print(json.dumps(outcome, indent=2, sort_keys=True))
-        else:
-            verdict = ("VIOLATES: "
-                       + "; ".join(f"{v['kind']} — {v['detail']}"
-                                   for v in outcome["violations"])
-                       if outcome["violations"] else "ok")
-            print(f"fuzz input replay ({args.plan}): {verdict}")
-            print(f"  rounds={outcome['rounds']}"
-                  f" events={outcome['events']}"
-                  f" injected={outcome['injected']}")
-        return 1 if outcome["violations"] else 0
-    if args.mutate is not None:
-        print("--mutate needs a fuzz-input file (with a schedule), not a"
-              " bare fault plan", file=sys.stderr)
-        return 2
-    plan = FaultPlan.from_dict(payload)
-    plan.validate()
-    cell = run_des_cell("plan", seed=args.seed, plan=plan,
-                        cache=_cache_from(args)
-                        if hasattr(args, "cache_dir") else None)
-    ok = cell["consistent"] and not cell["truncated"]
-    if args.format == "json":
-        print(json.dumps(cell, indent=2, sort_keys=True))
+        plan, cfg = inp.plan, experiment_config(inp)
     else:
-        status = "ok" if ok else "VIOLATES"
-        print(f"plan replay ({args.plan}): {status}"
-              f" consistent={cell['consistent']}"
-              f" truncated={cell['truncated']}"
-              f" injected={cell['injected']}")
-    return 0 if ok else 1
+        plan, cfg = FaultPlan.from_dict(payload), cell_config(args.seed)
+    tracer = _tracer_from(args, host="des")
+    try:
+        outcome = run_plan(plan, cfg, mutation=args.mutate, tracer=tracer)
+    finally:
+        if tracer is not None:
+            tracer.close()
+    if args.format == "json":
+        print(json.dumps(outcome, indent=2, sort_keys=True))
+    else:
+        verdict = ("VIOLATES: "
+                   + "; ".join(f"{v['kind']} — {v['detail']}"
+                               for v in outcome["violations"])
+                   if outcome["violations"] else "ok")
+        print(f"plan replay ({args.plan}): {verdict}")
+        print(f"  rounds={outcome['rounds']}"
+              f" events={outcome['events']}"
+              f" injected={outcome['injected']}")
+    return 1 if outcome["violations"] else 0
 
 
 def cmd_fuzz(args: argparse.Namespace) -> int:
@@ -1008,15 +1000,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "counterexample) through the conformance checks "
                         "instead of running the matrix")
     p.add_argument("--mutate", choices=("drop-ck-req",), default=None,
-                   help="with --plan on a fuzz input: re-apply the "
-                        "protocol mutation the counterexample was found "
-                        "against")
-    p.add_argument("--no-cache", action="store_true",
-                   help="do not read/write the on-disk result cache")
-    p.add_argument("--cache-dir", default=None,
-                   help="result cache directory (plan replays are keyed "
-                        "by config + fault-plan content hash; "
-                        "default: .repro-cache)")
+                   help="with --plan: re-apply the protocol mutation the "
+                        "counterexample was found against")
     p.add_argument("--format", choices=("text", "json"), default="text")
     _add_trace_args(p)
     p.set_defaults(fn=cmd_chaos)

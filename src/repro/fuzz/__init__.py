@@ -4,10 +4,11 @@ The bounded model checker proves Theorems 1 and 2 exhaustively, but only
 up to the 3-process/1-interval configuration; this package scales the
 hunt to configurations BFS cannot enumerate.  Inputs are (fault plan,
 workload schedule, config) triples (:mod:`~repro.fuzz.inputs`), mutated
-by seeded operators (:mod:`~repro.fuzz.mutate`), executed through the
-DES chaos injector and judged by the conformance oracle
-(:mod:`~repro.fuzz.oracle`).  Runs that light up new protocol-state
-coverage (:mod:`~repro.fuzz.coverage`) enter an on-disk corpus
+by seeded operators (:mod:`~repro.fuzz.mutate`), and judged by the
+oracle (:mod:`~repro.fuzz.oracle`), which is the chaos matrix's own DES
+fault-run judge (:func:`repro.chaos.des.run_plan`; its
+``PROTOCOL_MUTATIONS`` are re-exported here).  Runs that light up new
+protocol-state coverage (:mod:`~repro.fuzz.coverage`) enter an on-disk corpus
 (:mod:`~repro.fuzz.corpus`); violations are minimized by a
 delta-debugging shrinker (:mod:`~repro.fuzz.shrink`) into replayable
 counterexamples.  ``repro fuzz`` drives campaigns via
@@ -19,11 +20,12 @@ rather than anecdotes.  See docs/ROBUSTNESS.md for the corpus layout
 and coverage/shrinking semantics.
 """
 
+from ..chaos.des import PROTOCOL_MUTATIONS
 from .corpus import Corpus, CorpusEntry
 from .coverage import CoverageMap, coverage_signature, coverage_tokens
 from .inputs import FuzzInput, WorkloadSchedule, seed_inputs
 from .mutate import Mutator
-from .oracle import PROTOCOL_MUTATIONS, FuzzOutcome, run_input
+from .oracle import FuzzOutcome, run_input
 from .runner import FUZZ_SCHEMA, CampaignReport, run_campaign
 from .shrink import shrink_input
 

@@ -11,9 +11,9 @@ sequence).
 On a violation the runner shrinks the offending input
 (:mod:`~repro.fuzz.shrink`), replays the minimum under an obs tracer,
 and persists the counterexample bundle under ``.repro-fuzz/crashes/``
-— ``input.json`` / ``plan.json`` / ``report.json`` / ``trace.jsonl``,
-the last renderable by ``repro trace report`` and replayable by
-``repro chaos --plan``.
+— ``input.json`` / ``plan.json`` / ``report.json`` / ``trace.jsonl``;
+``input.json`` replays by ``repro chaos --plan``, the trace renders by
+``repro trace report``.
 """
 
 from __future__ import annotations

@@ -2,8 +2,14 @@
 
 from __future__ import annotations
 
-from repro.chaos import MatrixReport, run_live_cell, run_matrix
-from repro.chaos.matrix import CellResult
+import pytest
+
+from repro.chaos import MatrixReport, run_des_cell, run_live_cell, run_matrix
+from repro.chaos.matrix import CellResult, _des_cell_result
+
+#: Every violation kind the DES judge (``repro.chaos.des.run_plan``) emits.
+VIOLATION_KINDS = ("orphans", "anomaly", "liveness", "stuck-status",
+                   "sequence", "divergence", "recovery-incomplete")
 
 
 class TestDesMatrix:
@@ -27,6 +33,17 @@ class TestDesMatrix:
 
 
 class TestDiscrimination:
+    @pytest.mark.parametrize("violation", VIOLATION_KINDS)
+    def test_any_judge_violation_fails_the_des_cell(self, violation):
+        outcome = run_des_cell("drop", seed=3)
+        assert _des_cell_result("drop", outcome).ok
+        outcome["violations"] = [{"kind": violation, "detail": "seeded"}]
+        if violation == "orphans":
+            outcome["orphans"] = 1
+        elif violation == "anomaly":
+            outcome["anomalies"] = ["seeded"]
+        assert not _des_cell_result("drop", outcome).ok
+
     def test_unknown_kind_fails_in_both_runtimes(self):
         report = run_matrix(kinds=("bit-flip",), runtimes=("des", "live"),
                             seed=0)

@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 from repro.cli import main
-from repro.fuzz import FUZZ_SCHEMA
+from repro.fuzz import FUZZ_SCHEMA, seed_inputs
 
 
 def run_cli(capsys, *argv):
@@ -55,23 +57,51 @@ def test_fuzz_mutant_campaign_finds_and_chaos_replays(tmp_path, capsys):
     assert code == 0 and "ok" in out
 
 
+BARE_PLAN = {"seed": 5, "faults": [{"kind": "drop", "p": 0.2,
+                                    "start": 5.0, "end": 20.0,
+                                    "frames": ["app"]}]}
+
+
 def test_chaos_replays_a_bare_fault_plan(tmp_path, capsys):
-    plan = {"seed": 5, "faults": [{"kind": "drop", "p": 0.2,
-                                   "start": 5.0, "end": 20.0,
-                                   "frames": ["app"]}]}
     path = tmp_path / "plan.json"
-    path.write_text(json.dumps(plan))
+    path.write_text(json.dumps(BARE_PLAN))
     code, out, _err = run_cli(capsys, "chaos", "--plan", str(path),
-                              "--no-cache", "--format", "json")
+                              "--format", "json")
     assert code == 0
     cell = json.loads(out)
     assert cell["consistent"] and not cell["truncated"]
+    assert cell["violations"] == []
     assert cell["injected"].get("drop", 0) > 0
 
-    # --mutate is a fuzz-input-only flag for replay.
-    code, _out, err = run_cli(capsys, "chaos", "--plan", str(path),
-                              "--mutate", "drop-ck-req")
-    assert code == 2 and "--mutate" in err
+    # A bare plan takes --mutate too: same judge, same report.
+    code, out, _err = run_cli(capsys, "chaos", "--plan", str(path),
+                              "--mutate", "drop-ck-req", "--format", "json")
+    mutated = json.loads(out)
+    assert mutated["mutation"] == "drop-ck-req"
+    assert code == (1 if mutated["violations"] else 0)
+
+
+@pytest.mark.parametrize("shape", ["bare-plan", "fuzz-input"])
+def test_chaos_plan_replay_writes_its_trace_file(tmp_path, capsys, shape):
+    payload = (BARE_PLAN if shape == "bare-plan"
+               else seed_inputs()[1].as_dict())
+    path = tmp_path / "plan.json"
+    path.write_text(json.dumps(payload))
+    trace = tmp_path / "replay.jsonl"
+    code, _out, _err = run_cli(capsys, "chaos", "--plan", str(path),
+                               "--mutate", "drop-ck-req",
+                               "--trace-file", str(trace))
+    assert code in (0, 1)
+    assert trace.is_file() and trace.stat().st_size > 0
+    assert main(["trace", "validate", str(trace)]) == 0
+
+
+def test_chaos_cache_flags_are_gone(capsys):
+    for flag in (["--no-cache"], ["--cache-dir", "d"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["chaos", *flag])
+        assert exc.value.code == 2
+    capsys.readouterr()
 
 
 def test_chaos_plan_unreadable_file_exits_two(tmp_path, capsys):

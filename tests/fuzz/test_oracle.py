@@ -2,10 +2,33 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
+
 import pytest
 
-from repro.fuzz import FuzzInput, run_input, seed_inputs
-from repro.fuzz.oracle import PROTOCOL_MUTATIONS, run_item
+from repro.fuzz import (
+    PROTOCOL_MUTATIONS,
+    FuzzInput,
+    coverage_signature,
+    coverage_tokens,
+    run_input,
+    seed_inputs,
+)
+from repro.fuzz.oracle import run_item
+
+#: SHA-256 of the canonical JSON of ``run_input`` over every seed input,
+#: clean and under ``drop-ck-req``, and of their coverage signatures:
+#: corpora, coverage curves and ``--resume`` depend on both staying put.
+OUTCOME_GOLDEN = \
+    "61dd0be217e70b3fcfe6fffa90bf5aaa51845c41776748d36dc39a53c86e1d7f"
+SIGNATURE_GOLDEN = \
+    "77bb3c4ad7628ca696bfa7d26ecf3fddb70ffdb14bf81807ed3c75890e910694"
+
+
+def _digest(obj):
+    blob = json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode()).hexdigest()
 
 
 def test_clean_seed_corpus_has_no_violations():
@@ -72,3 +95,11 @@ def test_duplicate_storm_does_not_melt_the_oracle():
     assert outcome["violations"] == []
     assert not outcome["truncated"]
     assert outcome["injected"].get("duplicate", 0) >= 1
+
+
+def test_outcomes_and_signatures_match_the_golden_digests():
+    outcomes = [run_input(inp, mutation=m)
+                for inp in seed_inputs() for m in (None, "drop-ck-req")]
+    signatures = [coverage_signature(coverage_tokens(o)) for o in outcomes]
+    assert _digest(outcomes) == OUTCOME_GOLDEN
+    assert _digest(signatures) == SIGNATURE_GOLDEN
