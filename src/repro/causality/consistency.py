@@ -173,18 +173,21 @@ def cut_orphans(cut_times: dict[int, float], trace: TraceRecorder,
     A message is an orphan iff it was delivered to ``dst`` strictly before
     ``cut_times[dst]`` but sent by ``src`` at-or-after ``cut_times[src]``.
     Used by the Figure 1 scenario and by baselines whose checkpoints are
-    instantaneous state saves.
+    instantaneous state saves.  A message delivered more than once (a
+    duplicate) counts at its first delivery and is reported once.
     """
-    sends: dict[int, tuple[int, int, float]] = {}
+    sends = {uid: (src, dst, stime) for stime, _, src, mkind, uid, dst
+             in trace.select("msg.send", "kind", "uid", "dst")
+             if mkind == kind}
+    seen: set[int] = set()
     orphans: list[Orphan] = []
-    for rec in trace:
-        if rec.kind == "msg.send" and rec.data.get("kind") == kind:
-            sends[rec.data["uid"]] = (rec.process, rec.data["dst"], rec.time)
-        elif rec.kind == "msg.deliver" and rec.data.get("kind") == kind:
-            uid = rec.data["uid"]
-            src, dst, stime = sends[uid]
-            if rec.time < cut_times[dst] and stime >= cut_times[src]:
-                orphans.append(Orphan(uid=uid, src=src, dst=dst, seq=-1))
+    for dtime, _, _, mkind, uid in trace.select("msg.deliver", "kind", "uid"):
+        if mkind != kind or uid in seen:
+            continue
+        seen.add(uid)
+        src, dst, stime = sends[uid]
+        if dtime < cut_times[dst] and stime >= cut_times[src]:
+            orphans.append(Orphan(uid=uid, src=src, dst=dst, seq=-1))
     return orphans
 
 
@@ -282,18 +285,17 @@ class ConsistencyVerifier:
         self.trace = trace
         self._endpoints: dict[int, tuple[int, int]] = (
             {} if endpoints is None else endpoints)
-        self._send_time: dict[int, float] = {}
-        self._deliver_time: dict[int, float] = {}
+        #: uid -> send / first-delivery time, built on the first
+        #: :meth:`cross_check_record` (no run path calls it).
+        self._times: tuple[dict[int, float], dict[int, float]] | None = None
         #: uids looked at by :meth:`verify_all` so far (sends + receives);
         #: linear in the run's messages, whatever the number of rounds.
         self.uids_examined = 0
-        for rec in trace if trace is not None else ():
-            if rec.kind == "msg.send" and rec.data.get("kind") == "app":
-                uid = rec.data["uid"]
-                self._endpoints[uid] = (rec.process, rec.data["dst"])
-                self._send_time[uid] = rec.time
-            elif rec.kind == "msg.deliver" and rec.data.get("kind") == "app":
-                self._deliver_time[rec.data["uid"]] = rec.time
+        if trace is not None:
+            for _, _, src, kind, uid, dst in trace.select(
+                    "msg.send", "kind", "uid", "dst"):
+                if kind == "app":
+                    self._endpoints[uid] = (src, dst)
 
     @property
     def endpoints(self) -> dict[int, tuple[int, int]]:
@@ -347,13 +349,32 @@ class ConsistencyVerifier:
         finalization instant — catches protocol-host bookkeeping bugs
         independently of the orphan check.
         """
+        send_time, deliver_time = self._event_times()
         for uid in sorted(rec.sent_uids):
-            st = self._send_time.get(uid)
+            st = send_time.get(uid)
             assert st is not None and st <= cfe_time, (
                 f"P{rec.pid} C_{rec.seq} records send #{uid} at {st} "
                 f"after CFE {cfe_time}")
         for uid in sorted(rec.recv_uids):
-            dt = self._deliver_time.get(uid)
+            dt = deliver_time.get(uid)
             assert dt is not None and dt <= cfe_time, (
                 f"P{rec.pid} C_{rec.seq} records receive #{uid} at {dt} "
                 f"after CFE {cfe_time}")
+
+    def _event_times(self) -> tuple[dict[int, float], dict[int, float]]:
+        """uid -> send time and uid -> *first* delivery time (a duplicate
+        delivery is not when the message was received)."""
+        if self._times is None:
+            send_time: dict[int, float] = {}
+            deliver_time: dict[int, float] = {}
+            if self.trace is not None:
+                for time, _, _, kind, uid in self.trace.select(
+                        "msg.send", "kind", "uid"):
+                    if kind == "app":
+                        send_time[uid] = time
+                for time, _, _, kind, uid in self.trace.select(
+                        "msg.deliver", "kind", "uid"):
+                    if kind == "app":
+                        deliver_time.setdefault(uid, time)
+            self._times = (send_time, deliver_time)
+        return self._times

@@ -367,22 +367,20 @@ def run_plan(plan: FaultPlan, cfg: ExperimentConfig, *,
     if rm is not None:
         injected["crash"] = len(rm.events)
 
-    redelivered = 0
+    trace = result.sim.trace
+    redelivered = sum(1 for *_, again in trace.select("msg.deliver",
+                                                      "redelivered") if again)
     rollbacks = 0
     rollback_depths: list[int] = []
     finalized_seen: dict[int, set[int]] = {}
-    for rec in result.sim.trace.records:
-        kind = rec.kind
-        if kind == "msg.deliver":
-            if rec.data.get("redelivered"):
-                redelivered += 1
-        elif kind == "ckpt.finalize":
-            finalized_seen.setdefault(rec.process, set()).add(
-                rec.data.get("csn", 0))
-        elif kind == "ckpt.rollback":
+    for _, kind, pid, csn in trace.select(("ckpt.finalize", "ckpt.rollback"),
+                                          "csn"):
+        csn = 0 if csn is None else csn
+        seen = finalized_seen.setdefault(pid, set())
+        if kind == "ckpt.finalize":
+            seen.add(csn)
+        else:
             rollbacks += 1
-            csn = rec.data.get("csn", 0)
-            seen = finalized_seen.setdefault(rec.process, set())
             above = {k for k in seen if k > csn}
             rollback_depths.append(len(above))
             seen -= above

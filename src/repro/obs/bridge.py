@@ -111,25 +111,24 @@ class DesBridge:
     def finish(self, sim: Any) -> None:
         """Fold the run's bulk totals into the registry (call once, at end).
 
-        One pass over the recorded stream replaces per-record counter
-        bumps for the hot kinds; counters stay absent when the run never
-        produced the kind, exactly as live increments would leave them.
+        The trace's kind index replaces per-record counter bumps for the
+        hot kinds; counters stay absent when the run never produced the
+        kind, exactly as live increments would leave them.
         """
-        totals = Counter(rec.kind for rec in sim.trace.records)
+        trace = sim.trace
+        totals = trace.kinds()
         for kind, name in self.BULK_COUNTS.items():
             count = totals.get(kind, 0)
             if count:
                 self.registry.counter(name).inc(count)
         # Per-cause drop split (gate / crashed / partition / rollback /
-        # chaos.*) and redelivered count — same single pass, folded only
-        # when the run produced any.
-        causes: Counter[str] = Counter()
-        redelivered = 0
-        for rec in sim.trace.records:
-            if rec.kind == "msg.drop":
-                causes[rec.data.get("cause", "gate")] += 1
-            elif rec.kind == "msg.deliver" and rec.data.get("redelivered"):
-                redelivered += 1
+        # chaos.*) and redelivered count, folded only when the run
+        # produced any.
+        causes = Counter("gate" if cause is None else cause
+                         for *_, cause in trace.select("msg.drop", "cause"))
+        redelivered = sum(1 for *_, again in trace.select("msg.deliver",
+                                                          "redelivered")
+                          if again)
         for cause, count in sorted(causes.items()):
             self.registry.counter(f"msg.dropped.{cause}").inc(count)
         if redelivered:

@@ -127,3 +127,26 @@ class TestConsistencyVerifier:
             v.cross_check_record(rec(0, 1, sent=[1]), cfe_time=1.0)
         with pytest.raises(AssertionError):
             v.cross_check_record(rec(1, 1, recv=[1]), cfe_time=3.0)
+
+
+def duplicated_trace():
+    """P0 sends uid=1 to P1 at t=1; delivered at t=2 and, as a chaos
+    duplicate, again at t=2.5."""
+    t = TraceRecorder()
+    t.record(1.0, "msg.send", 0, uid=1, dst=1, kind="app", bytes=10)
+    t.record(2.0, "msg.deliver", 1, uid=1, src=0, kind="app", bytes=10)
+    t.record(2.5, "msg.deliver", 1, uid=1, src=0, kind="app", bytes=10,
+             redelivered=True)
+    return t
+
+
+class TestDuplicateDelivery:
+    def test_cross_check_counts_the_first_delivery(self):
+        v = ConsistencyVerifier(duplicated_trace())
+        v.cross_check_record(rec(1, 1, recv=[1]), cfe_time=2.2)
+        with pytest.raises(AssertionError, match="at 2.0 after CFE 1.9"):
+            v.cross_check_record(rec(1, 1, recv=[1]), cfe_time=1.9)
+
+    def test_cut_orphans_reports_a_duplicated_message_once(self):
+        orphans = cut_orphans({0: 0.5, 1: 3.0}, duplicated_trace())
+        assert [(o.uid, o.src, o.dst) for o in orphans] == [(1, 0, 1)]

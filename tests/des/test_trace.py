@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
-from repro.des import TraceRecorder
+import gc
+
+from repro.chaos import DesChaosInjector, Fault, FaultPlan
+from repro.des import TraceRecord, TraceRecorder, trace
 from repro.harness.experiment import ExperimentConfig, run_experiment
+from repro.recovery import RecoveryManager
 
 
 def make_trace() -> TraceRecorder:
@@ -109,3 +113,66 @@ class TestQuerying:
 
     def test_signature_equality(self):
         assert make_trace().signature() == make_trace().signature()
+
+
+def _reachable(root):
+    """Every object reachable from ``root`` (classes not followed)."""
+    seen, stack = {id(root): root}, [root]
+    while stack:
+        for ref in gc.get_referents(stack.pop()):
+            if id(ref) not in seen and not isinstance(ref, type):
+                seen[id(ref)] = ref
+                stack.append(ref)
+    return list(seen.values())
+
+
+class TestStorageShape:
+    """The trace is columns: views are built on read, never kept."""
+
+    def test_a_traced_faulted_run_keeps_no_trace_record(self):
+        plan = FaultPlan(seed=2, faults=(
+            Fault("drop", p=0.1, start=20.0, end=160.0, frames=("app",)),
+            Fault("duplicate", p=0.1, start=20.0, end=160.0),
+            Fault("slow-flush", p=0.5, start=5.0, end=160.0, delay=0.5),
+            Fault("crash", pid=5, at=100.0)))
+
+        def before_run(sim, net, storage, runtime):
+            DesChaosInjector(sim, net, plan).attach_storage(storage)
+            RecoveryManager(runtime).crash_and_recover(5, 100.0)
+
+        result = run_experiment(ExperimentConfig(
+            n=6, seed=2, horizon=200.0, workload="half_silent",
+            checkpoint_interval=30.0, timeout=10.0, verify=True,
+            trace_enabled=True), before_run=before_run)
+        t = result.sim.trace
+        assert result.ok and t.count("chaos.duplicate") > 0
+        gc.collect()
+        assert not any(type(o) is TraceRecord for o in gc.get_objects())
+        # The collector untracks dicts of atomic values, so per-record
+        # payload dicts would not show above: walk what the trace holds.
+        held = _reachable(t)
+        assert sum(type(o) is dict for o in held) < len(t) // 100
+
+    def test_kind_queries_build_only_the_views_they_return(self, monkeypatch):
+        t = TraceRecorder()
+        for i in range(50):
+            t.record(float(i), "msg.send", i % 3, uid=i)
+            t.record(float(i), "msg.deliver", 1, uid=i)
+        t.record(60.0, "ckpt.finalize", 0, csn=1)
+        built = []
+
+        def counting(*args):
+            built.append(args)
+            return TraceRecord(*args)
+
+        monkeypatch.setattr(trace, "TraceRecord", counting)
+        assert t.count("msg.send") == 50
+        assert t.count("msg.send", process=0) == 17
+        assert t.count(prefix="ckpt") == 1
+        assert t.kinds()["msg.deliver"] == 50
+        assert built == []
+        recs = t.filter("ckpt.finalize")
+        assert len(built) == 1 and recs[0].data == {"csn": 1}
+        assert [r.data["uid"] for r in t.filter("msg.send", process=2)] == \
+            list(range(2, 50, 3))
+        assert len(built) == 1 + 16

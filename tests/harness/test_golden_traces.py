@@ -11,13 +11,21 @@ the n=24 trace signature for both workload shapes.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 
 import pytest
 
+from repro.chaos import DesChaosInjector, Fault, FaultPlan
 from repro.harness import experiment
-from repro.harness.experiment import ExperimentConfig, build_experiment
+from repro.harness.experiment import (
+    ExperimentConfig,
+    build_experiment,
+    run_experiment,
+)
+from repro.net import message, network
 from repro.net.topology import grid
+from repro.recovery import RecoveryManager
 
 # ---------------------------------------------------------------------------
 # Golden byte-identical traces (determinism is the hard constraint).
@@ -66,6 +74,76 @@ class TestGoldenTraces:
         # Interned piggybacks / cached meta dicts must not leak state
         # between experiment instances built in the same process.
         assert _golden(UNIFORM_CFG) == _golden(UNIFORM_CFG)
+
+
+# ---------------------------------------------------------------------------
+# Golden payloads.  The signature covers (time, kind, process) only, so a
+# payload bug — a value stored under the wrong key, a lost field, a wrong
+# seq — would pass every digest above.  These hash every record whole:
+# the two n=24 traces and a faulted n=8 run (drop, duplicate and
+# slow-flush windows and one crash, the ledger's faulted-workload shape).
+# Message uids come from one process-wide counter, so each run draws them
+# from a fresh one: the digest must not depend on what ran before.
+# ---------------------------------------------------------------------------
+
+FAULTED_CFG = ExperimentConfig(
+    protocol="optimistic", n=8, seed=5, horizon=400.0, workload="half_silent",
+    workload_kwargs={"rate": 1.0, "msg_size": 512}, checkpoint_interval=30.0,
+    timeout=10.0, state_bytes=1_000_000, verify=True, trace_enabled=True)
+
+PAYLOAD_GOLDEN = {
+    "uniform": (6172, "46b2e79819cb7fef395851e7c2fd2ad44ccc0b13ea9cc7ca"
+                      "4693d1c023f2f986"),
+    "ring": (6328, "6a4591529a7ba35a5e2c0aeece9b0398233527de9e025f8ac1078a5e"
+                   "807de74c"),
+    "faulted": (4832, "ce29f82a635c3b63aced05af00d3cf36cfe890d25951fa1f30698"
+                      "26264c28509"),
+}
+
+
+def _payload_digest(trace) -> tuple[int, str]:
+    h = hashlib.sha256()
+    for r in trace:
+        h.update(repr((r.time, r.kind, r.process, r.seq,
+                       sorted(r.data.items()))).encode())
+    return len(trace), h.hexdigest()
+
+
+def _faulted_run():
+    h = FAULTED_CFG.horizon
+    plan = FaultPlan(seed=FAULTED_CFG.seed, faults=(
+        Fault("drop", p=0.1, start=50.0, end=0.8 * h, frames=("app",)),
+        Fault("duplicate", p=0.1, start=50.0, end=0.8 * h),
+        Fault("slow-flush", p=0.5, start=5.0, end=0.8 * h, delay=0.5),
+        Fault("crash", pid=FAULTED_CFG.n - 1, at=h / 2)))
+
+    def before_run(sim, net, storage, runtime):
+        DesChaosInjector(sim, net, plan).attach_storage(storage)
+        recovery = RecoveryManager(runtime)
+        for _, fault in plan.crash_faults():
+            recovery.crash_and_recover(fault.pid, fault.at)
+
+    return run_experiment(FAULTED_CFG, before_run=before_run)
+
+
+@pytest.mark.parametrize("name", sorted(PAYLOAD_GOLDEN))
+def test_payload_digest_is_byte_identical(name, monkeypatch):
+    next_uid = itertools.count(1).__next__
+    monkeypatch.setattr(message, "_next_uid", next_uid)
+    monkeypatch.setattr(network, "_next_uid", next_uid)
+    if name == "faulted":
+        result = _faulted_run()
+        assert result.ok and not sum(result.orphans.values())
+        kinds = result.sim.trace.kinds()
+        assert kinds["chaos.duplicate"] and kinds["ckpt.rollback"]
+        trace = result.sim.trace
+    else:
+        cfg = UNIFORM_CFG if name == "uniform" else RING_CFG
+        sim, _net, _storage, runtime = build_experiment(cfg)
+        runtime.start()
+        sim.run(until=cfg.horizon, max_events=cfg.max_events)
+        trace = sim.trace
+    assert _payload_digest(trace) == PAYLOAD_GOLDEN[name]
 
 
 # ---------------------------------------------------------------------------
