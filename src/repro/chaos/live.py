@@ -33,7 +33,7 @@ import time
 from pathlib import Path
 from typing import Any, Callable
 
-from ..live.journal import worker_events
+from ..live.journal import iter_run_journals
 from ..live.storage import FileStableStorage
 from ..live.transport import Endpoint
 from ..obs import NULL_TRACER, Tracer
@@ -264,7 +264,7 @@ def lost_messages(run_dir: str | Path, *, grace: float = 1.0) -> list[int]:
     sends: dict[int, float] = {}
     recvs: set[int] = set()
     last_wall = 0.0
-    for _pid, events in worker_events(run_dir).items():
+    for _pid, _inc, events in iter_run_journals(run_dir):
         for ev in events:
             wall = ev.get("wall", 0.0)
             last_wall = max(last_wall, wall)

@@ -203,11 +203,11 @@ def default_live_plan(kind: str, seed: int,
 def _chaos_evidence(run_dir: Path) -> tuple[dict[str, int], dict[str, int],
                                             int]:
     """Sum the per-worker run-end ``chaos`` journal events."""
-    from ..live.journal import worker_events
+    from ..live.journal import iter_run_journals
     injected: dict[str, int] = {}
     actions: dict[str, int] = {}
     retried = 0
-    for _pid, events in worker_events(run_dir).items():
+    for _pid, _inc, events in iter_run_journals(run_dir):
         for ev in events:
             if ev["ev"] != "chaos":
                 continue

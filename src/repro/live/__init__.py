@@ -47,7 +47,7 @@ from .._lazy import lazy_exports
 if TYPE_CHECKING:
     from .conformance import ConformanceReport, replay, supervisor_events
     from .host import LiveHost
-    from .journal import Journal, read_journal, worker_events
+    from .journal import Journal, iter_journal, read_journal, worker_events
     from .resilience import ResilienceConfig, ResilienceStats, ResilientEndpoint
     from .storage import FileStableStorage, durable_global_seq
     from .supervisor import (
@@ -69,6 +69,7 @@ _LAZY = {
     "supervisor_events": "conformance",
     "LiveHost": "host",
     "Journal": "journal",
+    "iter_journal": "journal",
     "read_journal": "journal",
     "worker_events": "journal",
     "ResilienceConfig": "resilience",
@@ -117,6 +118,7 @@ __all__ = [
     "connect_tcp",
     "drive",
     "durable_global_seq",
+    "iter_journal",
     "make_traffic",
     "make_uid",
     "read_journal",

@@ -23,20 +23,32 @@ The replay also cross-checks recovery semantics: every journaled
 ``rollback`` must restore the digest that replaying the on-journal
 checkpoint claims — restart-from-disk and the in-memory protocol agreeing
 is precisely what makes the live recovery path trustworthy.
+
+Steps 1 and 2 are one streaming pass per journal file
+(:func:`~repro.live.journal.iter_journal`): each record is folded as it
+is read and then dropped.  What the replay keeps is the
+checkpoint-and-communication pattern only — one endpoint entry per
+``send`` (a uid key and a ``(src, dst)`` tuple shared by every send of
+that pair), the send / receive / rollback counters, and per worker the
+surviving finalize table, whose ``new_sent`` / ``new_recv`` increments
+are frozensets from the moment their line is parsed.  Its memory follows
+the number of sends and of checkpointed uids, not the journal's bytes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain, groupby
+from operator import itemgetter
 from pathlib import Path
-from typing import Any
+from typing import Any, Iterable, NamedTuple
 
 from ..causality.consistency import (
     CheckpointRecord,
     ConsistencyVerifier,
     Orphan,
 )
-from .journal import read_journal, worker_events
+from .journal import iter_journal, iter_run_journals
 
 
 @dataclass
@@ -111,73 +123,107 @@ class ConformanceReport:
         return "\n".join(lines)
 
 
-def _surviving_finalizes(events: list[dict[str, Any]],
-                         problems: list[str]) -> dict[int, dict[str, Any]]:
-    """One worker's finalize records after applying its rollbacks.
+class _Finalize(NamedTuple):
+    """What the replay keeps of one surviving ``finalize`` record."""
 
-    A ``rollback`` to ``seq`` discards finalized generations above ``seq``
+    taken_at: float
+    finalized_at: float
+    digest: Any
+    new_sent: frozenset[int]
+    new_recv: frozenset[int]
+
+
+def _fold_worker(pid: int, events: Iterable[dict[str, Any]],
+                 endpoints: dict[int, tuple[int, int]],
+                 report: ConformanceReport) -> dict[int, _Finalize]:
+    """Fold one worker's event stream; returns its surviving finalizes.
+
+    Each ``send`` adds its uid to ``endpoints`` (one ``(src, dst)`` tuple
+    per destination, shared); ``recv`` and ``rollback`` are counted.  A
+    ``rollback`` to ``seq`` discards finalized generations above ``seq``
     (they belong to the abandoned execution); a later re-finalization of
     the same csn simply overwrites.  Also cross-checks the restart-from-
     disk digest: the digest journaled at rollback time must equal the one
     the surviving checkpoint's replay claims.
     """
-    table: dict[int, dict[str, Any]] = {}
+    table: dict[int, _Finalize] = {}
     tent_wall: dict[int, float] = {}
+    pairs: dict[int, tuple[int, int]] = {}
+    sends = receives = rollbacks = 0
     for ev in events:
         kind = ev["ev"]
-        if kind == "tentative":
+        if kind == "send":
+            dst = ev["dst"]
+            pair = pairs.get(dst)
+            if pair is None:
+                pair = pairs[dst] = (pid, dst)
+            endpoints[ev["uid"]] = pair
+            sends += 1
+        elif kind == "recv":
+            receives += 1
+        elif kind == "tentative":
             tent_wall[ev["csn"]] = ev["wall"]
         elif kind == "finalize":
-            record = dict(ev)
-            record["taken_wall"] = tent_wall.get(ev["csn"], ev["wall"])
-            table[ev["csn"]] = record
+            csn = ev["csn"]
+            table[csn] = _Finalize(
+                taken_at=tent_wall.get(csn, ev["wall"]),
+                finalized_at=ev["wall"], digest=ev.get("digest"),
+                new_sent=frozenset(ev["new_sent"]),
+                new_recv=frozenset(ev["new_recv"]))
         elif kind == "rollback":
+            rollbacks += 1
             seq = ev["seq"]
-            for csn in [c for c in sorted(table) if c > seq]:
+            for csn in [c for c in table if c > seq]:
                 del table[csn]
-            for csn in [c for c in sorted(tent_wall) if c > seq]:
+            for csn in [c for c in tent_wall if c > seq]:
                 del tent_wall[csn]
             want = table.get(seq)
-            if want is not None and want.get("digest") != ev.get("digest"):
-                problems.append(
+            if want is not None and want.digest != ev.get("digest"):
+                report.problems.append(
                     f"P{ev['pid']} rollback to {seq} restored digest "
                     f"{ev.get('digest')} but checkpoint replay claims "
-                    f"{want.get('digest')}")
+                    f"{want.digest}")
         elif kind == "anomaly":
-            problems.append(
+            report.problems.append(
                 f"P{ev['pid']} protocol anomaly: {ev.get('description')}")
+    report.sends += sends
+    report.receives += receives
+    report.rollbacks += rollbacks
     return table
 
 
 def replay(run_dir: str | Path, n: int | None = None) -> ConformanceReport:
-    """Replay every journal under ``run_dir`` and verify Theorem 2."""
-    per_pid = worker_events(run_dir)
+    """Replay every journal under ``run_dir`` and verify Theorem 2.
+
+    One streaming pass per journal file: what is kept is one endpoint
+    entry per send, three counters, and each worker's surviving finalize
+    increments — never the records themselves.
+    """
+    journals = list(iter_run_journals(run_dir))
+    pids = {pid for pid, _inc, _events in journals}
     if n is None:
-        n = (max(per_pid) + 1) if per_pid else 0
+        n = (max(pids) + 1) if pids else 0
     report = ConformanceReport(run_dir=str(run_dir), n=n)
-    if not per_pid:
+    if not pids:
         report.problems.append("no worker journals found")
         return report
-    missing = [pid for pid in range(n) if pid not in per_pid]
+    missing = [pid for pid in range(n) if pid not in pids]
+
+    # 1.-2. endpoint map from *all* sends (discarded executions included)
+    #    and the surviving finalize records, worker by worker.  Journals
+    #    that do not count are read all the same: corruption raises.
+    endpoints: dict[int, tuple[int, int]] = {}
+    surviving: dict[int, dict[int, _Finalize]] = {}
+    for pid, group in groupby(journals, key=itemgetter(0)):
+        events = chain.from_iterable(ev for _pid, _inc, ev in group)
+        if missing or pid >= n:
+            for _ in events:
+                pass
+        else:
+            surviving[pid] = _fold_worker(pid, events, endpoints, report)
     if missing:
         report.problems.append(f"missing journals for pids {missing}")
         return report
-
-    # 1. endpoint map from *all* sends (discarded executions included).
-    endpoints: dict[int, tuple[int, int]] = {}
-    for pid in range(n):
-        for ev in per_pid[pid]:
-            if ev["ev"] == "send":
-                endpoints[ev["uid"]] = (pid, ev["dst"])
-                report.sends += 1
-            elif ev["ev"] == "recv":
-                report.receives += 1
-            elif ev["ev"] == "rollback":
-                report.rollbacks += 1
-
-    # 2. surviving finalize records per worker.
-    surviving = {pid: _surviving_finalizes(per_pid[pid], report.problems)
-                 for pid in range(n)}
 
     # 3. complete S_k = generations every worker finalized.
     common: set[int] | None = None
@@ -195,10 +241,10 @@ def replay(run_dir: str | Path, n: int | None = None) -> ConformanceReport:
         for csn in sorted(surviving[pid]):
             rec = surviving[pid][csn]
             prev = chains[pid][csn] = CheckpointRecord(
-                pid=pid, seq=csn, taken_at=rec["taken_wall"],
-                finalized_at=rec["wall"],
-                new_sent_uids=frozenset(rec["new_sent"]),
-                new_recv_uids=frozenset(rec["new_recv"]), prev=prev)
+                pid=pid, seq=csn, taken_at=rec.taken_at,
+                finalized_at=rec.finalized_at,
+                new_sent_uids=rec.new_sent, new_recv_uids=rec.new_recv,
+                prev=prev)
     by_seq = {seq: {pid: chains[pid][seq] for pid in range(n)}
               for seq in report.complete_seqs}
     try:
@@ -223,4 +269,4 @@ def supervisor_events(run_dir: str | Path) -> list[dict[str, Any]]:
     path = Path(run_dir) / "supervisor.jsonl"
     if not path.exists():
         return []
-    return read_journal(path)
+    return list(iter_journal(path))

@@ -33,6 +33,12 @@ reach a peer (the journal-before-send discipline, REP107).  A SIGKILL
 can therefore truncate the file only inside its final flushed chunk:
 at most one torn line, always the last — which the reader skips.  A
 malformed line anywhere *else* is real corruption and raises.
+
+Reading: :func:`iter_journal` streams one file's records line by line
+(what the conformance replay and the chaos evidence scans fold, so no
+end-of-run check holds a whole journal); :func:`read_journal` and
+:func:`worker_events` are its list-shaped forms, for tests and tools
+that want every record at once.
 """
 
 from __future__ import annotations
@@ -96,43 +102,58 @@ class Journal:
             self._fh.close()
 
 
-def read_journal(path: str | Path) -> list[dict[str, Any]]:
-    """Parse one journal file, skipping a SIGKILL-truncated last line.
+def iter_journal(path: str | Path) -> Iterator[dict[str, Any]]:
+    """Parse one journal file line by line, skipping a SIGKILL-truncated
+    last line.
 
     Journal writes are whole-line appends, so a kill mid-write can tear
     at most the *final* line of the file.  A malformed line followed by
     more data is not a torn tail but corruption — surfaced loudly
-    instead of silently truncating the evidence stream.
+    instead of silently truncating the evidence stream.  The file is
+    read one line at a time, so nothing but the current line and the
+    record handed out is held; a malformed line is judged when the next
+    line (or the end of the file) shows whether it was the last.
     """
-    out: list[dict[str, Any]] = []
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    last = len(lines) - 1
-    for i, line in enumerate(lines):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            out.append(json.loads(line))
-        except json.JSONDecodeError:
-            if i == last:
-                break  # torn tail of a killed writer: expected, skipped
-            raise ValueError(
-                f"corrupt journal line {i + 1} in {path}: a malformed "
-                f"line before the final one cannot be a torn tail")
-    return out
+    torn: int | None = None  # number of a malformed line, if the last
+    number = 0
+    with Path(path).open(encoding="utf-8") as fh:
+        for chunk in fh:
+            # str.splitlines' line breaks, as a whole-file read splits.
+            for line in chunk.splitlines():
+                number += 1
+                if torn is not None:
+                    raise ValueError(
+                        f"corrupt journal line {torn} in {path}: a "
+                        f"malformed line before the final one cannot be "
+                        f"a torn tail")
+                line = line.strip()
+                if not line:
+                    continue
+                try:
+                    record = json.loads(line)
+                except json.JSONDecodeError:
+                    torn = number  # torn tail of a killed writer, if last
+                    continue
+                yield record
+
+
+def read_journal(path: str | Path) -> list[dict[str, Any]]:
+    """Every record of one journal file (:func:`iter_journal`, as a list)."""
+    return list(iter_journal(path))
 
 
 def iter_run_journals(run_dir: str | Path
-                      ) -> Iterator[tuple[int, int, list[dict[str, Any]]]]:
+                      ) -> Iterator[tuple[int, int, Iterator[dict[str, Any]]]]:
     """Yield ``(pid, incarnation, events)`` for every worker journal,
-    ordered by pid then incarnation."""
+    ordered by pid then incarnation; ``events`` is the file's
+    :func:`iter_journal` stream, which opens the file on first use."""
     entries = []
     for path in sorted(Path(run_dir).glob("journal-P*.jsonl")):
         m = _JOURNAL_RE.match(path.name)
         if m:
             entries.append((int(m.group(1)), int(m.group(2)), path))
     for pid, inc, path in sorted(entries):
-        yield pid, inc, read_journal(path)
+        yield pid, inc, iter_journal(path)
 
 
 def worker_events(run_dir: str | Path) -> dict[int, list[dict[str, Any]]]:

@@ -189,14 +189,15 @@ def interval_messages_at(runtime: Any, trace: TraceRecorder,
 
     Returns ``(start_cut, messages, checkpoint_times)`` where ``start_cut``
     maps each pid to its latest checkpoint number taken before the failure,
-    ``messages`` locates every app message *delivered* before the failure by
-    its endpoints' intervals, and ``checkpoint_times[pid][m]`` is the take
-    time of checkpoint ``m`` (index 0 = t0 initial state).
+    ``messages`` locates every app message *delivered* before the failure
+    (a duplicated message by its first delivery) by its endpoints'
+    intervals, and ``checkpoint_times[pid][m]`` is the take time of
+    checkpoint ``m`` (index 0 = t0 initial state).
     """
     deliver_time: dict[int, float] = {}
-    for rec in trace:
-        if rec.kind == "msg.deliver" and rec.data.get("kind") == "app":
-            deliver_time[rec.data["uid"]] = rec.time
+    for at, _, _, uid, kind in trace.select("msg.deliver", "uid", "kind"):
+        if kind == "app":
+            deliver_time.setdefault(uid, at)
     start: dict[int, int] = {}
     ck_times: dict[int, list[float]] = {}
     for pid, host in runtime.hosts.items():

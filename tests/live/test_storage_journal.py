@@ -7,8 +7,8 @@ import json
 import pytest
 
 from repro.core.types import FinalizedCheckpoint, TentativeCheckpoint
-from repro.live.journal import (MAX_BUFFERED_EVENTS, Journal, read_journal,
-                                worker_events)
+from repro.live.journal import (MAX_BUFFERED_EVENTS, Journal, iter_journal,
+                                read_journal, worker_events)
 from repro.live.storage import FileStableStorage, durable_global_seq
 from repro.storage import checkpoint_to_dict
 
@@ -153,3 +153,43 @@ class TestJournal:
         j.path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         with pytest.raises(ValueError, match="corrupt journal line 1"):
             read_journal(j.path)
+
+    def test_iter_journal_skips_a_torn_last_line(self, tmp_path):
+        j = Journal(tmp_path, 0, 0)
+        j.log("start", epoch=0, resume=None)
+        j.log("send", uid=1, dst=1, size=0)
+        j.close()
+        raw = j.path.read_text(encoding="utf-8")
+        j.path.write_text(raw[:-10], encoding="utf-8")
+        stream = iter_journal(j.path)
+        assert next(stream)["ev"] == "start"
+        assert list(stream) == []
+
+    def test_iter_journal_raises_on_mid_file_corruption(self, tmp_path):
+        j = Journal(tmp_path, 0, 0)
+        j.log("start", epoch=0, resume=None)
+        j.log("send", uid=1, dst=1, size=0)
+        j.log("send", uid=2, dst=1, size=0)
+        j.close()
+        lines = j.path.read_text(encoding="utf-8").splitlines()
+        lines[1] = lines[1][:-5]  # tear a NON-final line: corruption
+        j.path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        stream = iter_journal(j.path)
+        assert next(stream)["ev"] == "start"
+        with pytest.raises(ValueError, match=(
+                r"corrupt journal line 2 in .*journal-P0-0\.jsonl: a "
+                r"malformed line before the final one cannot be a torn "
+                r"tail")):
+            next(stream)
+
+    def test_iter_journal_reads_like_a_whole_file_split(self, tmp_path):
+        # Blank lines count toward line numbers, and a malformed line
+        # followed only by a blank line is not the final line.
+        path = tmp_path / "journal-P0-0.jsonl"
+        path.write_text('{"ev": "start"}\n\n{"ev": "st\n\n',
+                        encoding="utf-8")
+        with pytest.raises(ValueError, match="corrupt journal line 3"):
+            read_journal(path)
+        path.write_text('{"ev": "start"}\r\n\n{"ev": "stop"}\n{"ev": "st',
+                        encoding="utf-8")
+        assert [e["ev"] for e in iter_journal(path)] == ["start", "stop"]

@@ -2,13 +2,18 @@
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.baselines import UncoordinatedRuntime
+from repro.causality.recovery_line import IntervalMessage
+from repro.des.trace import TraceRecorder
 from repro.harness import ExperimentConfig, run_experiment
 from repro.recovery import (
     FailureInjector,
     NoRecoveryPoint,
+    interval_messages_at,
     recover_cic,
     recover_coordinated,
     recover_optimistic,
@@ -140,6 +145,30 @@ class TestUncoordinatedRecovery:
                                       fail_time=50.0)
         # Nothing recovered-to can postdate the failure.
         assert all(t <= 50.0 for t in early.recovered_to.values())
+
+
+class TestIntervalMessages:
+    def test_first_delivery_of_a_duplicated_message_counts(self):
+        # uid 1 is sent at 1.0 and delivered at 2.0; a chaos duplicate is
+        # delivered again at 5.0.  A failure at 3.0 comes after the first
+        # delivery, so the message is in the pattern.
+        trace = TraceRecorder()
+        trace.record(1.0, "msg.send", 0, uid=1, dst=1, kind="app")
+        trace.record(2.0, "msg.deliver", 1, uid=1, src=0, kind="app",
+                     bytes=8)
+        trace.record(5.0, "msg.deliver", 1, uid=1, src=0, kind="app",
+                     bytes=8, redelivered=True)
+        runtime = SimpleNamespace(hosts={
+            0: SimpleNamespace(checkpoints=[], sent_uids=[1], recv_uids=[]),
+            1: SimpleNamespace(checkpoints=[], sent_uids=[], recv_uids=[1]),
+        })
+        start, messages, ck_times = interval_messages_at(runtime, trace, 3.0)
+        assert start == {0: 0, 1: 0}
+        assert messages == [IntervalMessage(src=0, src_interval=0, dst=1,
+                                            dst_interval=0, uid=1)]
+        assert ck_times == {0: [0.0], 1: [0.0]}
+        # Before the first delivery it is not.
+        assert interval_messages_at(runtime, trace, 1.5)[1] == []
 
 
 class TestFailureInjector:
