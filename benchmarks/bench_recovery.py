@@ -20,11 +20,9 @@ from __future__ import annotations
 from repro.harness import ExperimentConfig, run_experiment
 from repro.metrics import Table
 from repro.recovery import (
-    recover_cic,
     recover_coordinated,
     recover_optimistic,
     recover_optimistic_no_log,
-    recover_quasi_sync_ms,
     recover_uncoordinated,
 )
 
@@ -55,11 +53,8 @@ def outcomes_at(results, t):
     outs["optimistic-nolog"] = recover_optimistic_no_log(
         results["optimistic"].runtime, t)
     for name in ("chandy-lamport", "koo-toueg", "staggered",
-                 "plank-staggered"):
+                 "plank-staggered", "cic-bcs", "quasi-sync-ms"):
         outs[name] = recover_coordinated(results[name].runtime, t, name)
-    outs["cic-bcs"] = recover_cic(results["cic-bcs"].runtime, t)
-    outs["quasi-sync-ms"] = recover_quasi_sync_ms(
-        results["quasi-sync-ms"].runtime, t)
     outs["uncoordinated"] = recover_uncoordinated(
         results["uncoordinated"].runtime, results["uncoordinated"].sim.trace,
         t)

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.causality import round_latencies
 from repro.harness import run_experiment
 from repro.metrics import Table
 
@@ -28,20 +29,9 @@ PROTOCOLS = ("optimistic", "chandy-lamport", "staggered")
 
 
 def round_duration(res) -> float:
-    rt = res.runtime
-    if hasattr(rt, "convergence_latencies"):
-        lats = list(rt.convergence_latencies().values())
-        return float(np.mean(lats)) if lats else float("nan")
-    if hasattr(rt, "round_latencies"):
-        lats = rt.round_latencies()
-        return float(np.mean(lats)) if lats else float("nan")
-    # Chandy-Lamport: first record to last completion per round.
-    durations = []
-    for r in rt.complete_rounds():
-        start = min(h.rounds[r].recorded_at for h in rt.hosts.values())
-        end = max(h.rounds[r].completed_at for h in rt.hosts.values())
-        durations.append(end - start)
-    return float(np.mean(durations)) if durations else float("nan")
+    """Mean round span: first checkpoint taken to last finalized."""
+    lats = list(round_latencies(res.runtime.global_records()).values())
+    return float(np.mean(lats)) if lats else float("nan")
 
 
 def run_scalability():

@@ -5,8 +5,10 @@ host (``app_send`` / ``on_message`` driven by an
 :class:`~repro.workload.app.AppBehavior`), so the comparison harness can run
 one workload under every protocol.  This module centralizes:
 
-* application-message bookkeeping (cumulative send/receive uid lists used
-  to build :class:`~repro.causality.consistency.CheckpointRecord` cuts);
+* application-message bookkeeping (cumulative send/receive uid lists) and
+  the one way a baseline's checkpoints become chained
+  :class:`~repro.causality.consistency.CheckpointRecord`s and complete
+  cuts (:meth:`BaselineRuntime.global_records`);
 * control-message send helpers with per-type counters;
 * send-blocking (Koo-Toueg's defining cost) with blocked-time accounting;
 * state capture cost accounting and per-message response-delay tracking
@@ -15,9 +17,14 @@ one workload under every protocol.  This module centralizes:
 
 from __future__ import annotations
 
-from typing import Any
+from typing import Any, Iterable
 
-from ..causality.consistency import CheckpointRecord
+from ..causality.consistency import (
+    CheckpointRecord,
+    Row,
+    chain,
+    complete_cuts,
+)
 from ..des.engine import Simulator
 from ..des.process import SimProcess
 from ..net.message import Message
@@ -27,6 +34,9 @@ from ..storage.stable_storage import StableStorage
 
 class BaselineRuntime:
     """Per-run context shared by a baseline's hosts."""
+
+    #: Bytes of one process's checkpointed state (every protocol sets it).
+    state_bytes: int
 
     def __init__(self, sim: Simulator, network: Network,
                  storage: StableStorage, horizon: float | None = None) -> None:
@@ -80,6 +90,13 @@ class BaselineRuntime:
         for host in self.hosts.values():
             out.extend(host.response_delays)
         return out
+
+    def global_records(self) -> dict[int, dict[int, CheckpointRecord]]:
+        """Every process's chained :class:`CheckpointRecord` per global
+        checkpoint all processes recorded (a round they all completed, an
+        index every process reached); empty if the protocol forms none."""
+        return complete_cuts({pid: host.checkpoint_records()
+                              for pid, host in self.hosts.items()})
 
 
 class BaselineHost(SimProcess):
@@ -237,19 +254,37 @@ class BaselineHost(SimProcess):
         """Snapshot of (sent, received) counts — a cut position."""
         return (len(self.sent_uids), len(self.recv_uids))
 
-    def prefix_record(self, seq: int, taken_at: float,
-                      finalized_at: float | None,
-                      smark: int, rmark: int,
-                      extra_sent: tuple[int, ...] = (),
-                      extra_recv: tuple[int, ...] = (),
-                      state_bytes: int = 0,
-                      log_bytes: int = 0) -> CheckpointRecord:
-        """Build a verification record from a cut position (+channel state)."""
-        return CheckpointRecord(
-            pid=self.pid, seq=seq, taken_at=taken_at,
-            finalized_at=finalized_at,
-            new_sent_uids=(frozenset(self.sent_uids[:smark])
-                           | frozenset(extra_sent)),
-            new_recv_uids=(frozenset(self.recv_uids[:rmark])
-                           | frozenset(extra_recv)),
-            state_bytes=state_bytes, log_bytes=log_bytes)
+    def cut_positions(self) -> Iterable[tuple[
+            int, float, float, int, int, Iterable[int], Iterable[int], int]]:
+        """Subclass hook: per recorded checkpoint, in seq order, ``(seq,
+        taken_at, finalized_at, smark, rmark, extra_sent, extra_recv,
+        log_bytes)`` — its cut position (:meth:`marks`) and the uids it
+        records beyond it (a sender log, channel state).  None by default:
+        the protocol forms no global checkpoints."""
+        return ()
+
+    def checkpoint_records(self) -> dict[int, CheckpointRecord]:
+        """One chained :class:`CheckpointRecord` per checkpoint of
+        :meth:`cut_positions`: what it records — the prefixes up to its
+        marks plus its extras — as the increment over the one before.
+
+        Recorded sets must only grow with ``seq`` (a chain can only add);
+        a checkpoint recording less than its predecessor raises
+        ``ValueError``.
+        """
+        rows: list[Row] = []
+        sent: frozenset[int] = frozenset()
+        recv: frozenset[int] = frozenset()
+        for seq, taken_at, finalized_at, smark, rmark, extra_sent, \
+                extra_recv, log_bytes in self.cut_positions():
+            now_sent = frozenset(self.sent_uids[:smark]).union(extra_sent)
+            now_recv = frozenset(self.recv_uids[:rmark]).union(extra_recv)
+            if not (sent <= now_sent and recv <= now_recv):
+                raise ValueError(
+                    f"P{self.pid} C_{seq} records less than the checkpoint "
+                    f"before it")
+            rows.append((seq, taken_at, finalized_at, now_sent - sent,
+                         now_recv - recv, self.runtime.state_bytes,
+                         log_bytes))
+            sent, recv = now_sent, now_recv
+        return chain(self.pid, rows)

@@ -29,7 +29,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
-from ..causality.consistency import CheckpointRecord
 from ..des.engine import Simulator
 from ..net.message import Message
 from .base import BaselineHost, BaselineRuntime
@@ -76,24 +75,6 @@ class ChandyLamportRuntime(BaselineRuntime):
         return super().build(
             lambda pid, sim, rt, app: ChandyLamportHost(pid, sim, rt, app),
             apps)
-
-    # -- verification ---------------------------------------------------------
-
-    def complete_rounds(self) -> list[int]:
-        """Rounds completed by every process."""
-        common: set[int] | None = None
-        for host in self.hosts.values():
-            done = {r for r, st in host.rounds.items() if st.complete}
-            common = done if common is None else common & done
-        return sorted(common or ())
-
-    def global_records(self) -> dict[int, dict[int, CheckpointRecord]]:
-        """Per complete round: every process's CheckpointRecord."""
-        out: dict[int, dict[int, CheckpointRecord]] = {}
-        for r in self.complete_rounds():
-            out[r] = {pid: host.round_record(r)
-                      for pid, host in self.hosts.items()}
-        return out
 
 
 class ChandyLamportHost(BaselineHost):
@@ -195,15 +176,11 @@ class ChandyLamportHost(BaselineHost):
 
     # -- verification -------------------------------------------------------------------
 
-    def round_record(self, round_id: int) -> CheckpointRecord:
-        """Verification record of this process's snapshot for one round."""
-        st = self.rounds[round_id]
-        return self.prefix_record(
-            seq=round_id, taken_at=st.recorded_at,
-            finalized_at=st.completed_at, smark=st.smark, rmark=st.rmark,
-            extra_recv=tuple(st.channel_uids),
-            state_bytes=self.runtime.state_bytes,
-            log_bytes=st.channel_bytes)
+    def cut_positions(self):
+        """Per complete round, incl. the recorded channel state."""
+        return [(r, st.recorded_at, st.completed_at, st.smark, st.rmark,
+                 (), st.channel_uids, st.channel_bytes)
+                for r, st in sorted(self.rounds.items()) if st.complete]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"ChandyLamportHost(P{self.pid}, "

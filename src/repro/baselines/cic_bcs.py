@@ -30,7 +30,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
-from ..causality.consistency import CheckpointRecord
 from ..des.engine import Simulator
 from ..net.message import Message
 from .base import BaselineHost, BaselineRuntime
@@ -77,24 +76,6 @@ class CicRuntime(BaselineRuntime):
         """Timer-driven (scheduled) checkpoints across all hosts."""
         return sum(sum(1 for c in h.checkpoints if not c.forced)
                    for h in self.hosts.values())
-
-    # -- verification --------------------------------------------------------------
-
-    def common_indices(self) -> list[int]:
-        """Indices k for which every process has a checkpoint with index >= k."""
-        if not self.hosts:
-            return []
-        max_common = min((max((c.index for c in h.checkpoints), default=0)
-                          for h in self.hosts.values()), default=0)
-        return list(range(1, max_common + 1))
-
-    def global_records(self) -> dict[int, dict[int, CheckpointRecord]]:
-        """The standard BCS recovery lines: cut k = first ckpt with index >= k."""
-        out: dict[int, dict[int, CheckpointRecord]] = {}
-        for k in self.common_indices():
-            out[k] = {pid: host.cut_record(k)
-                      for pid, host in self.hosts.items()}
-        return out
 
 
 class CicHost(BaselineHost):
@@ -172,16 +153,15 @@ class CicHost(BaselineHost):
 
     # -- verification ------------------------------------------------------------------------
 
-    def cut_record(self, k: int) -> CheckpointRecord:
-        """The first checkpoint with index >= k (guaranteed to exist for
-        every k in the runtime's ``common_indices``)."""
+    def cut_positions(self):
+        """The standard BCS recovery lines: cut k is the first checkpoint
+        with index >= k, for every k up to this process's index."""
+        k = 1
         for ck in self.checkpoints:
-            if ck.index >= k:
-                return self.prefix_record(
-                    seq=k, taken_at=ck.taken_at, finalized_at=ck.taken_at,
-                    smark=ck.smark, rmark=ck.rmark,
-                    state_bytes=self.runtime.state_bytes)
-        raise KeyError(f"P{self.pid} has no checkpoint with index >= {k}")
+            while k <= ck.index:
+                yield (k, ck.taken_at, ck.taken_at, ck.smark, ck.rmark,
+                       (), (), 0)
+                k += 1
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         forced = sum(1 for c in self.checkpoints if c.forced)

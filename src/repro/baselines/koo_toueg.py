@@ -25,7 +25,6 @@ from __future__ import annotations
 
 from typing import Any
 
-from ..causality.consistency import CheckpointRecord
 from ..des.engine import Simulator
 from ..net.message import Message
 from .base import BaselineHost, BaselineRuntime
@@ -47,20 +46,6 @@ class KooTouegRuntime(BaselineRuntime):
     def build(self, apps: dict[int, Any] | None = None):
         return super().build(
             lambda pid, sim, rt, app: KooTouegHost(pid, sim, rt, app), apps)
-
-    def complete_rounds(self) -> list[int]:
-        """Rounds committed by every process."""
-        common: set[int] | None = None
-        for host in self.hosts.values():
-            done = set(host.committed)
-            common = done if common is None else common & done
-        return sorted(common or ())
-
-    def global_records(self) -> dict[int, dict[int, CheckpointRecord]]:
-        """Per committed round: every process's CheckpointRecord."""
-        return {r: {pid: host.round_record(r)
-                    for pid, host in self.hosts.items()}
-                for r in self.complete_rounds()}
 
 
 class KooTouegHost(BaselineHost):
@@ -150,13 +135,11 @@ class KooTouegHost(BaselineHost):
 
     # -- verification -------------------------------------------------------------------
 
-    def round_record(self, r: int) -> CheckpointRecord:
-        """Verification record of this process's checkpoint for one round."""
-        taken_at, smark, rmark = self.tentative_marks[r]
-        return self.prefix_record(
-            seq=r, taken_at=taken_at, finalized_at=self.committed.get(r),
-            smark=smark, rmark=rmark,
-            state_bytes=self.runtime.state_bytes)
+    def cut_positions(self):
+        """Per committed round."""
+        for r, committed_at in sorted(self.committed.items()):
+            taken_at, smark, rmark = self.tentative_marks[r]
+            yield (r, taken_at, committed_at, smark, rmark, (), (), 0)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"KooTouegHost(P{self.pid}, committed={sorted(self.committed)}, "

@@ -33,7 +33,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
-from ..causality.consistency import CheckpointRecord
 from ..des.engine import Simulator
 from ..net.message import Message
 from .base import BaselineHost, BaselineRuntime
@@ -84,22 +83,6 @@ class ManivannanSinghalRuntime(BaselineRuntime):
     def skipped_basics(self) -> int:
         """Scheduled checkpoints skipped because a forced one substituted."""
         return sum(h.skipped_basics for h in self.hosts.values())
-
-    # -- verification -------------------------------------------------------------
-
-    def common_sns(self) -> list[int]:
-        """Sequence numbers k reached (sn >= k) by every process."""
-        if not self.hosts:
-            return []
-        max_common = min((max((c.sn for c in h.checkpoints), default=0)
-                          for h in self.hosts.values()), default=0)
-        return list(range(1, max_common + 1))
-
-    def global_records(self) -> dict[int, dict[int, CheckpointRecord]]:
-        """The MS recovery lines: cut k = first checkpoint with sn >= k."""
-        return {k: {pid: host.cut_record(k)
-                    for pid, host in self.hosts.items()}
-                for k in self.common_sns()}
 
 
 class ManivannanSinghalHost(BaselineHost):
@@ -184,15 +167,15 @@ class ManivannanSinghalHost(BaselineHost):
 
     # -- verification -----------------------------------------------------------------------------
 
-    def cut_record(self, k: int) -> CheckpointRecord:
-        """First checkpoint with sn >= k (the MS recovery-line member)."""
+    def cut_positions(self):
+        """The MS recovery lines: cut k is the first checkpoint with
+        sn >= k, for every k up to this process's sn."""
+        k = 1
         for ck in self.checkpoints:
-            if ck.sn >= k:
-                return self.prefix_record(
-                    seq=k, taken_at=ck.taken_at, finalized_at=ck.taken_at,
-                    smark=ck.smark, rmark=ck.rmark,
-                    state_bytes=self.runtime.state_bytes)
-        raise KeyError(f"P{self.pid} has no checkpoint with sn >= {k}")
+            while k <= ck.sn:
+                yield (k, ck.taken_at, ck.taken_at, ck.smark, ck.rmark,
+                       (), (), 0)
+                k += 1
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         forced = sum(1 for c in self.checkpoints if c.forced)

@@ -33,7 +33,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
-from ..causality.consistency import CheckpointRecord
 from ..des.engine import Simulator
 from ..net.message import Message
 from .base import BaselineHost, BaselineRuntime
@@ -83,20 +82,6 @@ class PlankStaggeredRuntime(BaselineRuntime):
         return super().build(
             lambda pid, sim, rt, app: PlankStaggeredHost(pid, sim, rt, app),
             apps)
-
-    def complete_rounds(self) -> list[int]:
-        """Rounds whose end broadcast reached every process."""
-        common: set[int] | None = None
-        for host in self.hosts.values():
-            done = {r for r, st in host.rounds.items() if st.complete}
-            common = done if common is None else common & done
-        return sorted(common or ())
-
-    def global_records(self) -> dict[int, dict[int, CheckpointRecord]]:
-        """Per complete round: every process's CheckpointRecord."""
-        return {r: {pid: host.round_record(r)
-                    for pid, host in self.hosts.items()}
-                for r in self.complete_rounds()}
 
 
 class PlankStaggeredHost(BaselineHost):
@@ -226,14 +211,11 @@ class PlankStaggeredHost(BaselineHost):
 
     # -- verification ---------------------------------------------------------------------
 
-    def round_record(self, r: int) -> CheckpointRecord:
-        """Verification record incl. the sender-side log for one round."""
-        st = self.rounds[r]
-        return self.prefix_record(
-            seq=r, taken_at=st.taken_at, finalized_at=st.completed_at,
-            smark=st.smark, rmark=st.rmark,
-            extra_sent=tuple(st.logged_uids),
-            state_bytes=self.runtime.state_bytes, log_bytes=st.log_bytes)
+    def cut_positions(self):
+        """Per complete round, incl. the sender-side log."""
+        return [(r, st.taken_at, st.completed_at, st.smark, st.rmark,
+                 st.logged_uids, (), st.log_bytes)
+                for r, st in sorted(self.rounds.items()) if st.complete]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"PlankStaggeredHost(P{self.pid}, rounds={sorted(self.rounds)})"

@@ -9,8 +9,11 @@ from .consistency import (
     CheckpointRecord,
     ConsistencyVerifier,
     Orphan,
+    chain,
+    complete_cuts,
     cut_orphans,
     find_orphans,
+    round_latencies,
 )
 from .happened_before import DEFAULT_EVENT_KINDS, EventGraph
 from .recovery_line import (
@@ -31,9 +34,12 @@ __all__ = [
     "Orphan",
     "RecoveryLineResult",
     "VectorClock",
+    "chain",
+    "complete_cuts",
     "compute_recovery_line",
     "compute_recovery_line_with_logs",
     "cut_orphans",
     "domino_depth",
     "find_orphans",
+    "round_latencies",
 ]

@@ -12,24 +12,26 @@ Protocol hosts therefore report, per finalized checkpoint, the precise uid
 sets of application messages whose send/receive the checkpoint records; the
 verifier here checks the no-orphan property over those sets.
 
-Three layers:
+Every runtime — the DES host, the baselines and the live replay — builds
+its records with :func:`chain` and picks the complete ``S_k`` with
+:func:`complete_cuts`; then:
 
-* :func:`find_orphans` — pure set logic over one cut of
-  :class:`CheckpointRecord`s: the definition, and the reference the pass
-  below is tested against;
 * :class:`ConsistencyVerifier` — binds records to a trace (or a journal's
   endpoint map) so it can resolve each uid's endpoints;
   :meth:`~ConsistencyVerifier.verify_all` checks every ``S_k`` of a run in
   one pass over the checkpoints' *increments*, so proving Theorem 2 costs
   O(messages), not O(rounds × messages);
+* :func:`find_orphans` — pure set logic over one cut of
+  :class:`CheckpointRecord`s: the definition, and the reference the pass
+  is tested against (no run path calls it);
 * :func:`cut_orphans` — checks arbitrary *time cuts* (used by the Figure 1
-  scenario where checkpoints are plain time points, and by baseline
-  protocols whose checkpoints record state up to an instant).
+  scenario where checkpoints are plain time points).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 from ..des.trace import TraceRecorder
 
@@ -51,8 +53,8 @@ class CheckpointRecord:
     checkpoint records, i.e. the union of the increments along the ``prev``
     chain — built on first read and only for callers that read them.
 
-    A record with no ``prev`` is self-contained: its increment *is*
-    everything it records — how the baselines describe a cut.
+    The first record of a chain has no ``prev``: its increment *is*
+    everything it records.  Runs build records with :func:`chain` only.
     """
 
     __slots__ = ("pid", "seq", "taken_at", "finalized_at", "new_sent_uids",
@@ -60,7 +62,7 @@ class CheckpointRecord:
                  "_sent_uids", "_recv_uids")
 
     def __init__(self, pid: int, seq: int, taken_at: float,
-                 finalized_at: float | None, *,
+                 finalized_at: float, *,
                  new_sent_uids: frozenset[int] = _EMPTY,
                  new_recv_uids: frozenset[int] = _EMPTY,
                  prev: "CheckpointRecord | None" = None,
@@ -76,10 +78,6 @@ class CheckpointRecord:
         self.log_bytes = log_bytes
         self._sent_uids: frozenset[int] | None = None
         self._recv_uids: frozenset[int] | None = None
-
-    @property
-    def finalized(self) -> bool:
-        return self.finalized_at is not None
 
     @property
     def sent_uids(self) -> frozenset[int]:
@@ -115,7 +113,50 @@ class CheckpointRecord:
         return (f"CheckpointRecord(P{self.pid}, seq={self.seq}, "
                 f"+{len(self.new_sent_uids)} sent, "
                 f"+{len(self.new_recv_uids)} recv, "
-                f"{'chained' if self.prev is not None else 'self-contained'})")
+                f"{'chained' if self.prev is not None else 'chain start'})")
+
+
+#: One :func:`chain` row: ``(seq, taken_at, finalized_at, new_sent,
+#: new_recv, state_bytes, log_bytes)``, the increments over the row before.
+Row = tuple[int, float, float, frozenset[int], frozenset[int], int, int]
+
+
+def chain(pid: int, rows: Iterable[Row]) -> dict[int, CheckpointRecord]:
+    """``pid``'s chained records, seq -> record, from its rows in seq order.
+
+    Each record's increment is its row's ``new_sent`` / ``new_recv`` and
+    its ``prev`` is the record of the row before, so the cumulative views
+    are the unions of the increments so far.
+    """
+    out: dict[int, CheckpointRecord] = {}
+    prev: CheckpointRecord | None = None
+    for seq, taken_at, finalized_at, new_sent, new_recv, state_bytes, \
+            log_bytes in rows:
+        prev = out[seq] = CheckpointRecord(
+            pid, seq, taken_at, finalized_at, new_sent_uids=new_sent,
+            new_recv_uids=new_recv, prev=prev, state_bytes=state_bytes,
+            log_bytes=log_bytes)
+    return out
+
+
+def complete_cuts(chains: dict[int, dict[int, CheckpointRecord]]
+                  ) -> dict[int, dict[int, CheckpointRecord]]:
+    """seq -> {pid: record} for every seq that all of ``chains`` hold,
+    ascending — the complete global checkpoints ``S_k``."""
+    if not chains:
+        return {}
+    common = set.intersection(*map(set, chains.values()))
+    return {seq: {pid: records[seq] for pid, records in chains.items()}
+            for seq in sorted(common)}
+
+
+def round_latencies(cuts: dict[int, dict[int, CheckpointRecord]]
+                    ) -> dict[int, float]:
+    """Per cut of :func:`complete_cuts` beyond ``S_0``: the round's span,
+    from its first checkpoint taken to its last finalized."""
+    return {seq: (max(rec.finalized_at for rec in records.values())
+                  - min(rec.taken_at for rec in records.values()))
+            for seq, records in cuts.items() if seq > 0}
 
 
 @dataclass(frozen=True)
@@ -211,32 +252,33 @@ class _IncrementPass:
         self.examined = 0
 
     def _steps(self, records: dict[int, CheckpointRecord]
-               ) -> list[tuple[int, list[CheckpointRecord]]] | None:
-        """Per pid, the records between the previous cut and this one —
-        ``None`` when the cut does not extend what has been folded."""
+               ) -> list[tuple[int, list[CheckpointRecord]]]:
+        """Per pid, the records between the previous cut and this one;
+        ``ValueError`` when the cut does not extend what has been folded."""
         last = self.last
         if last and last.keys() != records.keys():
-            return None
+            raise ValueError(
+                f"cut over pids {sorted(records)} does not continue the "
+                f"cut over pids {sorted(last)}")
         steps = []
         for pid, rec in records.items():
             stop = last.get(pid)
-            chain = []
+            links = []
             node: CheckpointRecord | None = rec
             while node is not None and node is not stop:
-                chain.append(node)
+                links.append(node)
                 node = node.prev
             if node is not stop:
-                return None
-            steps.append((pid, chain))
+                raise ValueError(
+                    f"P{pid} C_{rec.seq} does not continue the chain "
+                    f"folded so far")
+            steps.append((pid, links))
         return steps
 
-    def advance(self, records: dict[int, CheckpointRecord]
-                ) -> list[Orphan] | None:
+    def advance(self, records: dict[int, CheckpointRecord]) -> list[Orphan]:
         """Fold one cut in and return its orphans, in :func:`find_orphans`
-        order; ``None`` (nothing folded) if the cut is not a continuation."""
+        order."""
         steps = self._steps(records)
-        if steps is None:
-            return None
         seqs = {r.seq for r in records.values()}
         if len(seqs) > 1:
             raise ValueError(
@@ -302,33 +344,19 @@ class ConsistencyVerifier:
         """uid -> (src, dst) for every known application message."""
         return self._endpoints
 
-    def verify(self, records: dict[int, CheckpointRecord]) -> list[Orphan]:
-        """Orphans for one global checkpoint (empty list == consistent)."""
-        return find_orphans(records, self._endpoints)
-
     def verify_all(self, by_seq: dict[int, dict[int, CheckpointRecord]]
                    ) -> dict[int, list[Orphan]]:
         """Verify every complete global checkpoint; returns seq -> orphans.
 
         One pass over the records' increments (see :class:`_IncrementPass`):
         each cut's chains are folded in from where the previous cut left
-        them.  A cut of records without ``prev`` shares nothing with its
-        neighbours — it is checked on its own by :func:`find_orphans`, as is
-        any cut that does not continue the chains folded so far; the result
-        is always what :func:`find_orphans` gives cut by cut.
+        them, and the result is what :func:`find_orphans` gives cut by cut.
+        A cut whose chains do not continue those folded so far (the cuts of
+        :func:`complete_cuts` always do) raises ``ValueError``.
         """
         fold = _IncrementPass(self._endpoints)
-        results: dict[int, list[Orphan]] = {}
-        for seq, records in sorted(by_seq.items()):
-            orphans = None
-            if any(r.prev is not None for r in records.values()):
-                orphans = fold.advance(records)
-            if orphans is None:
-                self.uids_examined += sum(
-                    len(r.sent_uids) + len(r.recv_uids)
-                    for r in records.values())
-                orphans = find_orphans(records, self._endpoints)
-            results[seq] = orphans
+        results = {seq: fold.advance(records)
+                   for seq, records in sorted(by_seq.items())}
         self.uids_examined += fold.examined
         return results
 

@@ -312,20 +312,14 @@ def _recover_row(item: tuple[ExperimentConfig, float]) -> dict[str, Any]:
     """
     from .harness import run_experiment
     from .recovery import (
-        recover_cic,
         recover_coordinated,
         recover_optimistic,
-        recover_quasi_sync_ms,
         recover_uncoordinated,
     )
     cfg, fail_time = item
     res = run_experiment(cfg)
     if cfg.protocol == "optimistic":
         out = recover_optimistic(res.runtime, fail_time)
-    elif cfg.protocol == "cic-bcs":
-        out = recover_cic(res.runtime, fail_time)
-    elif cfg.protocol == "quasi-sync-ms":
-        out = recover_quasi_sync_ms(res.runtime, fail_time)
     elif cfg.protocol == "uncoordinated":
         out = recover_uncoordinated(res.runtime, res.sim.trace, fail_time)
     else:

@@ -21,6 +21,9 @@ from ..causality.consistency import (
     CheckpointRecord,
     ConsistencyVerifier,
     Orphan,
+    chain,
+    complete_cuts,
+    round_latencies,
 )
 from ..des.engine import Simulator
 from ..des.process import SimProcess
@@ -81,22 +84,12 @@ class OptimisticRuntime:
 
     def finalized_seqs(self) -> list[int]:
         """Sequence numbers finalized by *every* process (complete S_k)."""
-        if not self.hosts:
-            return []
-        common: set[int] | None = None
-        for host in self.hosts.values():
-            seqs = set(host.finalized)
-            common = seqs if common is None else (common & seqs)
-        return sorted(common or ())
+        return list(self.global_records())
 
     def global_records(self) -> dict[int, dict[int, CheckpointRecord]]:
         """Every process's :class:`CheckpointRecord` per complete S_k."""
-        out: dict[int, dict[int, CheckpointRecord]] = {}
-        per_host = {pid: host.checkpoint_records()
-                    for pid, host in self.hosts.items()}
-        for seq in self.finalized_seqs():
-            out[seq] = {pid: per_host[pid][seq] for pid in per_host}
-        return out
+        return complete_cuts({pid: host.checkpoint_records()
+                              for pid, host in self.hosts.items()})
 
     def verify_consistency(self) -> dict[int, list[Orphan]]:
         """Run the independent trace-based verifier over every complete S_k."""
@@ -154,17 +147,7 @@ class OptimisticRuntime:
     def convergence_latencies(self) -> dict[int, float]:
         """Per complete S_k: time from the first tentative checkpoint with
         sequence k to the last finalization of k (the round's span)."""
-        out: dict[int, float] = {}
-        for seq in self.finalized_seqs():
-            if seq == 0:
-                continue
-            starts, ends = [], []
-            for host in self.hosts.values():
-                fc = host.finalized[seq]
-                starts.append(fc.tentative.taken_at)
-                ends.append(fc.finalized_at)
-            out[seq] = max(ends) - min(starts)
-        return out
+        return round_latencies(self.global_records())
 
     def max_local_buffer_bytes(self) -> int:
         """High-water mark of tentative-state + log bytes held in local
@@ -480,18 +463,10 @@ class OptimisticProcess(SimProcess, RuntimePort):
         window, so each record carries that window as its increment and
         points at its predecessor; nothing is copied or accumulated here.
         """
-        out: dict[int, CheckpointRecord] = {}
-        prev: CheckpointRecord | None = None
-        for csn in sorted(self.finalized):
-            fc = self.finalized[csn]
-            prev = out[csn] = CheckpointRecord(
-                pid=self.pid, seq=csn, taken_at=fc.tentative.taken_at,
-                finalized_at=fc.finalized_at,
-                new_sent_uids=fc.new_sent_uids,
-                new_recv_uids=fc.new_recv_uids, prev=prev,
-                state_bytes=fc.tentative.state_bytes,
-                log_bytes=fc.log_bytes)
-        return out
+        return chain(self.pid, (
+            (csn, fc.tentative.taken_at, fc.finalized_at, fc.new_sent_uids,
+             fc.new_recv_uids, fc.tentative.state_bytes, fc.log_bytes)
+            for csn, fc in sorted(self.finalized.items())))
 
     @property
     def status(self) -> str:

@@ -257,10 +257,11 @@ def register_protocol(spec: ProtocolSpec, *, replace: bool = False) -> None:
     """Add a protocol to the registry (extension point for new schemes).
 
     The spec's ``build(cfg, sim, network, storage)`` must return a runtime
-    object exposing at least ``build(apps)`` and ``start()``; implementing
-    the optional metric surfaces (``global_records``, ``total_checkpoints``,
-    ``response_delays``, ...) unlocks verification and the comparison
-    columns — see :class:`repro.baselines.base.BaselineRuntime`.
+    object exposing at least ``build(apps)``, ``start()`` and
+    ``global_records()`` (verification and the rounds count read it);
+    implementing the optional metric surfaces (``total_checkpoints``,
+    ``response_delays``, ...) unlocks the comparison columns — see
+    :class:`repro.baselines.base.BaselineRuntime`, which has all of them.
     """
     if spec.name in PROTOCOLS and not replace:
         raise ValueError(
@@ -359,7 +360,7 @@ def run_experiment(cfg: ExperimentConfig,
     sim.run(max_events=cfg.max_events)
     truncated = sim.peek_time() is not None
     orphans: dict[int, int] = {}
-    if cfg.verify and hasattr(runtime, "global_records"):
+    if cfg.verify:
         verifier = ConsistencyVerifier(sim.trace)
         results = verifier.verify_all(runtime.global_records())
         orphans = {seq: len(o) for seq, o in results.items()}

@@ -13,7 +13,7 @@ consumes:
    ``rollback`` events, which discard generations above the recovery line
    exactly like :meth:`~repro.core.host.OptimisticProcess.rollback_to` —
    become chained :class:`~repro.causality.consistency.CheckpointRecord`
-   increments, as in
+   increments through :func:`~repro.causality.consistency.chain`, as in
    :meth:`~repro.core.host.OptimisticProcess.checkpoint_records`;
 3. :meth:`repro.causality.consistency.ConsistencyVerifier.verify_all` then
    checks the no-orphan criterion on every *complete* global checkpoint
@@ -38,15 +38,17 @@ the number of sends and of checkpointed uids, not the journal's bytes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain, groupby
+from itertools import groupby
 from operator import itemgetter
 from pathlib import Path
 from typing import Any, Iterable, NamedTuple
 
 from ..causality.consistency import (
-    CheckpointRecord,
     ConsistencyVerifier,
     Orphan,
+    chain,
+    complete_cuts,
+    round_latencies,
 )
 from .journal import iter_journal, iter_run_journals
 
@@ -215,7 +217,7 @@ def replay(run_dir: str | Path, n: int | None = None) -> ConformanceReport:
     endpoints: dict[int, tuple[int, int]] = {}
     surviving: dict[int, dict[int, _Finalize]] = {}
     for pid, group in groupby(journals, key=itemgetter(0)):
-        events = chain.from_iterable(ev for _pid, _inc, ev in group)
+        events = (ev for _pid, _inc, evs in group for ev in evs)
         if missing or pid >= n:
             for _ in events:
                 pass
@@ -225,28 +227,13 @@ def replay(run_dir: str | Path, n: int | None = None) -> ConformanceReport:
         report.problems.append(f"missing journals for pids {missing}")
         return report
 
-    # 3. complete S_k = generations every worker finalized.
-    common: set[int] | None = None
-    for pid in range(n):
-        seqs = set(surviving[pid])
-        common = seqs if common is None else (common & seqs)
-    report.complete_seqs = sorted(common or ())
-
-    # 4. one chained record per surviving finalize, then every complete
-    #    S_k in a single pass over the increments.
-    chains: dict[int, dict[int, CheckpointRecord]] = {}
-    for pid in range(n):
-        prev: CheckpointRecord | None = None
-        chains[pid] = {}
-        for csn in sorted(surviving[pid]):
-            rec = surviving[pid][csn]
-            prev = chains[pid][csn] = CheckpointRecord(
-                pid=pid, seq=csn, taken_at=rec.taken_at,
-                finalized_at=rec.finalized_at,
-                new_sent_uids=rec.new_sent, new_recv_uids=rec.new_recv,
-                prev=prev)
-    by_seq = {seq: {pid: chains[pid][seq] for pid in range(n)}
-              for seq in report.complete_seqs}
+    # 3.-4. one chained record per surviving finalize; complete S_k =
+    #    generations every worker finalized, checked in a single pass over
+    #    the increments.
+    by_seq = complete_cuts({pid: chain(pid, (
+        (csn, f.taken_at, f.finalized_at, f.new_sent, f.new_recv, 0, 0)
+        for csn, f in sorted(surviving[pid].items()))) for pid in range(n)})
+    report.complete_seqs = list(by_seq)
     try:
         report.orphans = ConsistencyVerifier(
             endpoints=endpoints).verify_all(by_seq)
@@ -256,11 +243,7 @@ def replay(run_dir: str | Path, n: int | None = None) -> ConformanceReport:
         report.problems.append(
             f"a checkpoint records receives of unknown uids "
             f"(first: #{exc.args[0]})")
-    for seq, records in by_seq.items():
-        if seq > 0:
-            starts = [rec.taken_at for rec in records.values()]
-            ends = [rec.finalized_at for rec in records.values()]
-            report.round_latency[seq] = max(ends) - min(starts)
+    report.round_latency = round_latencies(by_seq)
     return report
 
 

@@ -79,17 +79,8 @@ class RunMetrics:
 
 
 def _rounds_completed(runtime: Any) -> int:
-    """Completed global checkpoints, via whichever surface the runtime has."""
-    if hasattr(runtime, "finalized_seqs"):        # optimistic
-        seqs = runtime.finalized_seqs()
-        return len([s for s in seqs if s > 0])
-    if hasattr(runtime, "complete_rounds"):        # CL / KT / staggered
-        return len(runtime.complete_rounds())
-    if hasattr(runtime, "common_indices"):         # CIC
-        return len(runtime.common_indices())
-    if hasattr(runtime, "common_sns"):             # MS quasi-synchronous
-        return len(runtime.common_sns())
-    return 0
+    """Complete global checkpoints beyond the initial ``S_0``."""
+    return sum(1 for seq in runtime.global_records() if seq > 0)
 
 
 def collect(protocol: str, sim: Simulator, network: Network,

@@ -8,11 +8,9 @@ from .rollback import (
     NoRecoveryPoint,
     RecoveryOutcome,
     interval_messages_at,
-    recover_cic,
     recover_coordinated,
     recover_optimistic,
     recover_optimistic_no_log,
-    recover_quasi_sync_ms,
     recover_uncoordinated,
 )
 
@@ -26,10 +24,8 @@ __all__ = [
     "RecoveryManager",
     "RecoveryOutcome",
     "interval_messages_at",
-    "recover_cic",
     "recover_coordinated",
     "recover_optimistic",
     "recover_optimistic_no_log",
-    "recover_quasi_sync_ms",
     "recover_uncoordinated",
 ]

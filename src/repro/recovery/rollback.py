@@ -12,7 +12,9 @@ quantifies the paper's recovery story:
   capture — selective logging buys back the tentative-to-finalize gap;
 * **coordinated** (Chandy-Lamport / Koo-Toueg / staggered) — roll back to
   the last *complete* round's capture instants;
-* **CIC** — roll back to the largest index cut wholly in the past;
+* **CIC / MS quasi-synchronous** — the same, over their index cuts: a
+  cut's checkpoints are finalized when taken, so the last cut wholly in
+  the past is the last complete one (:func:`recover_coordinated`);
 * **uncoordinated** — run the rollback-propagation fixpoint over the
   checkpoints and messages that exist at the failure time: the domino
   effect in action; with receiver logging, logged messages are replayable
@@ -81,22 +83,28 @@ class NoRecoveryPoint(RuntimeError):
     """
 
 
+def _last_cut(runtime: Any, fail_time: float
+              ) -> tuple[int, dict[int, Any]] | None:
+    """The last global checkpoint every member of which was finalized by
+    ``fail_time`` (an in-progress round's writes may be partial)."""
+    best = None
+    for seq, records in runtime.global_records().items():
+        if all(rec.finalized_at <= fail_time for rec in records.values()):
+            best = (seq, records)
+    return best
+
+
 def recover_optimistic(runtime: Any, fail_time: float) -> RecoveryOutcome:
     """Recovery under the paper's protocol: last fully-finalized S_k."""
-    best_seq = None
-    for seq in runtime.finalized_seqs():
-        if all(runtime.hosts[pid].finalized[seq].finalized_at <= fail_time
-               for pid in runtime.hosts):
-            best_seq = seq
-    if best_seq is None:
+    cut = _last_cut(runtime, fail_time)
+    if cut is None:
         raise NoRecoveryPoint(f"no finalized S_k before t={fail_time}")
-    recovered = {}
-    for pid, host in runtime.hosts.items():
-        fc = host.finalized[best_seq]
-        # Restore CT, replay logSet ⇒ the state at the finalization event.
-        recovered[pid] = min(fc.finalized_at, fail_time)
+    seq, records = cut
+    # Restore CT, replay logSet ⇒ the state at the finalization event.
+    recovered = {pid: min(rec.finalized_at, fail_time)
+                 for pid, rec in records.items()}
     return RecoveryOutcome(protocol="optimistic", fail_time=fail_time,
-                           seq=best_seq, recovered_to=recovered)
+                           seq=seq, recovered_to=recovered)
 
 
 def recover_optimistic_no_log(runtime: Any,
@@ -119,66 +127,20 @@ def recover_optimistic_no_log(runtime: Any,
 
 def recover_coordinated(runtime: Any, fail_time: float,
                         protocol: str) -> RecoveryOutcome:
-    """Recovery for CL / Koo-Toueg / staggered: last complete round.
+    """Recovery for every baseline that forms global checkpoints (CL /
+    Koo-Toueg / staggered / Plank / CIC / MS): the last complete cut.
 
     A round counts only if *every* process had completed (committed) it by
     the failure time — an in-progress round's writes may be partial.
     """
-    records_by_round = runtime.global_records()
-    best = None
-    for r, records in sorted(records_by_round.items()):
-        if all(rec.finalized_at is not None and rec.finalized_at <= fail_time
-               for rec in records.values()):
-            best = r
-    if best is None:
+    cut = _last_cut(runtime, fail_time)
+    if cut is None:
         raise NoRecoveryPoint(
             f"{protocol}: no complete round before t={fail_time}")
-    recovered = {pid: rec.taken_at
-                 for pid, rec in records_by_round[best].items()}
+    seq, records = cut
+    recovered = {pid: rec.taken_at for pid, rec in records.items()}
     return RecoveryOutcome(protocol=protocol, fail_time=fail_time,
-                           seq=best, recovered_to=recovered)
-
-
-def recover_cic(runtime: Any, fail_time: float) -> RecoveryOutcome:
-    """Recovery for index-based CIC: largest index cut wholly in the past."""
-    best_k = None
-    cut: dict[int, float] = {}
-    for k in runtime.common_indices():
-        times = {}
-        ok = True
-        for pid, host in runtime.hosts.items():
-            rec = host.cut_record(k)
-            if rec.taken_at > fail_time:
-                ok = False
-                break
-            times[pid] = rec.taken_at
-        if ok:
-            best_k, cut = k, times
-    if best_k is None:
-        raise NoRecoveryPoint(f"cic: no index cut before t={fail_time}")
-    return RecoveryOutcome(protocol="cic-bcs", fail_time=fail_time,
-                           seq=best_k, recovered_to=cut)
-
-
-def recover_quasi_sync_ms(runtime: Any, fail_time: float) -> RecoveryOutcome:
-    """Recovery for MS quasi-synchronous: largest sn cut wholly in the past."""
-    best_k = None
-    cut: dict[int, float] = {}
-    for k in runtime.common_sns():
-        times = {}
-        ok = True
-        for pid, host in runtime.hosts.items():
-            rec = host.cut_record(k)
-            if rec.taken_at > fail_time:
-                ok = False
-                break
-            times[pid] = rec.taken_at
-        if ok:
-            best_k, cut = k, times
-    if best_k is None:
-        raise NoRecoveryPoint(f"quasi-sync-ms: no sn cut before t={fail_time}")
-    return RecoveryOutcome(protocol="quasi-sync-ms", fail_time=fail_time,
-                           seq=best_k, recovered_to=cut)
+                           seq=seq, recovered_to=recovered)
 
 
 def interval_messages_at(runtime: Any, trace: TraceRecorder,

@@ -27,7 +27,7 @@ class TestSnapshots:
         sim, net, st, rt = build_baseline_run(ChandyLamportRuntime,
                                               fifo=True)
         drain(sim, rt)
-        rounds = rt.complete_rounds()
+        rounds = list(rt.global_records())
         assert len(rounds) >= 3
         results = ConsistencyVerifier(sim.trace).verify_all(
             rt.global_records())
@@ -37,7 +37,7 @@ class TestSnapshots:
         sim, net, st, rt = build_baseline_run(ChandyLamportRuntime,
                                               fifo=True)
         drain(sim, rt)
-        for r in rt.complete_rounds():
+        for r in rt.global_records():
             for host in rt.hosts.values():
                 assert host.rounds[r].complete
 
@@ -48,7 +48,7 @@ class TestSnapshots:
                                               fifo=True, horizon=90.0,
                                               interval=40.0)
         drain(sim, rt)
-        rounds = len(rt.complete_rounds())
+        rounds = len(rt.global_records())
         markers = rt.control_message_count("MARKER")
         assert markers == rounds * n * (n - 1)
 
@@ -82,7 +82,7 @@ class TestSnapshots:
         # 12 (first marker) — delivered BEFORE the snapshot, so it is plain
         # pre-snapshot state, not channel state.  Check consistency anyway
         # and that the run completes.
-        assert rt.complete_rounds() == [1]
+        assert list(rt.global_records()) == [1]
         results = ConsistencyVerifier(sim.trace).verify_all(
             rt.global_records())
         assert all(not o for o in results.values())
@@ -125,4 +125,4 @@ class TestSnapshots:
         drain(sim, rt)
         chan_writes = [r for r in st.requests
                        if r.label.startswith("cl-chan:")]
-        assert len(chan_writes) == len(rt.complete_rounds()) * rt.n
+        assert len(chan_writes) == len(rt.global_records()) * rt.n

@@ -15,7 +15,7 @@ class TestStaggering:
     def test_rounds_complete_and_consistent(self):
         sim, net, st, rt = build_baseline_run(StaggeredRuntime)
         drain(sim, rt)
-        assert len(rt.complete_rounds()) >= 3
+        assert len(rt.global_records()) >= 3
         results = ConsistencyVerifier(sim.trace).verify_all(
             rt.global_records())
         assert all(not o for o in results.values())
@@ -54,19 +54,19 @@ class TestStaggering:
         drain(sim, rt)
         logged_total = sum(len(h.rounds[r].logged_uids)
                            for h in rt.hosts.values()
-                           for r in rt.complete_rounds())
+                           for r in rt.global_records())
         assert logged_total > 0
         # Log flush writes exist for every (process, round).
         log_writes = [r for r in st.requests
                       if r.label.startswith("stag-log:")]
-        assert len(log_writes) == len(rt.complete_rounds()) * rt.n
+        assert len(log_writes) == len(rt.global_records()) * rt.n
 
     def test_token_messages_n_per_round(self):
         n = 5
         sim, net, st, rt = build_baseline_run(StaggeredRuntime, n=n,
                                               horizon=90.0, interval=40.0)
         drain(sim, rt)
-        rounds = len(rt.complete_rounds())
+        rounds = len(rt.global_records())
         assert rt.control_message_count("TOKEN") == rounds * n
         assert rt.control_message_count("END") == rounds * (n - 1)
 
@@ -74,6 +74,6 @@ class TestStaggering:
         sim, net, st, rt = build_baseline_run(StaggeredRuntime, n=5,
                                               horizon=90.0, interval=40.0)
         drain(sim, rt)
-        for r in rt.complete_rounds():
+        for r in rt.global_records():
             times = [rt.hosts[pid].rounds[r].taken_at for pid in range(5)]
             assert times == sorted(times)

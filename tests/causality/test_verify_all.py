@@ -5,6 +5,8 @@ the pass must return exactly what it returns, cut by cut, in the same
 order — on random chains with seeded orphans, gaps and deleted
 generations, on a finished simulation with one send moved out of its
 checkpoint, and at a cost that does not depend on the number of rounds.
+Chains and cuts come from the library's own :func:`chain` and
+:func:`complete_cuts`, the one way every runtime builds them.
 """
 
 from __future__ import annotations
@@ -16,28 +18,18 @@ from hypothesis import strategies as st
 from repro.causality import (
     CheckpointRecord,
     ConsistencyVerifier,
+    chain,
+    complete_cuts,
     find_orphans,
 )
 
 from ..conftest import build_optimistic_run, run_to_quiescence
 
 
-def chain(pid, increments):
-    """Chained records from ``{seq: (new_sent, new_recv)}``."""
-    out, prev = {}, None
-    for seq in sorted(increments):
-        sent, recv = increments[seq]
-        prev = out[seq] = CheckpointRecord(
-            pid=pid, seq=seq, taken_at=0.0, finalized_at=1.0,
-            new_sent_uids=frozenset(sent), new_recv_uids=frozenset(recv),
-            prev=prev)
-    return out
-
-
-def complete_cuts(chains):
-    common = set.intersection(*(set(c) for c in chains.values()))
-    return {seq: {pid: chains[pid][seq] for pid in chains}
-            for seq in sorted(common)}
+def rows(increments):
+    """:func:`chain` rows from ``{seq: (new_sent, new_recv)}``."""
+    return [(seq, 0.0, 1.0, frozenset(sent), frozenset(recv), 0, 0)
+            for seq, (sent, recv) in sorted(increments.items())]
 
 
 # -- (a) differential property ------------------------------------------------
@@ -78,7 +70,7 @@ def executions(draw):
 @given(executions())
 def test_pass_equals_find_orphans_cut_by_cut(execution):
     n, increments, endpoints = execution
-    chains = {pid: chain(pid, increments[pid]) for pid in range(n)}
+    chains = {pid: chain(pid, rows(increments[pid])) for pid in range(n)}
     by_seq = complete_cuts(chains)
 
     # The reference: prefix unions built here, not by the records.
@@ -106,16 +98,21 @@ def test_pass_equals_find_orphans_cut_by_cut(execution):
     assert verifier.uids_examined <= folded
 
 
-def test_cuts_that_do_not_continue_the_chain_still_get_the_reference_answer():
+def test_cuts_that_do_not_continue_the_chain_are_rejected():
     # Two independent chains for P1: S_2's record does not extend S_1's.
+    # find_orphans would call S_2 consistent (``other`` never recorded the
+    # receive), but a fold cannot forget what S_1 folded in.
     endpoints = {7: (0, 1)}
-    p0 = chain(0, {0: ((), ()), 1: ((), ()), 2: ([7], ())})
-    p1 = chain(1, {0: ((), ()), 1: ((), [7])})
-    other = chain(1, {0: ((), ()), 2: ((), ())})
+    p0 = chain(0, rows({0: ((), ()), 1: ((), ()), 2: ([7], ())}))
+    p1 = chain(1, rows({0: ((), ()), 1: ((), [7])}))
+    other = chain(1, rows({0: ((), ()), 2: ((), ())}))
     by_seq = {1: {0: p0[1], 1: p1[1]}, 2: {0: p0[2], 1: other[2]}}
-    results = ConsistencyVerifier(endpoints=endpoints).verify_all(by_seq)
-    assert [o.uid for o in results[1]] == [7]
-    assert results[2] == []           # ``other`` never recorded the receive
+    verifier = ConsistencyVerifier(endpoints=endpoints)
+    with pytest.raises(ValueError, match="P1 C_2 does not continue"):
+        verifier.verify_all(by_seq)
+    # A cut over other pids than the one before does not continue it either.
+    with pytest.raises(ValueError, match="does not continue"):
+        verifier.verify_all({1: {0: p0[1], 1: p1[1]}, 2: {0: p0[2]}})
 
 
 def test_self_contained_records_mix_with_nothing():
@@ -132,8 +129,8 @@ def test_self_contained_records_mix_with_nothing():
 
 class TestRejections:
     def cuts(self, p1_recv, p1_seq=1):
-        p0 = chain(0, {0: ((), ()), 1: ([10], ())})
-        p1 = chain(1, {0: ((), ()), p1_seq: ((), p1_recv)})
+        p0 = chain(0, rows({0: ((), ()), 1: ([10], ())}))
+        p1 = chain(1, rows({0: ((), ()), p1_seq: ((), p1_recv)}))
         return {1: {0: p0[1], 1: p1[p1_seq]}}
 
     def test_receive_destined_elsewhere(self):

@@ -183,7 +183,8 @@ def _run_digest(cfg: ExperimentConfig) -> tuple[int, str]:
         stats += [runtime.finalized_seqs(), runtime.control_message_count(),
                   runtime.total_logged_messages()]
     else:
-        stats += [runtime.complete_rounds(), runtime.control_message_count()]
+        stats += [list(runtime.global_records()),
+                  runtime.control_message_count()]
     stats += [sim.now, hashlib.sha256(
         repr(sim.trace.signature()).encode()).hexdigest()]
     return sim.executed, hashlib.sha256(json.dumps(stats).encode()).hexdigest()

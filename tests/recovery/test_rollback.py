@@ -14,7 +14,6 @@ from repro.recovery import (
     FailureInjector,
     NoRecoveryPoint,
     interval_messages_at,
-    recover_cic,
     recover_coordinated,
     recover_optimistic,
     recover_optimistic_no_log,
@@ -82,29 +81,31 @@ class TestCoordinatedRecovery:
 class TestCicRecovery:
     def test_recovers_to_index_cut(self):
         res = run("cic-bcs")
-        out = recover_cic(res.runtime, fail_time=120.0)
+        out = recover_coordinated(res.runtime, fail_time=120.0,
+                                  protocol="cic-bcs")
         assert out.seq >= 1
         assert all(t <= 120.0 for t in out.recovered_to.values())
 
     def test_raises_before_any_cut(self):
         res = run("cic-bcs")
         with pytest.raises(NoRecoveryPoint):
-            recover_cic(res.runtime, fail_time=1.0)
+            recover_coordinated(res.runtime, fail_time=1.0,
+                                protocol="cic-bcs")
 
 
 class TestQuasiSyncMsRecovery:
     def test_recovers_to_sn_cut(self):
-        from repro.recovery import recover_quasi_sync_ms
         res = run("quasi-sync-ms")
-        out = recover_quasi_sync_ms(res.runtime, fail_time=120.0)
+        out = recover_coordinated(res.runtime, fail_time=120.0,
+                                  protocol="quasi-sync-ms")
         assert out.seq >= 1
         assert all(t <= 120.0 for t in out.recovered_to.values())
 
     def test_raises_before_any_cut(self):
-        from repro.recovery import recover_quasi_sync_ms
         res = run("quasi-sync-ms")
-        with pytest.raises(NoRecoveryPoint):
-            recover_quasi_sync_ms(res.runtime, fail_time=1.0)
+        with pytest.raises(NoRecoveryPoint, match="quasi-sync-ms: no complete"):
+            recover_coordinated(res.runtime, fail_time=1.0,
+                                protocol="quasi-sync-ms")
 
 
 class TestPlankRecovery:
