@@ -561,9 +561,10 @@ def _add_live_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--max-retries", type=int, default=6,
                    help="retransmissions per unacked frame")
     p.add_argument("--retry-base", type=float, default=0.05,
-                   help="first retransmission backoff (s)")
+                   help="first retransmission timeout, and the floor of "
+                        "the RTT-derived one (s)")
     p.add_argument("--retry-max", type=float, default=1.0,
-                   help="retransmission backoff ceiling (s)")
+                   help="retransmission timeout ceiling (s)")
     p.add_argument("--chaos-plan", default=None,
                    help="JSON fault plan (repro.chaos) to inject into "
                         "the run")

@@ -72,6 +72,9 @@ class ConformanceReport:
     #: seq -> wall seconds from the round's first tentative checkpoint to
     #: its last finalization (the live convergence latency).
     round_latency: dict[int, float] = field(default_factory=dict)
+    #: The workers' resilience counters summed over their run-end
+    #: ``chaos`` records (empty when no worker ran the layer).
+    resilience: dict[str, int] = field(default_factory=dict)
 
     @property
     def consistent(self) -> bool:
@@ -146,7 +149,8 @@ def _fold_worker(pid: int, events: Iterable[dict[str, Any]],
     (they belong to the abandoned execution); a later re-finalization of
     the same csn simply overwrites.  Also cross-checks the restart-from-
     disk digest: the digest journaled at rollback time must equal the one
-    the surviving checkpoint's replay claims.
+    the surviving checkpoint's replay claims.  The resilience counters of
+    a run-end ``chaos`` record are added to ``report.resilience``.
     """
     table: dict[int, _Finalize] = {}
     tent_wall: dict[int, float] = {}
@@ -188,6 +192,10 @@ def _fold_worker(pid: int, events: Iterable[dict[str, Any]],
         elif kind == "anomaly":
             report.problems.append(
                 f"P{ev['pid']} protocol anomaly: {ev.get('description')}")
+        elif kind == "chaos":
+            totals = report.resilience
+            for key, value in ev.get("resilience", {}).items():
+                totals[key] = totals.get(key, 0) + value
     report.sends += sends
     report.receives += receives
     report.rollbacks += rollbacks

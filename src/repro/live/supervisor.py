@@ -42,6 +42,7 @@ from typing import Any
 from ..api import MetricsView
 from ..obs import JsonlSink, LoopLagProbe, Tracer
 from .conformance import ConformanceReport, replay
+from .resilience import ResilienceStats
 from .storage import durable_global_seq
 from .transport import Broker
 from .wire import recover_frame, stop_frame
@@ -86,6 +87,12 @@ class LiveRunReport:
     def dropped_frames(self) -> int:
         """Transport losses, all causes."""
         return sum(self.drop_causes.values())
+
+    @property
+    def resilience(self) -> ResilienceStats:
+        """Every cleanly stopped worker's resilience counters, summed (a
+        killed incarnation journals none)."""
+        return ResilienceStats(**self.conformance.resilience)
 
     @property
     def ok(self) -> bool:
@@ -139,6 +146,9 @@ class LiveRunReport:
             "msgs_per_sec": round(self.msgs_per_sec, 1),
             "dropped_frames": self.dropped_frames,
             "dropped_by_cause": dict(sorted(self.drop_causes.items())),
+            "resilience": self.resilience.as_dict(),
+            "retransmits_per_frame": round(
+                self.resilience.retransmits_per_frame, 4),
             "ok": self.ok,
             "conformance": self.conformance.as_dict(),
         }
@@ -239,7 +249,9 @@ async def run_live_async(cfg: LiveRunConfig) -> LiveRunReport:
         None, lambda: (run_dir / CONFIG_FILE).write_text(
             config_json, encoding="utf-8"))
     started = time.monotonic()
-    hub = Broker()
+    # The start barrier: no TCP worker is welcomed, and so none sends,
+    # before all n have connected.
+    hub = Broker(barrier=cfg.n)
     try:
         if cfg.transport == "local":
             backend: _LocalBackend | _TcpBackend = _LocalBackend(

@@ -7,10 +7,13 @@ or ``None`` once the connection is closed.
 
 Every frame crosses one router, the supervisor-owned :class:`Broker`, as
 :mod:`repro.live.wire` bytes: encoded at the sender, routed by the
-payload's ``dst`` field (a hub topology: N connections instead of N²),
-decoded at the receiver.  The broker is also the supervisor's injection
-point for ``recover`` / ``stop`` broadcasts and its crash detector.  A
-worker attaches in one of two ways:
+frame's ``dst`` field (a hub topology: N connections instead of N²),
+decoded at the receiver.  A TCP reader, the broker's or a worker's, cuts
+every complete frame out of one socket read
+(:class:`~repro.live.wire.FrameSplitter`), and the broker forwards each
+one's bytes unchanged, length prefix and all.  The broker is also the
+supervisor's injection point for ``recover`` / ``stop`` broadcasts and
+its crash detector.  A worker attaches in one of two ways:
 
 * :meth:`Broker.endpoint` — the worker is an asyncio task on the broker's
   own loop and its connection is an in-process queue of encoded frames.
@@ -28,6 +31,12 @@ how the journal-before-send discipline survives buffered journals: the
 worker points it at ``Journal.flush``, making every ``send`` record
 durable before the frame it describes can reach the wire.
 
+The broker is also the run's start barrier: constructed with
+``barrier=n``, it holds every TCP worker's ``welcome`` until ``n``
+distinct pids have connected, so no worker sends a frame to a peer the
+broker cannot route to yet.  Once the barrier has opened, a reconnecting
+worker (a respawn after a crash) is welcomed at once.
+
 Frames addressed to a pid with no live connection are not silently
 dropped: frames for a *known* pid (one that connected before — the
 crash/reconnect window) are parked and either replayed on reconnect or
@@ -44,24 +53,25 @@ it).
 from __future__ import annotations
 
 import asyncio
+from collections import deque
 from typing import Any, Callable
 
 from .wire import (
+    FrameSplitter,
     check_handshake,
     decode_frame,
-    decode_payload,
     encode_frame,
-    encode_payload,
-    frame_prefix,
+    frame_dst,
     hello_frame,
-    payload_dst,
-    read_wire,
     read_wire_frame,
     welcome_frame,
 )
 
 #: Parked frames kept per disconnected-but-known pid before overflow.
 PARK_LIMIT = 512
+
+#: Most bytes one ``reader.read()`` takes off a socket.
+READ_SIZE = 1 << 18
 
 
 class Endpoint:
@@ -206,14 +216,19 @@ class Broker:
     are itemized in ``dropped_by_cause``.
     """
 
-    def __init__(self, epoch: int = 0) -> None:
+    def __init__(self, epoch: int = 0, barrier: int = 0) -> None:
         self.epoch = epoch
+        #: Distinct pids that must connect before any TCP worker is
+        #: welcomed (the run's start barrier; 0 = none).
+        self.barrier = barrier
         self._server: asyncio.AbstractServer | None = None
         self._conns: dict[int, FrameBatcher | _Pipe] = {}
         #: Pids that have connected at least once (reconnect-window set).
         self._known_pids: set[int] = set()
-        #: Frames awaiting a known pid's reconnection.
-        self._parked: dict[int, list[dict[str, Any]]] = {}
+        #: Connections whose welcome waits for the start barrier.
+        self._held: list[tuple[int, FrameBatcher]] = []
+        #: Encoded frames awaiting a known pid's reconnection.
+        self._parked: dict[int, list[bytes]] = {}
         self._connected = asyncio.Event()
         self.port: int | None = None
         #: Frames addressed to a pid with no live connection, by cause:
@@ -270,12 +285,27 @@ class Broker:
         """Register ``pid``'s connection and replay its parked frames."""
         self._conns[pid] = conn
         self._known_pids.add(pid)
-        for frame in self._parked.pop(pid, []):
-            conn.push(encode_frame(frame))
+        for data in self._parked.pop(pid, []):
+            conn.push(data)
         self._connected.set()
+
+    def _welcome(self, pid: int, conn: FrameBatcher) -> None:
+        """Welcome and attach ``pid``'s TCP connection, or hold it until
+        the start barrier opens (then welcome and attach every held one;
+        parked frames follow the welcome)."""
+        self._known_pids.add(pid)
+        self._held.append((pid, conn))
+        if len(self._known_pids) < self.barrier:
+            return
+        data = encode_frame(welcome_frame(self.epoch))
+        held, self._held = self._held, []
+        for held_pid, held_conn in held:
+            held_conn.push(data)
+            self._attach(held_pid, held_conn)
 
     def _detach(self, pid: int, conn: FrameBatcher | _Pipe) -> None:
         """``pid``'s connection ``conn`` ended; a newer one stays."""
+        self._held = [(p, c) for p, c in self._held if c is not conn]
         if self._conns.get(pid) is conn:
             del self._conns[pid]
             if self.on_disconnect is not None:
@@ -293,13 +323,14 @@ class Broker:
                 return
             pid = check_handshake(hello, "hello")["pid"]
             conn = FrameBatcher(writer)
-            conn.push(encode_frame(welcome_frame(self.epoch)))
-            self._attach(pid, conn)
+            self._welcome(pid, conn)
+            splitter = FrameSplitter()
             while True:
-                payload = await read_wire(reader)
-                if payload is None:
+                chunk = await reader.read(READ_SIZE)
+                if not chunk:
                     break
-                self._route_payload(payload_dst(payload), payload)
+                for data in splitter.feed(chunk):
+                    self._route(data)
         except (ConnectionError, ValueError, asyncio.IncompleteReadError):
             pass
         finally:
@@ -314,27 +345,24 @@ class Broker:
         self.dropped_by_cause[cause] = (
             self.dropped_by_cause.get(cause, 0) + count)
 
-    def _park(self, dst: int, frame: dict[str, Any]) -> None:
-        """Hold a frame for a known-but-disconnected pid (bounded)."""
-        queue = self._parked.setdefault(dst, [])
-        if len(queue) >= PARK_LIMIT:
-            self._drop("park_overflow")
-            return
-        queue.append(frame)
+    def _route(self, data: bytes) -> None:
+        """Forward one encoded frame to its ``dst``, bytes unchanged.
 
-    def _no_route(self, dst: int, frame: dict[str, Any]) -> None:
-        if dst in self._known_pids:
-            self._park(dst, frame)
-        else:
-            self._drop("no_route")
-
-    def _route_payload(self, dst: int, payload: bytes) -> None:
-        """Forward raw payload bytes to ``dst`` without a decode."""
+        A frame for a known-but-disconnected pid parks (bounded); one
+        for a pid that never connected is dropped and counted.
+        """
+        dst = frame_dst(data)
         conn = self._conns.get(dst)
-        if conn is None:
-            self._no_route(dst, decode_payload(payload))
-            return
-        conn.push(frame_prefix(payload) + payload)
+        if conn is not None:
+            conn.push(data)
+        elif dst not in self._known_pids:
+            self._drop("no_route")
+        else:
+            queue = self._parked.setdefault(dst, [])
+            if len(queue) >= PARK_LIMIT:
+                self._drop("park_overflow")
+            else:
+                queue.append(data)
 
     def broadcast(self, frame: dict[str, Any]) -> None:
         """Supervisor-originated frame to every connected worker.
@@ -383,8 +411,7 @@ class InProcessEndpoint(Endpoint):
         """Encode the frame and route it, as the broker routes a TCP
         worker's bytes."""
         if not self._closed:
-            payload = encode_payload(frame)
-            self._broker._route_payload(payload_dst(payload), payload)
+            self._broker._route(encode_frame(frame))
 
     async def recv(self) -> dict[str, Any] | None:
         """Decode the next queued frame; ``None`` once the broker dropped
@@ -410,6 +437,9 @@ class TcpEndpoint(Endpoint):
                  writer: asyncio.StreamWriter, epoch: int) -> None:
         self.pid = pid
         self._reader = reader
+        self._splitter = FrameSplitter()
+        #: Frames of the last socket read not yet handed to ``recv``.
+        self._frames: deque[bytes] = deque()
         self._batcher = FrameBatcher(writer)
         #: Recovery epoch the broker reported at handshake time.
         self.epoch = epoch
@@ -425,13 +455,25 @@ class TcpEndpoint(Endpoint):
             self._batcher.push(encode_frame(frame))
 
     async def recv(self) -> dict[str, Any] | None:
-        """Next frame from the broker; ``None`` on EOF/reset."""
+        """Next frame from the broker; ``None`` on EOF/reset.
+
+        Awaits the socket only when the last read's frames are used up:
+        the frames of one read are handed out without a suspension.
+        """
+        frames = self._frames
+        while not frames:
+            if self._closed:
+                return None
+            try:
+                chunk = await self._reader.read(READ_SIZE)
+            except ConnectionError:
+                return None
+            if not chunk:
+                return None
+            frames.extend(self._splitter.feed(chunk))
         if self._closed:
             return None
-        try:
-            return await read_wire_frame(self._reader)
-        except ConnectionError:
-            return None
+        return decode_frame(frames.popleft())
 
     async def drain(self) -> None:
         """Flush the write buffer and wait for socket-level flow control."""

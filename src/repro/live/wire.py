@@ -21,9 +21,13 @@ checkpoint files, and the live wire still share one version contract.
 
 The length is checked against :data:`MAX_FRAME_BYTES` on both sides:
 an oversized frame fails with a clean ``ValueError`` at the encoder, and
-:func:`read_wire` rejects an oversized prefix before reading the payload
-it announces — which is also how bytes that are not a frame at all (a
-peer writing text) end the connection instead of allocating a buffer.
+both readers — :func:`read_wire` for the handshake and
+:class:`FrameSplitter` for every frame after it — reject an oversized
+prefix before buffering the payload it announces, which is also how
+bytes that are not a frame at all (a peer writing text) end the
+connection instead of allocating a buffer.  :class:`FrameSplitter` cuts
+every complete frame out of one ``reader.read()``, so a connection's
+reader awaits once per socket read, not twice per frame.
 
 Frame kinds
 -----------
@@ -38,10 +42,13 @@ Frame kinds
 ``ctl``
     One protocol control message (CK_BGN / CK_REQ / CK_END) plus epoch.
 ``ack``
-    Per-frame delivery acknowledgement used by the resilient transport
-    layer (:mod:`repro.live.resilience`): confirms receipt of the ``app``
-    or ``ctl`` frame whose retransmission sequence number is ``rs``.
-    Hosts that do not run the resilience layer simply ignore acks.
+    Coalesced delivery acknowledgement used by the resilient transport
+    layer (:mod:`repro.live.resilience`): the body is a count, then that
+    many retransmission sequence numbers ``rs``, one per ``app`` or
+    ``ctl`` frame the acker received from ``dst`` in one event-loop pass.
+    A list that would not fit in one frame is split across several
+    (:func:`ack_frames`).  Hosts that do not run the resilience layer
+    simply ignore acks.
 ``recover``
     Supervisor broadcast: roll back to finalized generation ``seq`` and
     enter recovery ``epoch`` (the live analogue of
@@ -58,7 +65,7 @@ from __future__ import annotations
 
 import asyncio
 import struct
-from typing import Any
+from typing import Any, Iterable
 
 from ..core.types import ControlMessage, Piggyback
 from ..storage.serialize import (
@@ -94,8 +101,9 @@ _APP_HEAD = struct.Struct("!QIQ")
 _RS = struct.Struct("!Q")
 _U32 = struct.Struct("!I")
 
-#: Offset of the dst field inside a payload (broker forward path).
-_DST_OFFSET = 6
+#: Offset of the dst field inside a framed frame (broker forward path):
+#: the length prefix, then version and kind-code.
+_DST_OFFSET = _LEN.size + 6
 _DST = struct.Struct("!i")
 
 _KIND_CODES = {"hello": 1, "welcome": 2, "app": 3, "ctl": 4, "ack": 5,
@@ -151,7 +159,8 @@ def encode_payload(frame: dict[str, Any]) -> bytes:
     if kind == "ctl":
         return head + _RS.pack(frame.get("rs", 0)) + pack_control(frame["cm"])
     if kind == "ack":
-        return head + _RS.pack(frame["rs"])
+        rs = frame["rs"]
+        return head + _U32.pack(len(rs)) + struct.pack(f"!{len(rs)}Q", *rs)
     if kind == "hello":
         return head + _U32.pack(frame["inc"])
     if kind == "recover":
@@ -174,15 +183,9 @@ def encode_frame(frame: dict[str, Any]) -> bytes:
     return _LEN.pack(len(payload)) + payload
 
 
-def frame_prefix(payload: bytes) -> bytes:
-    """The length prefix for an already-encoded payload (broker forward
-    path: re-frame raw payload bytes without decoding them)."""
-    return _LEN.pack(len(payload))
-
-
-def payload_dst(payload: bytes) -> int:
-    """Read the dst field straight out of a payload (no full decode)."""
-    return _DST.unpack_from(payload, _DST_OFFSET)[0]
+def frame_dst(data: bytes) -> int:
+    """Read the dst field straight out of a framed frame (no decode)."""
+    return _DST.unpack_from(data, _DST_OFFSET)[0]
 
 
 # --------------------------------------------------------------------------
@@ -231,8 +234,9 @@ def _decode_payload(payload: bytes) -> dict[str, Any]:
             frame["rs"] = rs
         return frame
     if kind == "ack":
-        (rs,) = _RS.unpack_from(payload, body)
-        return {"t": "ack", "src": src, "dst": dst, "rs": rs}
+        (count,) = _U32.unpack_from(payload, body)
+        rs = struct.unpack_from(f"!{count}Q", payload, body + _U32.size)
+        return {"t": "ack", "src": src, "dst": dst, "rs": list(rs)}
     if kind == "hello":
         (inc,) = _U32.unpack_from(payload, body)
         return {"t": "hello", "v": version, "pid": src, "inc": inc}
@@ -260,6 +264,60 @@ def decode_frame(data: bytes) -> dict[str, Any]:
     return decode_payload(data)
 
 
+def _check_length(length: int) -> None:
+    if length > MAX_FRAME_BYTES:
+        raise ValueError(
+            f"frame length {length} exceeds MAX_FRAME_BYTES "
+            f"({MAX_FRAME_BYTES})")
+
+
+class FrameSplitter:
+    """Cut a byte stream into whole frames, one socket read at a time.
+
+    :meth:`feed` takes whatever one ``reader.read()`` returned and gives
+    back every frame it completes, length prefix included — ready to be
+    forwarded as is or decoded with :func:`decode_frame`.  A frame's
+    length prefix is checked against :data:`MAX_FRAME_BYTES` as soon as
+    its four bytes are in, so an oversized one raises ``ValueError``
+    before any of its payload is kept.  The bytes of an incomplete frame
+    wait in a list of parts, joined once the frame is whole, so a large
+    frame spread over many reads costs one copy, not one per read.
+    """
+
+    def __init__(self) -> None:
+        self._parts: list[bytes] = []
+        self._have = 0
+        #: Bytes the parts must reach before a feed can complete a frame.
+        self._need = 0
+
+    def feed(self, chunk: bytes) -> list[bytes]:
+        """Every frame completed by ``chunk``, in stream order."""
+        if self._parts:
+            self._parts.append(chunk)
+            self._have += len(chunk)
+            if self._have < self._need:
+                return []
+            chunk = b"".join(self._parts)
+            self._parts = []
+        frames: list[bytes] = []
+        pos, size = 0, len(chunk)
+        need = _LEN.size
+        while size - pos >= _LEN.size:
+            (length,) = _LEN.unpack_from(chunk, pos)
+            _check_length(length)
+            end = pos + _LEN.size + length
+            if end > size:
+                need = end - pos
+                break
+            frames.append(chunk[pos:end])
+            pos = end
+        if pos < size:
+            self._parts = [chunk[pos:]]
+            self._have = size - pos
+            self._need = need
+        return frames
+
+
 async def read_wire(reader: asyncio.StreamReader) -> bytes | None:
     """Read one frame's payload off a stream; ``None`` on EOF.
 
@@ -268,10 +326,7 @@ async def read_wire(reader: asyncio.StreamReader) -> bytes | None:
     """
     try:
         (length,) = _LEN.unpack(await reader.readexactly(_LEN.size))
-        if length > MAX_FRAME_BYTES:
-            raise ValueError(
-                f"frame length {length} exceeds MAX_FRAME_BYTES "
-                f"({MAX_FRAME_BYTES})")
+        _check_length(length)
         return await reader.readexactly(length)
     except asyncio.IncompleteReadError:
         return None  # clean EOF, or torn mid-frame by a dying peer
@@ -325,14 +380,22 @@ def ctl_frame(src: int, dst: int, cm: ControlMessage,
             "cm": control_message_to_dict(cm), "epoch": epoch}
 
 
-def ack_frame(src: int, dst: int, rs: int) -> dict[str, Any]:
-    """Acknowledge receipt of the frame with retransmission seqno ``rs``.
+def ack_frame(src: int, dst: int, rs: Iterable[int]) -> dict[str, Any]:
+    """Acknowledge receipt of the frames with retransmission seqnos ``rs``.
 
     ``rs`` values are minted from the :func:`make_uid` namespace, so they
     stay globally unique across crashes/restarts — a receiver's dedup set
     can never confuse a new incarnation's frame with a stale one.
     """
-    return {"t": "ack", "src": src, "dst": dst, "rs": rs}
+    return {"t": "ack", "src": src, "dst": dst, "rs": list(rs)}
+
+
+def ack_frames(src: int, dst: int, rs: list[int]) -> list[dict[str, Any]]:
+    """``rs`` acknowledged in as few frames as :data:`MAX_FRAME_BYTES`
+    allows (one, unless the list runs to millions)."""
+    per = (MAX_FRAME_BYTES - _HEAD.size - _U32.size) // _RS.size
+    return [ack_frame(src, dst, rs[i:i + per])
+            for i in range(0, len(rs), per)]
 
 
 def recover_frame(epoch: int, seq: int) -> dict[str, Any]:

@@ -66,8 +66,8 @@ class LiveRunConfig:
     # -- resilient transport layer (repro.live.resilience) ------------------
     resilience: bool = True             # bounded-retry send + ack/dedup
     max_retries: int = 6                # retransmissions per frame
-    retry_base: float = 0.05            # first backoff delay (seconds)
-    retry_max: float = 1.0              # backoff ceiling (seconds)
+    retry_base: float = 0.05            # first and least timeout (seconds)
+    retry_max: float = 1.0              # timeout ceiling (seconds)
     # -- fault injection (repro.chaos) --------------------------------------
     chaos: Any = None                   # FaultPlan | None
     # -- cooperative early stop (repro.serve cancellation hook) -------------
@@ -159,7 +159,7 @@ def build_endpoint(inner: Endpoint, storage: FileStableStorage,
             ResilienceConfig(max_retries=cfg.max_retries,
                              base_delay=cfg.retry_base,
                              max_delay=cfg.retry_max),
-            incarnation=incarnation, seed=cfg.seed, tracer=tracer)
+            incarnation=incarnation, tracer=tracer)
         inner = resilient
     return inner, chaos, chaos_store, resilient
 

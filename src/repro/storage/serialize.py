@@ -38,10 +38,11 @@ FORMAT_VERSION = 1
 
 #: Wire format version for cross-process payloads (piggybacks, control
 #: messages, live-runtime frames).  Bumped independently of the checkpoint
-#: file format — the two evolve on different schedules.  v2 is the
+#: file format — the two evolve on different schedules.  v2 was the
 #: length-prefixed binary framing of :mod:`repro.live.wire` with the
-#: struct-packed payload encodings below.
-WIRE_VERSION = 2
+#: struct-packed payload encodings below; v3 keeps both and makes the
+#: ``ack`` body a count and a list of acknowledged seqnos.
+WIRE_VERSION = 3
 
 #: Every wire version decoders accept.  Encoders always stamp
 #: :data:`WIRE_VERSION`; decoders test membership, so accepting a new
@@ -49,7 +50,7 @@ WIRE_VERSION = 2
 #: stamped version is in this tuple, that the tuple has no holes between
 #: its minimum and maximum, and that decoders test membership rather
 #: than equality.
-ACCEPTED_WIRE_VERSIONS = (2,)
+ACCEPTED_WIRE_VERSIONS = (3,)
 
 
 def _check_wire_version(data: dict[str, Any], what: str) -> None:

@@ -43,8 +43,8 @@ class TestChaosEndpoint:
             assert await nothing_queued(t, b)
             assert a.injected == {"drop": 1}
             # Non-matching kinds pass untouched.
-            a.send(ack_frame(0, 1, 9))
-            assert await recv(b) == ack_frame(0, 1, 9)
+            a.send(ack_frame(0, 1, [9]))
+            assert await recv(b) == ack_frame(0, 1, [9])
 
         run(body())
 

@@ -47,8 +47,8 @@ class TestLocalRun:
                 return fn(*args)
             return wrapper
 
-        monkeypatch.setattr(transport, "encode_payload", counted(
-            "encode", transport.encode_payload))
+        monkeypatch.setattr(transport, "encode_frame", counted(
+            "encode", transport.encode_frame))
         monkeypatch.setattr(transport, "decode_frame", counted(
             "decode", transport.decode_frame))
         report = asyncio.run(run_live_async(fast_cfg(tmp_path)))

@@ -10,8 +10,7 @@ import pytest
 
 from repro.live.transport import Broker, connect_tcp
 from repro.live.wire import (SUPERVISOR, WIRE_VERSION, encode_frame,
-                             encode_payload, hello_frame, recover_frame,
-                             stop_frame)
+                             hello_frame, recover_frame, stop_frame)
 
 
 def run(coro):
@@ -27,7 +26,7 @@ def app(src, dst, uid, size=16):
 
 def route(broker, frame):
     """Hand the broker a frame the way a connection's reader does."""
-    broker._route_payload(frame["dst"], encode_payload(frame))
+    broker._route(encode_frame(frame))
 
 
 #: uid of the marker frame :meth:`_RoutingCases.routed` bounces.
@@ -246,6 +245,33 @@ class TestTcpTransport(_RoutingCases):
 
         run(body())
 
+    def test_start_barrier_holds_welcomes_until_every_pid_connected(self):
+        async def body():
+            broker = Broker(barrier=2)
+            port = await broker.start()
+            first = asyncio.ensure_future(connect_tcp(port, 0, 0))
+
+            async def hello_seen():
+                while 0 not in broker._known_pids:
+                    await asyncio.sleep(0.005)
+
+            await asyncio.wait_for(hello_seen(), 5.0)
+            await asyncio.sleep(0.05)
+            assert not first.done() and broker.connected_pids == []
+            b = await connect_tcp(port, 1, 0)
+            a = await asyncio.wait_for(first, 5.0)
+            assert broker.connected_pids == [0, 1]
+            # Open from now on: a respawned worker is welcomed at once.
+            b.close()
+            b2 = await asyncio.wait_for(connect_tcp(port, 1, 1), 5.0)
+            a.send(app(0, 1, 5))
+            await a.drain()
+            assert (await asyncio.wait_for(b2.recv(), 5.0))["uid"] == 5
+            assert broker.dropped_by_cause == {}
+            await self.close(broker, a, b2)
+
+        run(body())
+
     def test_welcome_carries_current_epoch(self):
         async def body():
             broker = Broker(epoch=3)
@@ -414,7 +440,7 @@ class TestRespawnWait:
             await broker.wait_connected(1, timeout=5.0)
             broker.disconnect(1)
             route(broker, app(0, 1, 7))
-            assert broker._parked[1] == [app(0, 1, 7)]
+            assert broker._parked[1] == [encode_frame(app(0, 1, 7))]
             assert broker.dropped_by_cause == {}
             broker.disconnect(1)            # idempotent
             reader.feed_eof()

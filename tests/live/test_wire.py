@@ -16,7 +16,9 @@ from repro.live.wire import (
     MAX_INCARNATIONS,
     MAX_UID_COUNTER,
     SUPERVISOR,
+    FrameSplitter,
     ack_frame,
+    ack_frames,
     app_frame,
     check_handshake,
     ctl_frame,
@@ -27,8 +29,8 @@ from repro.live.wire import (
     frame_control,
     frame_piggyback,
     hello_frame,
+    frame_dst,
     make_uid,
-    payload_dst,
     read_wire,
     recover_frame,
     stop_frame,
@@ -103,11 +105,11 @@ class TestFrames:
         assert length == len(data) - 4
         assert decode_frame(data) == recover_frame(1, 3)
 
-    def test_payload_dst_matches_full_decode(self):
+    def test_frame_dst_matches_full_decode(self):
         frame = app_frame(3, 7, make_uid(3, 0, 9), 64, sample_pb(), epoch=2)
-        payload = encode_payload(frame)
-        assert payload_dst(payload) == 7
-        assert decode_payload(payload)["dst"] == 7
+        data = encode_frame(frame)
+        assert frame_dst(data) == 7
+        assert decode_frame(data)["dst"] == 7
 
     def test_rs_key_only_present_when_stamped(self):
         frame = app_frame(0, 1, make_uid(0, 0, 1), 16, sample_pb(), epoch=0)
@@ -179,27 +181,33 @@ class TestFrames:
         assert reader.asked == [4]
 
 
-#: ``encode_frame`` over one fixed frame of each kind, hex computed on the
-#: commit before the v1 framing was removed: the wire bytes did not move.
+#: ``encode_frame`` over one fixed frame of each kind.  The v3 hex is the
+#: v2 hex with the version bytes (header and piggyback) set to 0x03, except
+#: ``ack``, whose body became a count and an ``rs`` list in v3.
 GOLDEN_APP = app_frame(0, 1, make_uid(0, 0, 1), 128, sample_pb(), epoch=1)
 GOLDEN_FRAMES = {
     "hello": (hello_frame(3, 1),
-              "00000012020100000003ffffffff0000000000000001"),
+              "00000012030100000003ffffffff0000000000000001"),
     "welcome": (welcome_frame(5),
-                "0000000e0202ffffffffffffffff00000005"),
+                "0000000e0302ffffffffffffffff00000005"),
     "app": (GOLDEN_APP,
-            "0000003202030000000000000001000000010000000000000001000000"
-            "80000000000000000002000000020100020000000000000002"),
+            "0000003203030000000000000001000000010000000000000001000000"
+            "80000000000000000003000000020100020000000000000002"),
     "app+rs": (dict(GOLDEN_APP, rs=make_uid(0, 0, 2)),
-               "0000003202030000000000000001000000010000000000000001000000"
-               "80000000000000000202000000020100020000000000000002"),
+               "0000003203030000000000000001000000010000000000000001000000"
+               "80000000000000000203000000020100020000000000000002"),
     "ctl": (ctl_frame(2, 0, ControlMessage(ControlType.CK_REQ, 5), epoch=0),
-            "0000001c02040000000200000000000000000000000000000000020100000005"),
-    "ack": (ack_frame(1, 0, make_uid(1, 0, 7)),
-            "0000001602050000000100000000000000000000040000000007"),
+            "0000001c03040000000200000000000000000000000000000000030100000005"),
+    "ack": (ack_frame(1, 0, [make_uid(1, 0, 7)]),
+            "0000001a030500000001000000000000000000000001"
+            "0000040000000007"),
+    "ack+many": (ack_frame(1, 0, [make_uid(1, 0, 7), make_uid(1, 0, 8),
+                                  make_uid(1, 2, 9)]),
+                 "0000002a030500000001000000000000000000000003"
+                 "0000040000000007" "0000040000000008" "0000040200000009"),
     "recover": (recover_frame(2, 4),
-                "000000120206ffffffffffffffff0000000200000004"),
-    "stop": (stop_frame(), "0000000e0207ffffffffffffffff00000000"),
+                "000000120306ffffffffffffffff0000000200000004"),
+    "stop": (stop_frame(), "0000000e0307ffffffffffffffff00000000"),
 }
 
 
@@ -229,15 +237,15 @@ app_frames = st.builds(app_frame, pids, pids, uids,
                        st.integers(min_value=0, max_value=2**32 - 1),
                        piggybacks, epochs)
 ctl_frames = st.builds(ctl_frame, pids, pids, controls, epochs)
-ack_frames = st.builds(ack_frame, pids, st.one_of(pids, st.just(SUPERVISOR)),
-                       uids)
+ack_lists = st.builds(ack_frame, pids, st.one_of(pids, st.just(SUPERVISOR)),
+                      st.lists(uids, min_size=1, max_size=64))
 hello_frames = st.builds(
     hello_frame, pids,
     st.integers(min_value=0, max_value=MAX_INCARNATIONS - 1))
 welcome_frames = st.builds(welcome_frame, epochs)
 recover_frames = st.builds(recover_frame, epochs,
                            st.integers(min_value=0, max_value=2**32 - 1))
-any_frame = st.one_of(app_frames, ctl_frames, ack_frames, hello_frames,
+any_frame = st.one_of(app_frames, ctl_frames, ack_lists, hello_frames,
                       welcome_frames, recover_frames, st.just(stop_frame()))
 
 
@@ -254,6 +262,115 @@ class TestRoundTripProperties:
     @given(app_frames)
     def test_payload_never_exceeds_frame_ceiling(self, frame):
         assert len(encode_payload(frame)) <= MAX_FRAME_BYTES
+
+
+class TestAck:
+    def test_one_and_many_rs_round_trip(self):
+        for rs in ([make_uid(2, 0, 1)],
+                   [make_uid(2, 0, c) for c in range(1, 1001)]):
+            frame = ack_frame(2, 0, rs)
+            assert decode_frame(encode_frame(frame)) == frame
+            assert decode_frame(encode_frame(frame))["rs"] == rs
+
+    def test_count_past_the_body_is_a_truncated_payload(self):
+        payload = bytearray(encode_payload(ack_frame(1, 0, [5])))
+        payload[14:18] = (2**32 - 1).to_bytes(4, "big")     # the count
+        with pytest.raises(ValueError, match="truncated"):
+            decode_payload(bytes(payload))
+
+    def test_short_list_is_one_frame(self):
+        rs = [make_uid(1, 0, c) for c in range(1, 100)]
+        assert ack_frames(1, 0, rs) == [ack_frame(1, 0, rs)]
+
+    def test_list_past_the_frame_ceiling_is_split(self, monkeypatch):
+        # Room for three rs per frame: 14-byte header, 4-byte count, 3 x 8.
+        monkeypatch.setattr(wire, "MAX_FRAME_BYTES", 14 + 4 + 3 * 8)
+        rs = [make_uid(1, 0, c) for c in range(1, 8)]
+        frames = ack_frames(1, 0, rs)
+        assert [f["rs"] for f in frames] == [rs[0:3], rs[3:6], rs[6:7]]
+        for frame in frames:
+            data = encode_frame(frame)      # each one fits
+            assert decode_frame(data) == frame
+
+
+def _stream(frames):
+    return b"".join(encode_frame(f) for f in frames)
+
+
+class TestFrameSplitter:
+    @given(st.lists(any_frame, max_size=12), st.data())
+    def test_any_chunking_yields_the_same_frames(self, frames, data):
+        stream = _stream(frames)
+        cuts = sorted(data.draw(st.lists(
+            st.integers(min_value=0, max_value=len(stream)), max_size=10)))
+        splitter = FrameSplitter()
+        out = []
+        for lo, hi in zip([0] + cuts, cuts + [len(stream)]):
+            out.extend(splitter.feed(stream[lo:hi]))
+        assert out == [encode_frame(f) for f in frames]
+        assert [decode_frame(d) for d in out] == frames
+
+    def test_byte_at_a_time(self):
+        frames = [recover_frame(1, 2), ack_frame(0, 1, [5, 6]), stop_frame()]
+        splitter = FrameSplitter()
+        out = []
+        for byte in _stream(frames):
+            out.extend(splitter.feed(bytes([byte])))
+        assert [decode_frame(d) for d in out] == frames
+
+    def test_oversized_prefix_raises_before_its_payload(self):
+        splitter = FrameSplitter()
+        good = encode_frame(stop_frame())
+        # A complete frame, then a prefix announcing MAX_FRAME_BYTES + 1
+        # with no payload behind it: the splitter refuses it at once.
+        bad = (MAX_FRAME_BYTES + 1).to_bytes(4, "big")
+        with pytest.raises(ValueError, match="MAX_FRAME_BYTES"):
+            splitter.feed(good + bad)
+
+    def test_oversized_prefix_ends_the_broker_connection(self):
+        from repro.live.transport import Broker
+
+        class Writer:
+            def write(self, data):
+                pass
+
+            async def drain(self):
+                pass
+
+            def close(self):
+                pass
+
+        class Reader:
+            """Hands out the hello, then the oversized prefix, then would
+            hand out payload bytes forever."""
+
+            def __init__(self):
+                self.reads = 0
+                self.chunks = [encode_frame(hello_frame(0, 0)),
+                               (MAX_FRAME_BYTES + 1).to_bytes(4, "big")]
+
+            async def readexactly(self, n):
+                head = self.chunks[0][:n]
+                self.chunks[0] = self.chunks[0][n:]
+                if not self.chunks[0]:
+                    self.chunks.pop(0)
+                return head
+
+            async def read(self, n):
+                self.reads += 1
+                return self.chunks.pop(0) if self.chunks else b"x" * n
+
+        async def body():
+            broker = Broker()
+            reader = Reader()
+            gone = []
+            broker.on_disconnect = gone.append
+            await asyncio.wait_for(broker._handle(reader, Writer()), 5.0)
+            return reader, broker, gone
+
+        reader, broker, gone = asyncio.run(body())
+        assert reader.reads == 1            # no read after the prefix
+        assert gone == [0] and broker.connected_pids == []
 
 
 class TestHandshake:
