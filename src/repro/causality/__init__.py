@@ -2,7 +2,9 @@
 
 This package is the library's *referee*: protocols claim their checkpoints
 form consistent global checkpoints (the paper's Theorem 2); the verifier
-here independently decides, from the raw trace, whether that claim holds.
+here independently decides, from the raw trace, whether that claim holds;
+:mod:`~repro.causality.properties` is the one property library every judge
+runs.
 """
 
 from .consistency import (

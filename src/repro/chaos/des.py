@@ -14,17 +14,15 @@ chaos matrix cell (:func:`run_des_cell`), the fuzz oracle
 (:func:`repro.fuzz.oracle.run_input`) and ``repro chaos --plan``.  It
 installs the injector before the first event, runs to quiescence, and
 returns the outcome record; the run *violates* iff its ``violations``
-list is non-empty:
+list is non-empty.  Its checks are the property library's
+(:mod:`repro.causality.properties`, which the model checker and the live
+replay run too) over the run's end state, each filed under its
+property's kind: ``anomaly``, ``sequence``, ``knowledge``, ``orphans``
+(Theorem 2), ``round-prefix`` and, at quiescence, ``stuck-status`` and
+``divergence`` (Theorem 1 convergence).  Two checks belong to the run:
 
-* **orphans** (Theorem 2) — the independent causality verifier finds an
-  orphan message against a collected global checkpoint;
-* **anomaly** — a host observed a §3.4.3/§3.5.1 message proven
-  impossible under the protocol's assumptions;
 * **liveness** (Theorem 1) — the run hit its event budget: a stuck round
   re-arms its escalation timers forever, so truncation is the detection;
-* **stuck-status** — a process is still tentative at quiescence;
-* **sequence** — a host's finalized csns are not dense ``0..max``;
-* **divergence** — hosts disagree on the set of finalized csns;
 * **recovery-incomplete** — a planned crash never completed its
   crash/rollback/restart cycle.
 
@@ -42,6 +40,13 @@ from __future__ import annotations
 from collections import Counter
 from typing import Any, Callable
 
+from ..causality.consistency import ConsistencyVerifier
+from ..causality.properties import (
+    STATE_CHECKS,
+    TERMINAL_CHECKS,
+    Snapshot,
+    violations as property_violations,
+)
 from ..core.types import ControlType
 from ..harness.experiment import ExperimentConfig, run_experiment
 from ..net.message import Message
@@ -238,7 +243,9 @@ DES_TIMEOUT = 10.0
 
 
 def default_des_plan(kind: str, seed: int = 0) -> FaultPlan:
-    """The canonical one-fault plan the matrix runs for ``kind``."""
+    """The canonical one-fault plan the matrix runs for ``kind``.  The
+    storage kinds hit every write in their window (p=1.0), so they fire by
+    construction: at p=0.5 some seeds drew no write and tested nothing."""
     if kind == "drop":
         return single_fault_plan("drop", seed, p=0.15, start=10.0, end=70.0)
     if kind == "duplicate":
@@ -257,13 +264,13 @@ def default_des_plan(kind: str, seed: int = 0) -> FaultPlan:
     if kind == "crash":
         return single_fault_plan("crash", seed, pid=DES_N - 1, at=40.0)
     if kind == "torn-write":
-        return single_fault_plan("torn-write", seed, p=0.5,
+        return single_fault_plan("torn-write", seed, p=1.0,
                                  start=5.0, end=80.0)
     if kind == "fsync-fail":
-        return single_fault_plan("fsync-fail", seed, p=0.5,
+        return single_fault_plan("fsync-fail", seed, p=1.0,
                                  start=5.0, end=80.0)
     if kind == "slow-flush":
-        return single_fault_plan("slow-flush", seed, p=0.5,
+        return single_fault_plan("slow-flush", seed, p=1.0,
                                  start=5.0, end=80.0, delay=0.5)
     raise ChaosError(f"unknown fault kind {kind!r}")
 
@@ -397,44 +404,26 @@ def run_plan(plan: FaultPlan, cfg: ExperimentConfig, *,
                  and sum(injected.values()) > 0)
 
     anomalies = runtime.anomalies()
-    orphans = sum(result.orphans.values())
     app_delivered = result.network.delivered_by_kind.get("app", 0)
 
-    # -- the verdict --------------------------------------------------------
-    violations: list[dict[str, str]] = []
-
-    def violate(kind: str, detail: str) -> None:
-        violations.append({"kind": kind, "detail": detail})
-
-    if orphans:
-        violate("orphans", f"{orphans} orphan message(s) against the"
-                           f" collected global checkpoint (Theorem 2)")
-    if anomalies:
-        violate("anomaly", "; ".join(anomalies[:4]))
+    # -- the verdict: Theorem 1's convergence only holds at quiescence -----
+    view = Snapshot.of_runtime(runtime, ConsistencyVerifier(trace).endpoints)
+    found = property_violations(view, STATE_CHECKS if result.truncated
+                                else STATE_CHECKS + TERMINAL_CHECKS)
+    violations = [{"kind": prop.kind, "detail": "; ".join(messages[:4])}
+                  for prop, messages in found]
+    orphans = sum(len(messages) for prop, messages in found
+                  if prop.kind == "orphans")
     if result.truncated:
-        violate("liveness", f"no quiescence within {cfg.max_events} events"
-                            f" — a checkpoint round is stuck (Theorem 1)")
-    else:
-        stuck = [pid for pid, host in runtime.hosts.items()
-                 if host.machine.tentative]
-        if stuck:
-            violate("stuck-status",
-                    f"processes {stuck} still tentative at quiescence")
-        seq_sets = {pid: frozenset(host.finalized)
-                    for pid, host in runtime.hosts.items()}
-        for pid, seqs in seq_sets.items():
-            dense = frozenset(range(max(seqs) + 1)) if seqs else frozenset()
-            if seqs != dense:
-                violate("sequence", f"P{pid} finalized csns not dense:"
-                                    f" {sorted(seqs)[:12]}")
-                break
-        if len(set(seq_sets.values())) > 1:
-            violate("divergence", "hosts disagree on finalized csn sets: "
-                    + str({p: max(s, default=0)
-                           for p, s in seq_sets.items()}))
-        if rm is not None and len(rm.events) != len(crashes):
-            violate("recovery-incomplete", f"{len(rm.events)} of"
-                    f" {len(crashes)} crash cycles completed")
+        violations.append({
+            "kind": "liveness",
+            "detail": f"no quiescence within {cfg.max_events} events"
+                      f" — a checkpoint round is stuck (Theorem 1)"})
+    elif rm is not None and len(rm.events) != len(crashes):
+        violations.append({
+            "kind": "recovery-incomplete",
+            "detail": f"{len(rm.events)} of {len(crashes)} crash cycles"
+                      f" completed"})
 
     return {
         "mutation": mutation,

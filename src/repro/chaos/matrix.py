@@ -15,8 +15,9 @@ survived it:
   faults were healed by the bounded write retry, crashes completed the
   rollback-and-restart cycle.  A DES cell is also not recovered when
   :func:`~repro.chaos.des.run_plan` — the judge the fuzzer shares —
-  reports any other violation (stuck status, non-dense or divergent
-  finalized csns, an incomplete crash cycle).
+  reports any other violation (stuck status, non-dense csns, divergent
+  finalized sets, a broken round prefix, an incomplete crash cycle).
+  A cell that injected nothing is **vacuous**: neither ok nor failed.
 
 The matrix must *discriminate*: an unknown fault kind yields a failing
 cell (not a silent skip), and running the live wire cells with the
@@ -74,8 +75,14 @@ class CellResult:
     error: str | None = None
 
     @property
+    def vacuous(self) -> bool:
+        """The cell ran but injected nothing: it tested nothing."""
+        return self.error is None and not any(self.injected.values())
+
+    @property
     def ok(self) -> bool:
-        return self.consistent and self.recovered and self.error is None
+        return (self.consistent and self.recovered and self.error is None
+                and not self.vacuous)
 
     def as_dict(self) -> dict[str, Any]:
         """JSON-serializable cell verdict (the `--format json` shape)."""
@@ -83,6 +90,7 @@ class CellResult:
             "runtime": self.runtime,
             "fault": self.fault,
             "ok": self.ok,
+            "vacuous": self.vacuous,
             "consistent": self.consistent,
             "recovered": self.recovered,
             "injected": dict(sorted(self.injected.items())),
@@ -122,7 +130,7 @@ class MatrixReport:
                  f"{'recovered':<10} {'injected':<10} result"]
         for c in self.cells:
             injected = sum(c.injected.values())
-            verdict = "OK" if c.ok else (
+            verdict = "OK" if c.ok else "VACUOUS" if c.vacuous else (
                 f"FAILED ({c.error})" if c.error else "FAILED")
             lines.append(
                 f"  {c.fault:<12} {c.runtime:<8} "

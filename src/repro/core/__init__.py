@@ -33,7 +33,6 @@ if TYPE_CHECKING:
         TakeTentative,
     )
     from .host import OptimisticProcess, OptimisticRuntime
-    from .invariants import InvariantMonitor, InvariantViolation
     from .state_machine import COORDINATOR, MachineConfig, OptimisticStateMachine
     from .types import (
         ControlMessage,
@@ -66,8 +65,6 @@ _LAZY = {
     "TakeTentative": "effects",
     "OptimisticProcess": "host",
     "OptimisticRuntime": "host",
-    "InvariantMonitor": "invariants",
-    "InvariantViolation": "invariants",
     "COORDINATOR": "state_machine",
     "MachineConfig": "state_machine",
     "OptimisticStateMachine": "state_machine",
@@ -99,8 +96,6 @@ __all__ = [
     "FlushOpportunistic",
     "FlushPolicy",
     "FlushUniformDelay",
-    "InvariantMonitor",
-    "InvariantViolation",
     "LogEntry",
     "LogSet",
     "MachineConfig",

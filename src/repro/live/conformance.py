@@ -1,10 +1,7 @@
-"""Conformance: hold real executions to the paper's Theorem 2.
+"""Conformance: hold live runs to the property library's Theorems 1–2.
 
-The simulator proves its runs consistent with
-:class:`repro.causality.consistency.ConsistencyVerifier`; this module does
-the same for *live* runs by replaying the per-worker journals
-(:mod:`repro.live.journal`) into the exact structures the causality layer
-consumes:
+The replay turns the per-worker journals (:mod:`repro.live.journal`) into
+the exact structures the causality layer consumes:
 
 1. every ``send`` event contributes to the uid → (src, dst) endpoint map
    (including sends of later-discarded executions — they must be
@@ -15,14 +12,15 @@ consumes:
    become chained :class:`~repro.causality.consistency.CheckpointRecord`
    increments through :func:`~repro.causality.consistency.chain`, as in
    :meth:`~repro.core.host.OptimisticProcess.checkpoint_records`;
-3. :meth:`repro.causality.consistency.ConsistencyVerifier.verify_all` then
-   checks the no-orphan criterion on every *complete* global checkpoint
-   ``S_k`` — the same single pass the simulator's runs go through.
+3. :mod:`repro.causality.properties` then checks Theorem 2 on every
+   *complete* global checkpoint ``S_k`` (one ``verify_all`` pass) and its
+   journal checks on each worker's surviving checkpoints.
 
 The replay also cross-checks recovery semantics: every journaled
-``rollback`` must restore the digest that replaying the on-journal
-checkpoint claims — restart-from-disk and the in-memory protocol agreeing
-is precisely what makes the live recovery path trustworthy.
+``rollback`` must target a checkpoint the worker finalized, and restore
+the digest that replaying that on-journal checkpoint claims —
+restart-from-disk and the in-memory protocol agreeing is precisely what
+makes the live recovery path trustworthy.
 
 Steps 1 and 2 are one streaming pass per journal file
 (:func:`~repro.live.journal.iter_journal`): each record is folded as it
@@ -30,8 +28,8 @@ is read and then dropped.  What the replay keeps is the
 checkpoint-and-communication pattern only — one endpoint entry per
 ``send`` (a uid key and a ``(src, dst)`` tuple shared by every send of
 that pair), the send / receive / rollback counters, and per worker the
-surviving finalize table, whose ``new_sent`` / ``new_recv`` increments
-are frozensets from the moment their line is parsed.  Its memory follows
+surviving finalize table (its increments frozensets from the moment
+their line is parsed), tentative csns and anomalies.  Its memory follows
 the number of sends and of checkpointed uids, not the journal's bytes.
 """
 
@@ -44,12 +42,18 @@ from pathlib import Path
 from typing import Any, Iterable, NamedTuple
 
 from ..causality.consistency import (
-    ConsistencyVerifier,
     Orphan,
     chain,
-    complete_cuts,
     round_latencies,
 )
+from ..causality.properties import (
+    JOURNAL_CHECKS,
+    Snapshot,
+    cuts,
+    orphans,
+    violations,
+)
+from ..core.types import Status
 from .journal import iter_journal, iter_run_journals
 
 
@@ -63,8 +67,9 @@ class ConformanceReport:
     complete_seqs: list[int] = field(default_factory=list)
     #: seq -> orphan messages found (empty everywhere == Theorem 2 holds).
     orphans: dict[int, list[Orphan]] = field(default_factory=dict)
-    #: Replay problems that are not orphans (unclassifiable uids, digest
-    #: mismatches after rollback, journaled protocol anomalies).
+    #: Replay problems that are not orphans (unclassifiable uids, rollbacks
+    #: to an unknown checkpoint or a diverged digest, and the library's
+    #: journal checks' findings).
     problems: list[str] = field(default_factory=list)
     sends: int = 0
     receives: int = 0
@@ -138,22 +143,36 @@ class _Finalize(NamedTuple):
     new_recv: frozenset[int]
 
 
+class _Status(NamedTuple):
+    """A worker's csn and status as its journal shows them."""
+
+    csn: int
+    stat: Status
+
+
+#: What survives of a worker: finalize table, the csns it took (a
+#: ``finalize`` proves its tentative was taken), status and anomalies.
+_Folded = tuple[dict[int, _Finalize], set[int], _Status, list[str]]
+
+
 def _fold_worker(pid: int, events: Iterable[dict[str, Any]],
                  endpoints: dict[int, tuple[int, int]],
-                 report: ConformanceReport) -> dict[int, _Finalize]:
-    """Fold one worker's event stream; returns its surviving finalizes.
+                 report: ConformanceReport) -> _Folded:
+    """Fold one worker's event stream; returns what survives of it.
 
     Each ``send`` adds its uid to ``endpoints`` (one ``(src, dst)`` tuple
     per destination, shared); ``recv`` and ``rollback`` are counted.  A
     ``rollback`` to ``seq`` discards finalized generations above ``seq``
     (they belong to the abandoned execution); a later re-finalization of
     the same csn simply overwrites.  Also cross-checks the restart-from-
-    disk digest: the digest journaled at rollback time must equal the one
-    the surviving checkpoint's replay claims.  The resilience counters of
-    a run-end ``chaos`` record are added to ``report.resilience``.
+    disk target: it must be a checkpoint the worker finalized, and the
+    digest journaled at rollback time must equal the one that surviving
+    checkpoint's replay claims.  The resilience counters of a run-end
+    ``chaos`` record are added to ``report.resilience``.
     """
     table: dict[int, _Finalize] = {}
     tent_wall: dict[int, float] = {}
+    anomalies: list[str] = []
     pairs: dict[int, tuple[int, int]] = {}
     sends = receives = rollbacks = 0
     for ev in events:
@@ -184,14 +203,17 @@ def _fold_worker(pid: int, events: Iterable[dict[str, Any]],
             for csn in [c for c in tent_wall if c > seq]:
                 del tent_wall[csn]
             want = table.get(seq)
-            if want is not None and want.digest != ev.get("digest"):
+            if want is None:
+                report.problems.append(
+                    f"P{ev['pid']} rolled back to C_{seq}, which it never "
+                    f"finalized")
+            elif want.digest != ev.get("digest"):
                 report.problems.append(
                     f"P{ev['pid']} rollback to {seq} restored digest "
                     f"{ev.get('digest')} but checkpoint replay claims "
                     f"{want.digest}")
         elif kind == "anomaly":
-            report.problems.append(
-                f"P{ev['pid']} protocol anomaly: {ev.get('description')}")
+            anomalies.append(str(ev.get("description")))
         elif kind == "chaos":
             totals = report.resilience
             for key, value in ev.get("resilience", {}).items():
@@ -199,15 +221,18 @@ def _fold_worker(pid: int, events: Iterable[dict[str, Any]],
     report.sends += sends
     report.receives += receives
     report.rollbacks += rollbacks
-    return table
+    took = (tent_wall.keys() | table.keys()) - {0}
+    csn = max(took | table.keys())
+    return table, took, _Status(csn, Status.NORMAL if csn in table
+                                else Status.TENTATIVE), anomalies
 
 
 def replay(run_dir: str | Path, n: int | None = None) -> ConformanceReport:
-    """Replay every journal under ``run_dir`` and verify Theorem 2.
+    """Replay every journal under ``run_dir`` and judge the run.
 
     One streaming pass per journal file: what is kept is one endpoint
-    entry per send, three counters, and each worker's surviving finalize
-    increments — never the records themselves.
+    entry per send, three counters, and what :data:`_Folded` keeps per
+    worker — never the records themselves.
     """
     journals = list(iter_run_journals(run_dir))
     pids = {pid for pid, _inc, _events in journals}
@@ -223,7 +248,7 @@ def replay(run_dir: str | Path, n: int | None = None) -> ConformanceReport:
     #    and the surviving finalize records, worker by worker.  Journals
     #    that do not count are read all the same: corruption raises.
     endpoints: dict[int, tuple[int, int]] = {}
-    surviving: dict[int, dict[int, _Finalize]] = {}
+    surviving: dict[int, _Folded] = {}
     for pid, group in groupby(journals, key=itemgetter(0)):
         events = (ev for _pid, _inc, evs in group for ev in evs)
         if missing or pid >= n:
@@ -237,14 +262,19 @@ def replay(run_dir: str | Path, n: int | None = None) -> ConformanceReport:
 
     # 3.-4. one chained record per surviving finalize; complete S_k =
     #    generations every worker finalized, checked in a single pass over
-    #    the increments.
-    by_seq = complete_cuts({pid: chain(pid, (
+    #    the increments, after the library's journal checks.
+    tables, tooks, states, anomalies = map(list, zip(
+        *(surviving[pid] for pid in range(n))))
+    view = Snapshot(n, states, tooks, tables, [chain(pid, (
         (csn, f.taken_at, f.finalized_at, f.new_sent, f.new_recv, 0, 0)
-        for csn, f in sorted(surviving[pid].items()))) for pid in range(n)})
+        for csn, f in sorted(table.items())))
+        for pid, table in enumerate(tables)], anomalies, endpoints)
+    by_seq = cuts(view)
     report.complete_seqs = list(by_seq)
+    for _prop, messages in violations(view, JOURNAL_CHECKS):
+        report.problems.extend(messages)
     try:
-        report.orphans = ConsistencyVerifier(
-            endpoints=endpoints).verify_all(by_seq)
+        report.orphans = orphans(view, by_seq)
     except KeyError as exc:
         # A receive with no send record anywhere (journal loss): nothing
         # can be classified, so no S_k gets a verdict.

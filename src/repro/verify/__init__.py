@@ -8,13 +8,13 @@ Two engines, both offline (no simulation run needed):
   ordering), purity layering (the pure protocol kernel must not import
   simulation substrates), effect-handler totality, and float-equality on
   simulated time.
-* :mod:`repro.verify.explore` + :mod:`repro.verify.properties` — a bounded
-  model checker that exhaustively enumerates every reachable state of the
-  pure :class:`~repro.core.state_machine.OptimisticStateMachine` for small
-  configurations and checks machine-checkable encodings of the paper's
-  Theorem 1 (convergence) and Theorem 2 (consistency), plus the §3.5.1
-  CK_BGN-suppression and CK_REQ-skip optimization soundness, on every
-  state.  Violations come with a replayable counterexample trace.
+* :mod:`repro.verify.explore` — a bounded model checker that exhaustively
+  enumerates every reachable state of the pure
+  :class:`~repro.core.state_machine.OptimisticStateMachine` for small
+  configurations and checks the property library every judge runs
+  (:mod:`repro.causality.properties`: Theorems 1–2 and the §3.5.1
+  optimization soundness) on every state.  Violations come with a
+  replayable counterexample trace.
 
 Exposed via ``repro verify`` on the command line (see :mod:`repro.cli`);
 the CI workflow runs both engines as a gate.

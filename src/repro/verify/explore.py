@@ -18,12 +18,12 @@ Within those bounds the exploration is *complete*: every interleaving of
 sends, deliveries, timer expiries and initiations is visited (modulo
 state deduplication, which is sound because the model is deterministic
 per transition).  On every state the checker evaluates the
-:data:`repro.verify.properties.STATE_CHECKS` (Theorem 2 consistency,
-anomaly freedom, sequence discipline, tentSet-knowledge validity — the
-soundness premise of both §3.5.1 optimizations); on every *terminal*
-state it evaluates Theorem 1 convergence.  The §3.5.1 CK_REQ-skip rule is
-additionally checked at emission time: a forwarded CK_REQ may only jump
-over processes the forwarder's ``tentSet`` proves tentative.
+:data:`repro.causality.properties.STATE_CHECKS` (Theorem 2, Theorem 1's
+round prefix, anomaly freedom, sequence discipline, tentSet-knowledge
+validity); on every *terminal* state, Theorem 1 convergence.  The §3.5.1
+CK_REQ-skip rule is additionally checked at emission time: a forwarded
+CK_REQ may only jump over processes the forwarder's ``tentSet`` proves
+tentative.
 
 A violation produces a shortest-path counterexample (BFS order), replayed
 into a :class:`~repro.des.trace.TraceRecorder` and rendered as text — see
@@ -44,6 +44,8 @@ import marshal
 from collections import deque
 from dataclasses import dataclass, field
 
+from ..causality.consistency import CheckpointRecord, chain
+from ..causality.properties import STATE_CHECKS, TERMINAL_CHECKS
 from ..core.driver import ProtocolDriver, RuntimePort
 from ..core.state_machine import MachineConfig, OptimisticStateMachine
 from ..core.types import (
@@ -55,7 +57,6 @@ from ..core.types import (
     TentativeCheckpoint,
 )
 from ..des.trace import TraceRecord, TraceRecorder
-from . import properties as _props
 
 # Message tuples in flight.  App messages carry a uid because finalized
 # checkpoints record them; the uid is a *canonical* function of
@@ -66,6 +67,10 @@ from . import properties as _props
 #   ("app", uid, src, dst, csn, stat_value, tent_tuple)
 #   ("ctl", src, dst, ctype_value, csn)
 Action = tuple
+
+#: State checks that read the finalized records only: the search runs each
+#: once per distinct tuple of records, which thousands of states share.
+RECORD_CHECKS = frozenset({"theorem2.consistency", "theorem1.round_prefix"})
 
 
 @dataclass(frozen=True)
@@ -266,6 +271,20 @@ class ModelSystem:
     def finalized(self, i: int) -> dict[int, tuple[frozenset, frozenset]]:
         """csn -> cumulative (sent, recv) uid records at ``C_{i,csn}``."""
         return self.procs[i].finalized
+
+    def chain(self, i: int) -> dict[int, CheckpointRecord]:
+        """``i``'s records, increments taken between cumulative ones."""
+        fin = self.procs[i].finalized
+        prev = [(frozenset(), frozenset())] + list(fin.values())
+        return chain(i, ((csn, 0.0, 0.0, sent - p[0], recv - p[1], 0, 0)
+                         for (csn, (sent, recv)), p in zip(fin.items(), prev)))
+
+    @property
+    def endpoints(self) -> dict[int, tuple[int, int]]:
+        """uid -> (src, dst) of every received message: a message reaches
+        its addressee, so the receiver whose record holds it is ``dst``."""
+        return {uid: (self.uid_src(uid), p.pid) for p in self.procs
+                for uid in p.finalized[max(p.finalized)][1]}
 
     def anomalies(self, i: int) -> list[str]:
         """Descriptions of Anomaly effects ``i`` has emitted."""
@@ -540,6 +559,7 @@ def explore(config: ExploreConfig | None = None) -> ExploreResult:
 
 def _search(cfg, result, parents, queue, path_to, record) -> None:
     memo: dict = {}
+    by_records: dict[tuple, dict[str, list[str]]] = {}
     while queue:
         key = queue.popleft()
         result.states += 1
@@ -548,9 +568,16 @@ def _search(cfg, result, parents, queue, path_to, record) -> None:
             break
         sys_v = ModelSystem.decode(marshal.loads(key), cfg, memo)
         stop = False
-        for prop, check in _props.STATE_CHECKS:
-            for message in check(sys_v):
-                stop = record(prop, message, path_to(key))
+        records = tuple([tuple(p.finalized.items()) for p in sys_v.procs])
+        known = by_records.get(records)
+        if known is None:
+            known = by_records[records] = {
+                p.name: p.check(sys_v) for p in STATE_CHECKS
+                if p.name in RECORD_CHECKS}
+        for prop in STATE_CHECKS:
+            found = known.get(prop.name)
+            for message in (prop.check(sys_v) if found is None else found):
+                stop = record(prop.name, message, path_to(key))
                 if stop:
                     break
             if stop:
@@ -561,9 +588,9 @@ def _search(cfg, result, parents, queue, path_to, record) -> None:
         actions = sys_v.enabled_actions()
         if not actions:
             result.terminal_states += 1
-            for prop, check in _props.TERMINAL_CHECKS:
-                for message in check(sys_v):
-                    stop = record(prop, message, path_to(key))
+            for prop in TERMINAL_CHECKS:
+                for message in prop.check(sys_v):
+                    stop = record(prop.name, message, path_to(key))
                     if stop:
                         break
                 if stop:

@@ -56,6 +56,17 @@ def test_custom_plan_overrides_default():
     assert not out["recovered"]
 
 
+@pytest.mark.parametrize("kind,seed", [
+    ("torn-write", 21), ("torn-write", 61), ("fsync-fail", 83),
+    ("fsync-fail", 273), ("slow-flush", 10), ("slow-flush", 193)])
+def test_storage_cells_fire_by_construction(kind, seed):
+    # These seeds drew no storage write at p=0.5, so the cell tested
+    # nothing; the default plan now hits every write in its window.
+    out = run_des_cell(kind, seed=seed)
+    assert out["injected"].get(kind, 0) > 0, out
+    assert out["recovered"] and out["violations"] == [], out
+
+
 def test_drop_cell_attributes_drops_to_chaos():
     out = run_des_cell("drop", seed=2)
     by_cause = out["dropped_by_cause"]
@@ -86,7 +97,7 @@ CELL_KEYS = ("runtime", "fault", "seed", "consistent", "recovered",
 #: SHA-256 of the canonical JSON of every (kind, seed 0-2) cell record,
 #: restricted to CELL_KEYS.
 CELL_GOLDEN = \
-    "97cb9d64fffd3b1bf11ca3cb07a6baf2af4284538279d1d7b65c0695131969bd"
+    "4bda5a0ebe37eda4e5dfc16490b3507acfda1e708e6062091e767bb0c7c9a54f"
 
 
 def test_cells_match_the_golden_digest():

@@ -9,7 +9,8 @@ from repro.chaos.matrix import CellResult, _des_cell_result
 
 #: Every violation kind the DES judge (``repro.chaos.des.run_plan``) emits.
 VIOLATION_KINDS = ("orphans", "anomaly", "liveness", "stuck-status",
-                   "sequence", "divergence", "recovery-incomplete")
+                   "sequence", "divergence", "recovery-incomplete",
+                   "knowledge", "round-prefix")
 
 
 class TestDesMatrix:
@@ -43,6 +44,26 @@ class TestDiscrimination:
         elif violation == "anomaly":
             outcome["anomalies"] = ["seeded"]
         assert not _des_cell_result("drop", outcome).ok
+
+    def test_violation_kinds_are_the_librarys_and_the_runs(self):
+        from repro.causality.properties import STATE_CHECKS, TERMINAL_CHECKS
+
+        assert set(VIOLATION_KINDS) == (
+            {p.kind for p in STATE_CHECKS + TERMINAL_CHECKS}
+            | {"liveness", "recovery-incomplete"})
+
+    def test_a_cell_that_injected_nothing_is_vacuous(self):
+        from repro.chaos import single_fault_plan
+
+        plan = single_fault_plan("drop", seed=9, p=0.0, start=0.0, end=1.0)
+        cell = _des_cell_result("drop", run_des_cell("drop", seed=9,
+                                                     plan=plan))
+        assert cell.vacuous and not cell.ok
+        assert cell.consistent and cell.error is None
+        report = MatrixReport(cells=[cell], seed=9, transport="local")
+        assert not report.ok
+        assert "VACUOUS" in report.render()
+        assert report.as_dict()["cells"][0]["vacuous"] is True
 
     def test_unknown_kind_fails_in_both_runtimes(self):
         report = run_matrix(kinds=("bit-flip",), runtimes=("des", "live"),

@@ -160,6 +160,28 @@ class TestReplayVerdicts:
         assert not report.consistent
         assert any("anomaly" in p for p in report.problems)
 
+
+    def test_a_round_left_open_at_the_cut_is_clean(self, tmp_path):
+        # A run stopped mid-round: P0 took CT_2 and finalized nothing
+        # more; every round below the highest finalized one is complete.
+        write_worker(tmp_path, 0, [
+            ("tentative", dict(csn=1, digest=1)), finalize(1),
+            ("tentative", dict(csn=2, digest=2)),
+        ])
+        write_worker(tmp_path, 1, [finalize(1), finalize(2)])
+        report = replay(tmp_path, 2)
+        assert report.consistent, report.render()
+
+    def test_journal_checks_report_a_skipped_round(self, tmp_path):
+        write_worker(tmp_path, 0, [finalize(1), finalize(3)])
+        write_worker(tmp_path, 1, [finalize(1), finalize(2), finalize(3)])
+        report = replay(tmp_path, 2)
+        assert not report.consistent
+        assert report.problems == [
+            "P0 took [1, 3] but csn=3 (expected dense 1..3)",
+            "P0 finalized [0, 1, 3], expected [0, 1, 2, 3] (csn=3, normal)",
+            "round 3 is finalized but P0 never finalized rounds [2]"]
+
     def test_missing_journal_is_a_problem(self, tmp_path):
         write_worker(tmp_path, 0, [])
         report = replay(tmp_path, 2)
@@ -203,6 +225,71 @@ class TestReplayVerdicts:
         payload = json.loads(json.dumps(report.as_dict()))
         assert payload["consistent"] is True
         assert payload["complete_seqs"] == [0]
+
+
+class TestRollbackTargets:
+    """A rollback must target a checkpoint the worker finalized and still
+    holds; numbering resumes above the target."""
+
+    def test_rollback_to_a_never_finalized_checkpoint_is_a_problem(
+            self, tmp_path):
+        write_worker(tmp_path, 0, [
+            finalize(1),
+            ("rollback", dict(seq=2, epoch=1, digest=0)),
+        ])
+        write_worker(tmp_path, 1, [finalize(1)])
+        report = replay(tmp_path, 2)
+        assert not report.consistent
+        assert report.problems == [
+            "P0 rolled back to C_2, which it never finalized"]
+
+    def test_rollback_trims_later_finalizations(self, tmp_path):
+        # Rolling back to 1 discards C_2, so a second rollback to the
+        # dropped C_2 targets a checkpoint the worker no longer holds.
+        write_worker(tmp_path, 0, [
+            finalize(1), finalize(2),
+            ("rollback", dict(seq=1, epoch=1, digest=0)),
+            ("rollback", dict(seq=2, epoch=2, digest=0)),
+        ])
+        write_worker(tmp_path, 1, [finalize(1)])
+        assert replay(tmp_path, 2).problems == [
+            "P0 rolled back to C_2, which it never finalized"]
+
+    def test_rollback_to_finalized_accepted(self, tmp_path):
+        write_worker(tmp_path, 0, [
+            finalize(1), finalize(2),
+            ("rollback", dict(seq=1, epoch=1, digest=0)),
+        ])
+        write_worker(tmp_path, 1, [
+            finalize(1), ("rollback", dict(seq=1, epoch=1, digest=0))])
+        report = replay(tmp_path, 2)
+        assert report.consistent, report.render()
+        assert report.complete_seqs == [0, 1] and report.rollbacks == 2
+
+    def test_rollback_resets_open_tentative(self, tmp_path):
+        # The rollback abandons the open CT_2; numbering restarts from the
+        # target, so CT_2 is taken and finalized again.
+        write_worker(tmp_path, 0, [
+            ("tentative", dict(csn=1, digest=0)), finalize(1),
+            ("tentative", dict(csn=2, digest=0)),
+            ("rollback", dict(seq=1, epoch=1, digest=0)),
+            ("tentative", dict(csn=2, digest=0)), finalize(2),
+        ])
+        write_worker(tmp_path, 1, [finalize(1), finalize(2)])
+        report = replay(tmp_path, 2)
+        assert report.consistent, report.render()
+        assert report.complete_seqs == [0, 1, 2]
+
+    def test_take_after_rollback_skipping_violates(self, tmp_path):
+        write_worker(tmp_path, 0, [
+            finalize(1),
+            ("rollback", dict(seq=1, epoch=1, digest=0)),
+            ("tentative", dict(csn=4, digest=0)),
+        ])
+        write_worker(tmp_path, 1, [finalize(1)])
+        assert replay(tmp_path, 2).problems == [
+            "P0 took [1, 4] but csn=4 (expected dense 1..4)",
+            "P0 finalized [0, 1], expected [0, 1, 2, 3] (csn=4, tentative)"]
 
 
 class TestSupervisorEvents:
@@ -326,10 +413,15 @@ def reference_replay(run_dir: str | Path, n: int | None = None
     return report
 
 
-def assert_same_replay(run_dir, n=None):
-    """The streaming replay reports exactly what the reference does."""
+def assert_same_replay(run_dir, n=None, journal_findings=()):
+    """The streaming replay reports exactly what the reference does, plus
+    ``journal_findings``: what the property library's journal checks find,
+    which the reference predates."""
     got = replay(run_dir, n).as_dict()
-    assert got == reference_replay(run_dir, n).as_dict()
+    want = reference_replay(run_dir, n).as_dict()
+    want["problems"] = want["problems"] + list(journal_findings)
+    want["consistent"] = want["consistent"] and not journal_findings
+    assert got == want
     return got
 
 
@@ -424,8 +516,11 @@ class TestReplayMatchesTheMaterialisingReplay:
         write_worker(tmp_path, 1, [finalize(1), finalize(2),
                                    ("rollback", dict(seq=0, epoch=1,
                                                      digest=1))])
-        got = assert_same_replay(tmp_path, 2)
-        assert got["rollbacks"] == 3 and len(got["problems"]) == 3
+        # P1 alone rolled back below the rounds P0 keeps: Theorem 1's
+        # round prefix no longer holds of the surviving checkpoints.
+        got = assert_same_replay(tmp_path, 2, journal_findings=[
+            "round 2 is finalized but P1 never finalized rounds [1]"])
+        assert got["rollbacks"] == 3 and len(got["problems"]) == 4
 
     def test_anomaly(self, tmp_path):
         write_worker(tmp_path, 0, [

@@ -4,9 +4,15 @@ from __future__ import annotations
 
 import marshal
 
+from repro.causality.consistency import find_orphans
+from repro.causality.properties import STATE_CHECKS, cuts, orphans
 from repro.core.state_machine import MachineConfig
 from repro.verify import ExploreConfig, explore, render_counterexample
-from repro.verify.explore import ModelSystem, counterexample_trace
+from repro.verify.explore import (
+    RECORD_CHECKS,
+    ModelSystem,
+    counterexample_trace,
+)
 
 
 class TestCleanConfigurations:
@@ -69,6 +75,48 @@ class TestEncoding:
         b.apply(("initiate", 0))
         assert a.machine(0).csn == 0          # parent untouched (COW)
         assert b.machine(0).csn == 1
+
+
+class TestLibraryView:
+    """ModelSystem as the property library's view of one state."""
+
+    @staticmethod
+    def states_with_receipts(cfg, limit=400):
+        """Breadth-first states whose finalized records hold a receipt."""
+        root = ModelSystem(cfg)
+        queue, seen, out = [root], {marshal.dumps(root.encode())}, []
+        while queue and len(out) < limit:
+            sys_v = queue.pop(0)
+            if any(recv for i in range(cfg.n)
+                   for _sent, recv in sys_v.finalized(i).values()):
+                out.append(sys_v)
+            for action in sys_v.enabled_actions():
+                child = sys_v.clone()
+                child.apply(action)
+                key = marshal.dumps(child.encode())
+                if key not in seen:
+                    seen.add(key)
+                    queue.append(child)
+        return out
+
+    def test_chains_and_endpoints_restate_the_cumulative_records(self):
+        cfg = ExploreConfig(n=2, max_csn=2)
+        states = self.states_with_receipts(cfg)
+        assert states
+        for sys_v in states:
+            for i in range(cfg.n):
+                records = sys_v.chain(i)
+                for csn, (sent, recv) in sys_v.finalized(i).items():
+                    assert records[csn].sent_uids == sent
+                    assert records[csn].recv_uids == recv
+                    for uid in recv:
+                        assert sys_v.endpoints[uid] == (sys_v.uid_src(uid), i)
+            assert orphans(sys_v) == {
+                seq: find_orphans(cut, sys_v.endpoints)
+                for seq, cut in cuts(sys_v).items()}
+
+    def test_record_checks_name_library_properties(self):
+        assert RECORD_CHECKS <= {p.name for p in STATE_CHECKS}
 
 
 class TestBrokenConfigurations:
