@@ -366,9 +366,9 @@ def run_experiment(cfg: ExperimentConfig,
         orphans = {seq: len(o) for seq, o in results.items()}
     metrics = collect(cfg.protocol, sim, net, storage, runtime)
     if bridge is not None:
+        verdict = {"orphans": sum(orphans.values())} if cfg.verify else {}
         tracer.span_end("run", f"run:{cfg.protocol}:{cfg.seed}", sim.now,
-                        truncated=truncated,
-                        orphans=sum(orphans.values()))
+                        truncated=truncated, **verdict)
         bridge.finish(sim)
         bridge.registry.gauge("run.makespan").set(metrics.makespan)
         tracer.metrics_snapshot(bridge.registry.snapshot(), sim.now)

@@ -13,26 +13,61 @@ Layers:
   harness/chaos/live entry points, with cooperative cancellation;
 * :mod:`.server`    — the asyncio streams HTTP/WebSocket front end;
 * :mod:`.client`    — the synchronous client the CLI uses.
+
+Exports resolve on first use (:mod:`repro._lazy`): ``repro submit``
+loads the client and the protocol, never the scheduler, and the server
+loads the simulator only when its first sweep job runs.
 """
 
-from .client import ServeClient, ServeClientError
-from .protocol import (
-    EXIT_FAILURE,
-    EXIT_OK,
-    EXIT_USAGE,
-    JOB_KINDS,
-    JOB_STATES,
-    SERVE_SCHEMA,
-    TERMINAL_STATES,
-    ProtocolError,
-    exit_code_for,
-    validate_event,
-    validate_job,
-)
-from .queue import JobQueue
-from .scheduler import Scheduler
-from .server import ServeServer, serve_forever
-from .state import DEFAULT_STATE_DIR, JobRecord, JobStore
+from typing import TYPE_CHECKING
+
+from .._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from .client import ServeClient, ServeClientError
+    from .protocol import (
+        EXIT_FAILURE,
+        EXIT_OK,
+        EXIT_USAGE,
+        JOB_KINDS,
+        JOB_STATES,
+        SERVE_SCHEMA,
+        TERMINAL_STATES,
+        ProtocolError,
+        exit_code_for,
+        validate_event,
+        validate_job,
+    )
+    from .queue import JobQueue
+    from .scheduler import Scheduler
+    from .server import ServeServer, serve_forever
+    from .state import DEFAULT_STATE_DIR, JobRecord, JobStore
+
+#: Lazily-resolved exports: name -> defining submodule.
+_LAZY = {
+    "ServeClient": "client",
+    "ServeClientError": "client",
+    "EXIT_FAILURE": "protocol",
+    "EXIT_OK": "protocol",
+    "EXIT_USAGE": "protocol",
+    "JOB_KINDS": "protocol",
+    "JOB_STATES": "protocol",
+    "ProtocolError": "protocol",
+    "SERVE_SCHEMA": "protocol",
+    "TERMINAL_STATES": "protocol",
+    "exit_code_for": "protocol",
+    "validate_event": "protocol",
+    "validate_job": "protocol",
+    "JobQueue": "queue",
+    "Scheduler": "scheduler",
+    "ServeServer": "server",
+    "serve_forever": "server",
+    "DEFAULT_STATE_DIR": "state",
+    "JobRecord": "state",
+    "JobStore": "state",
+}
+
+__getattr__, __dir__ = lazy_exports(globals(), _LAZY)
 
 __all__ = [
     "DEFAULT_STATE_DIR",

@@ -16,8 +16,7 @@ import os
 import socket
 from typing import Any, Iterator
 
-from .protocol import SERVE_SCHEMA
-from .server import _WS_GUID, _ws_accept
+from .protocol import SERVE_SCHEMA, _ws_accept
 
 
 class ServeClientError(RuntimeError):
@@ -173,4 +172,4 @@ def _masked_frame(opcode: int, payload: bytes) -> bytes:
     return head + mask + masked
 
 
-__all__ = ["ServeClient", "ServeClientError", "_WS_GUID"]
+__all__ = ["ServeClient", "ServeClientError"]

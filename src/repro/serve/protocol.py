@@ -28,6 +28,8 @@ spec, unknown kind, malformed request).
 
 from __future__ import annotations
 
+import base64
+import hashlib
 from typing import Any, Mapping
 
 #: Version stamp carried by every serve payload.
@@ -53,6 +55,17 @@ TRANSITIONS: dict[str, tuple[str, ...]] = {
 
 #: Event kinds on the serve stream.
 EVENT_KINDS = ("job.state", "trace")
+
+#: RFC 6455 handshake GUID.
+_WS_GUID = "258EAFA5-E914-47DA-95CA-C5AB0DC85B11"
+
+
+def _ws_accept(key: str) -> str:
+    """The ``Sec-WebSocket-Accept`` value answering ``key`` (RFC 6455):
+    the server sends it, the client checks it."""
+    digest = hashlib.sha1((key + _WS_GUID).encode("ascii")).digest()
+    return base64.b64encode(digest).decode("ascii")
+
 
 # -- exit codes ------------------------------------------------------------
 

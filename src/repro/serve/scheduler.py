@@ -16,6 +16,11 @@ must keep serving other clients — never blocks on them:
 * ``live-run``     → :func:`repro.live.supervisor.run_live` (its own
   ``asyncio.run`` on the worker thread).
 
+Each body imports its engine when it first runs, never at module top:
+a server answers its first request without numpy or the simulator
+loaded, and its first sweep job pays that import once (``repro verify
+--lint`` rule REP109 holds the closure).
+
 Cancellation is cooperative end to end: one ``threading.Event`` per job
 threads through ``run_many``/``run_matrix`` as ``cancel_event`` and
 through ``LiveRunConfig.stop_event`` — a cancel stops *dispatching*,
@@ -42,9 +47,6 @@ import threading
 from pathlib import Path
 from typing import Any, Callable
 
-from ..harness.executor import ResultCache, RunFailure, run_many
-from ..harness.experiment import ExperimentConfig
-from ..harness.sweep import _set_param
 from ..obs import BroadcastSink, JsonlSink, Tracer, encode_event
 from .protocol import TERMINAL_STATES, state_event, trace_event
 from .queue import JobQueue
@@ -95,32 +97,36 @@ class Scheduler:
 
     # -- registration ---------------------------------------------------
 
-    def _register(self, record: JobRecord) -> None:
+    def _register(self, record: JobRecord, next_seq: int | None) -> None:
+        """Enter one job in the table.  ``next_seq`` is the ``seq`` of
+        its next event; None for a job whose stream is closed (it will
+        emit nothing, so it gets no hub)."""
         self.records[record.id] = record
-        self.hubs[record.id] = BroadcastSink()
         self._emit_locks[record.id] = threading.RLock()
-        existing = self.store.read_events(record.id)
-        if existing:
-            # Continue a recovered job's stream where it left off.
-            last = existing[-1].get("seq", len(existing) - 1)
-            self._event_seqs[record.id] = int(last) + 1
+        if next_seq is not None:
+            self.hubs[record.id] = BroadcastSink()
+            self._event_seqs[record.id] = next_seq
+        self._submit_seq = max(self._submit_seq, record.seq)
 
     def recover(self) -> tuple[int, int]:
         """Reload persisted jobs; returns ``(requeued, failed)`` counts.
 
-        Call once before serving: queued jobs re-enter the queue in
-        their original order, jobs that died running (or whose kind
-        this server no longer runs) are failed with an explicit cause
-        and their streams get the terminal event.
+        Call once before serving.  Every persisted job is registered, so
+        a restarted server lists it and a watcher can attach to it:
+        queued jobs re-enter the queue in their original order, jobs
+        that died running (or whose kind this server no longer runs)
+        are failed with an explicit cause and their streams get the
+        terminal event, and finished jobs come back as they were,
+        without their streams being read.
         """
-        requeue, failed_now = self.store.recover()
+        requeue, failed_now, finished = self.store.recover()
+        for rec in finished:
+            self._register(rec, None)
         for rec in requeue:
-            self._register(rec)
-            self._submit_seq = max(self._submit_seq, rec.seq)
+            self._register(rec, self.store.reopen_stream(rec.id))
             self.queue.push(rec.id, priority=rec.priority, seq=rec.seq)
         for rec in failed_now:
-            self._register(rec)
-            self._submit_seq = max(self._submit_seq, rec.seq)
+            self._register(rec, self.store.reopen_stream(rec.id))
             self.emit(rec.id, lambda seq, r=rec: state_event(
                 r.id, seq, "failed", error=r.error, ok=False))
         return len(requeue), len(failed_now)
@@ -139,7 +145,7 @@ class Scheduler:
         ``(text, terminal)``, the text being the line just appended.
         """
         with self._emit_locks[job_id]:
-            seq = self._event_seqs.get(job_id, 0)
+            seq = self._event_seqs[job_id]
             self._event_seqs[job_id] = seq + 1
             event = make(seq)
             text = json.dumps(event, sort_keys=True)
@@ -184,7 +190,7 @@ class Scheduler:
                 id=self.store.next_id(), kind=normalized["kind"],
                 spec=normalized["spec"],
                 priority=normalized["priority"], seq=self._submit_seq)
-            self._register(record)
+            self._register(record, 0)
             self.store.save(record)
             self.queue.push(record.id, priority=record.priority,
                             seq=record.seq)
@@ -347,6 +353,9 @@ class Scheduler:
 
     def _body_sweep(self, spec: dict[str, Any], art: Path, tracer: Tracer,
                     cancel: threading.Event) -> dict[str, Any]:
+        from ..harness.executor import ResultCache, RunFailure, run_many
+        from ..harness.experiment import ExperimentConfig
+        from ..harness.sweep import _set_param
         base = ExperimentConfig(
             n=spec["n"], seed=spec["seed"], horizon=spec["horizon"],
             checkpoint_interval=spec["interval"], verify=spec["verify"])

@@ -40,19 +40,14 @@ event stream.
 from __future__ import annotations
 
 import asyncio
-import base64
-import hashlib
 import json
 import signal
 from functools import partial
 from typing import Any
 from urllib.parse import parse_qs, urlsplit
 
-from .protocol import ProtocolError, validate_job
+from .protocol import ProtocolError, _ws_accept, validate_job
 from .scheduler import Scheduler
-
-#: RFC 6455 handshake GUID.
-_WS_GUID = "258EAFA5-E914-47DA-95CA-C5AB0DC85B11"
 
 _STATUS_TEXT = {200: "OK", 201: "Created", 400: "Bad Request",
                 404: "Not Found", 405: "Method Not Allowed",
@@ -86,11 +81,6 @@ def _ws_frame(opcode: int, payload: bytes) -> bytes:
     else:
         head += bytes([127]) + n.to_bytes(8, "big")
     return head + payload
-
-
-def _ws_accept(key: str) -> str:
-    digest = hashlib.sha1((key + _WS_GUID).encode("ascii")).digest()
-    return base64.b64encode(digest).decode("ascii")
 
 
 class ServeServer:

@@ -15,14 +15,19 @@ were *running* when the server died are marked failed with an explicit
 cause (their worker process is gone; silently re-running them could
 double side effects), and so are queued jobs of a kind this release no
 longer runs, so a recovered queue is honest about what was lost.
+Finished jobs come back as they are, so a restarted server still lists
+them and replays their streams; recovery reads no finished job's
+``events.jsonl``, and of any other job's stream only the last line
+(:meth:`JobStore.reopen_stream`).
 """
 
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Any, TextIO
+from typing import Any, BinaryIO, TextIO
 
 from .protocol import (
     JOB_KINDS,
@@ -75,6 +80,12 @@ class JobRecord:
         return cls(**{k: v for k, v in data.items() if k in known})
 
 
+def _id_number(name: str) -> int:
+    """``j0042`` -> 42; any other name -> 0."""
+    return int(name[1:]) if name.startswith("j") and name[1:].isdigit() \
+        else 0
+
+
 class JobStore:
     """Filesystem persistence for :class:`JobRecord` objects."""
 
@@ -84,6 +95,9 @@ class JobStore:
         #: Open ``events.jsonl`` handles of running jobs (see
         #: :meth:`append_event`).
         self._event_files: dict[str, TextIO] = {}
+        #: The highest job number on disk or allocated; -1 until the
+        #: jobs directory is first scanned (:meth:`next_id`).
+        self._last_id = -1
 
     # -- paths ----------------------------------------------------------
 
@@ -109,15 +123,30 @@ class JobStore:
         """Allocate the next job id (``j0001``, ``j0002``, ...).
 
         Ids are dense and ordered so a restarted server continues the
-        numbering instead of colliding with persisted jobs.
+        numbering instead of colliding with persisted jobs.  The jobs
+        directory is scanned once per store (here or by
+        :meth:`load_all`); after that the high-water mark lives in
+        memory, so a submit costs the same at job 2,000 as at job 1.  An
+        id whose directory appeared since (a record saved under an
+        explicit id) is skipped.
         """
-        highest = 0
-        if self.jobs_dir.is_dir():
-            for path in self.jobs_dir.iterdir():
-                name = path.name
-                if name.startswith("j") and name[1:].isdigit():
-                    highest = max(highest, int(name[1:]))
-        return f"j{highest + 1:04d}"
+        if self._last_id < 0:
+            self._scan()
+        last = self._last_id
+        while True:
+            last += 1
+            job_id = f"j{last:04d}"
+            if not self.job_dir(job_id).exists():
+                self._last_id = last
+                return job_id
+
+    def _scan(self) -> list[str]:
+        """Every job directory name, sorted; sets the id high-water
+        mark."""
+        names = sorted(p.name for p in self.jobs_dir.iterdir()) \
+            if self.jobs_dir.is_dir() else []
+        self._last_id = max((_id_number(n) for n in names), default=0)
+        return names
 
     def save(self, record: JobRecord) -> None:
         """Atomically persist one record (tmp file + rename)."""
@@ -141,11 +170,10 @@ class JobStore:
     def load_all(self) -> list[JobRecord]:
         """Every persisted record, in submission order."""
         records = []
-        if self.jobs_dir.is_dir():
-            for path in sorted(self.jobs_dir.iterdir()):
-                rec = self.load(path.name)
-                if rec is not None:
-                    records.append(rec)
+        for name in self._scan():
+            rec = self.load(name)
+            if rec is not None:
+                records.append(rec)
         return sorted(records, key=lambda r: r.seq)
 
     def append_event(self, job_id: str, line: str, *,
@@ -203,23 +231,27 @@ class JobStore:
 
     # -- restart recovery ----------------------------------------------
 
-    def recover(self) -> tuple[list[JobRecord], list[JobRecord]]:
-        """Reload persisted jobs; returns ``(requeue, failed_now)``.
+    def recover(self) -> tuple[list[JobRecord], list[JobRecord],
+                               list[JobRecord]]:
+        """Reload persisted jobs; returns ``(requeue, failed_now, finished)``.
 
         Queued jobs come back verbatim (``requeue``); jobs persisted as
         *running* are transitioned to failed with an explicit cause and
         re-saved (``failed_now``) — their worker died with the server.
         So is a queued job whose kind this server no longer runs (a
-        state directory written by an older release).  The stream of every
-        job that will be appended to again is cut back to its last
-        newline, so the next event does not land on a torn tail.
+        state directory written by an older release).  Jobs that were
+        already terminal come back as they are (``finished``): their
+        streams are closed, so recovery does not open them.  Reopen the
+        stream of every other job (:meth:`reopen_stream`) before
+        appending to it.
         """
         requeue: list[JobRecord] = []
         failed_now: list[JobRecord] = []
+        finished: list[JobRecord] = []
         for rec in self.load_all():
             if rec.terminal:
+                finished.append(rec)
                 continue
-            self._cut_torn_tail(rec.id)
             if rec.state == "running":
                 rec.error = "server terminated while the job was running"
             elif rec.kind not in JOB_KINDS:
@@ -230,16 +262,54 @@ class JobStore:
             rec.advance("failed")
             self.save(rec)
             failed_now.append(rec)
-        return requeue, failed_now
+        return requeue, failed_now, finished
 
-    def _cut_torn_tail(self, job_id: str) -> None:
-        """Truncate the job's stream after its last complete line (drops
-        the text a crash left mid-append)."""
+    def reopen_stream(self, job_id: str) -> int:
+        """Ready a recovered job's stream for appends; returns the
+        ``seq`` its next event takes.
+
+        The stream is cut back to its last newline, so the next event
+        does not land on the text a crash left mid-append, and the
+        ``seq`` is one past that last complete line — the only line this
+        reads.
+        """
         try:
             with self.events_path(job_id).open("r+b") as fh:
-                data = fh.read()
-                end = data.rfind(b"\n") + 1
-                if end < len(data):
+                end, last = _last_line(fh)
+                if end < fh.seek(0, os.SEEK_END):
                     fh.truncate(end)
         except FileNotFoundError:
-            pass
+            return 0
+        if not last:
+            return 0
+        try:
+            return int(json.loads(last)["seq"]) + 1
+        except (ValueError, KeyError, TypeError):
+            # Not an event this server wrote: count the lines instead.
+            return len(self.read_event_lines(job_id))
+
+
+#: Bytes read per step when a stream is scanned from its end.
+_TAIL_BLOCK = 4096
+
+
+def _last_line(fh: BinaryIO) -> tuple[int, bytes]:
+    """``(end, line)`` of a stream opened in binary mode: the offset just
+    past its last newline (0 if none) and the complete line that newline
+    ends, without it.  Reads backwards from the end in blocks, so the
+    cost is the length of the last two lines, not of the stream."""
+    pos = fh.seek(0, os.SEEK_END)
+    tail = b""
+    while pos > 0:
+        step = min(_TAIL_BLOCK, pos)
+        pos -= step
+        fh.seek(pos)
+        tail = fh.read(step) + tail
+        newline = tail.rfind(b"\n")
+        if newline > 0 and tail.rfind(b"\n", 0, newline) >= 0:
+            break
+    newline = tail.rfind(b"\n")
+    if newline < 0:
+        return pos, b""
+    start = tail.rfind(b"\n", 0, newline) + 1
+    return pos + newline + 1, tail[start:newline]

@@ -43,6 +43,7 @@ import gc
 import marshal
 from collections import deque
 from dataclasses import dataclass, field
+from typing import Iterable
 
 from ..causality.consistency import CheckpointRecord, chain
 from ..causality.properties import STATE_CHECKS, TERMINAL_CHECKS
@@ -71,6 +72,11 @@ Action = tuple
 #: State checks that read the finalized records only: the search runs each
 #: once per distinct tuple of records, which thousands of states share.
 RECORD_CHECKS = frozenset({"theorem2.consistency", "theorem1.round_prefix"})
+
+
+def _sorted(items: Iterable[int]) -> tuple[int, ...]:
+    """A set as a state-key component: its elements in ascending order."""
+    return tuple(sorted(items))
 
 
 @dataclass(frozen=True)
@@ -311,12 +317,14 @@ class ModelSystem:
 
     def encode(self) -> tuple:
         """Canonical hashable key; :meth:`decode` round-trips it."""
-        # Hot path (once per transition).  Sets are keyed as frozensets —
-        # order-independent hashing with no sort; ``finalized`` needs no
-        # sort either because csns are inserted in ascending order.  Each
-        # process slice is marshal-packed where it is built and cached: an
-        # action dirties one process, so the others are packed once, not
-        # once per transition.
+        # Hot path (once per transition).  Every set is keyed as a sorted
+        # tuple: before Python 3.11 marshal writes a frozenset's elements
+        # in hash-table order, which depends on how the set was built, so
+        # equal states could pack to different keys.  ``finalized`` needs
+        # no sort because csns are inserted in ascending order.  Each
+        # process slice is marshal-packed where it is built and cached:
+        # an action dirties one process, so the others are packed once,
+        # not once per transition.
         procs = []
         for p in self.procs:
             e = p._enc
@@ -324,17 +332,19 @@ class ModelSystem:
                 d = self.drivers[p.pid]
                 m = d.machine
                 tent = m.stat is Status.TENTATIVE
+                req, end, bgn, suppressed = m.control_state()
                 e = p._enc = marshal.dumps((
                     m.csn, tent,
-                    frozenset(m.tent_set),
-                    m.control_state(),
-                    frozenset(p.took),
-                    tuple(p.finalized.items()),
+                    _sorted(m.tent_set),
+                    (_sorted(req), _sorted(end), _sorted(bgn), suppressed),
+                    _sorted(p.took),
+                    tuple((csn, (_sorted(sent), _sorted(recv)))
+                          for csn, (sent, recv) in p.finalized.items()),
                     # Receive order within a window is immaterial (the
                     # window becomes a frozenset at Finalize) — keying as a
                     # set merges states that differ only in intra-window
                     # delivery order.
-                    frozenset(d.window_sent), frozenset(d.window_recv),
+                    _sorted(d.window_sent), _sorted(d.window_recv),
                     # An armed timer / spent fire budget is observable only
                     # while TENTATIVE (the next round re-arms and resets),
                     # so normalize both away when NORMAL.
@@ -383,15 +393,19 @@ class ModelSystem:
          wsent, wrecv, armed, fires, anomalies) = marshal.loads(pk)
         p = ModelProcess(pid)
         d = ProtocolDriver(pid, config.n, p, config.machine)
+        req, end, bgn, suppressed = control
         d.machine.restore(csn, Status.TENTATIVE if tent else Status.NORMAL,
-                          set(tent_set), control=control)
+                          set(tent_set), control=(
+                              frozenset(req), frozenset(end),
+                              frozenset(bgn), suppressed))
         if tent:
             d.current_tentative = p.capture_tentative(csn, 0)
         d.window_sent = list(wsent)
         d.window_recv = list(wrecv)
         d.anomalies = list(anomalies)
         p.took = set(took)
-        p.finalized = dict(finalized)
+        p.finalized = {csn: (frozenset(sent), frozenset(recv))
+                       for csn, (sent, recv) in finalized}
         p.timer_armed = armed
         p.timer_fires = fires
         p._enc = pk      # decoded processes re-encode to their key slice

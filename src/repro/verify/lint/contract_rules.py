@@ -24,14 +24,20 @@ REP108  obs vocabulary consistency — every trace point/profile name
         and every declared name must actually be emitted.  Dashboards
         and the trace report filter by name; a misspelled emission is
         invisible, a dead vocabulary entry is a lie.
-REP109  worker import closure — the module-level imports reachable from
-        ``live/worker.py`` (package ``__init__``s included, as Python
-        executes them; ``_LAZY`` exports of :mod:`repro._lazy` packages
-        count only where a from-import names them) must not reach numpy,
-        networkx, the simulator (``des.engine``, ``des.rng``,
-        ``net.network``, ``core.host``), ``harness`` or ``metrics``.  A
-        crashed worker's restart time *is* the recovery time; one eager
-        re-export in a package ``__init__`` triples it silently.
+REP109  start-up import closures — the module-level imports reachable
+        from each entry point in a table of roots (package ``__init__``s
+        included, as Python executes them; ``_LAZY`` exports of
+        :mod:`repro._lazy` packages count only where a from-import names
+        them) must not reach that root's forbidden modules:
+        ``live/worker.py`` neither numpy, networkx, the simulator
+        (``des.engine``, ``des.rng``, ``net.network``, ``core.host``),
+        ``harness`` nor ``metrics`` — a crashed worker's restart time
+        *is* the recovery time; ``serve/server.py`` neither numpy nor the
+        simulator, ``harness`` or ``metrics`` — a restarted server
+        answers nobody until its imports finish; ``serve/client.py``
+        none of those nor the scheduler or server — every ``repro
+        submit`` and ``repro watch`` pays for them.  One eager re-export
+        in a package ``__init__`` triples a start-up silently.
 
 Each cross-file rule skips quietly when its declaration module is not
 in the linted set (partial trees: fixtures, ``repro verify --lint
@@ -43,7 +49,7 @@ from __future__ import annotations
 import ast
 from collections import deque
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .analysis import (assignment_node, build_cfg, dict_literal_str_items,
                        find_module, int_assignment, int_tuple_assignment,
@@ -463,15 +469,37 @@ class ObsVocabularyRule:
 
 
 # --------------------------------------------------------------------------
-# REP109 — the live worker's import closure
+# REP109 — start-up import closures
 # --------------------------------------------------------------------------
 
-_WORKER_ENTRY = "live.worker"
-#: Third-party distributions a worker process must start without.
-_WORKER_FORBIDDEN_EXTERNAL = ("numpy", "networkx")
-#: In-tree modules (relative to the package root) it must start without.
-_WORKER_FORBIDDEN = ("des.engine", "des.rng", "net.network", "core.host",
-                     "harness", "metrics")
+#: Third-party distributions no entry point may start with.
+_FORBIDDEN_EXTERNAL = ("numpy", "networkx")
+#: The simulator and the experiment harness, relative to the package root.
+_SIMULATOR = ("des.engine", "des.rng", "net.network", "core.host",
+              "harness", "metrics")
+
+
+class _ClosureRoot(NamedTuple):
+    """One entry point REP109 checks, and what it must start without."""
+
+    #: The entry module, relative to the package root.
+    module: str
+    #: In-tree modules (relative to the package root) it must not reach.
+    forbidden: tuple[str, ...]
+    #: Why its start-up time matters (ends the finding's message).
+    why: str
+
+
+_CLOSURE_ROOTS = (
+    _ClosureRoot("live.worker", _SIMULATOR,
+                 "a crashed worker's restart time is the recovery time"),
+    _ClosureRoot("serve.server", _SIMULATOR,
+                 "a restarted server answers nobody until its imports "
+                 "finish; a job body imports its engine when it runs"),
+    _ClosureRoot("serve.client", _SIMULATOR + ("serve.scheduler",
+                                               "serve.server"),
+                 "every repro submit and repro watch pays for it"),
+)
 
 
 def _import_time_imports(tree: ast.AST
@@ -492,23 +520,31 @@ def _import_time_imports(tree: ast.AST
             stack.extend(reversed(list(ast.iter_child_nodes(node))))
 
 
-class WorkerImportClosureRule:
-    """REP109: ``live/worker.py`` starts without numpy or the simulator."""
+class ImportClosureRule:
+    """REP109: each entry point in :data:`_CLOSURE_ROOTS` starts without
+    its forbidden modules."""
 
     rule_id = "REP109"
 
     def __call__(self, files: Iterable[SourceFile]) -> list[Finding]:
         files = list(files)
-        entry = find_module(files, _WORKER_ENTRY)
-        if entry is None or entry.module == _WORKER_ENTRY:
+        out: list[Finding] = []
+        for root in _CLOSURE_ROOTS:
+            out.extend(self._check(files, root))
+        return out
+
+    def _check(self, files: list[SourceFile],
+               spec: _ClosureRoot) -> list[Finding]:
+        entry = find_module(files, spec.module)
+        if entry is None or entry.module == spec.module:
             return []           # scoped run: no package root to resolve in
         # One package tree: a multi-root run may hold same-named modules.
-        package_dir = Path(str(entry.path)).parents[1]
+        package_dir = Path(str(entry.path)).parents[spec.module.count(".")]
         by_module = {sf.module: sf for sf in files
                      if package_dir in Path(str(sf.path)).parents}
-        root = entry.module[:-len(_WORKER_ENTRY) - 1]
+        root = entry.module[:-len(spec.module) - 1]
         top = root.rsplit(".", 1)[-1]   # absolute imports start from here
-        forbidden = tuple(f"{root}.{m}" for m in _WORKER_FORBIDDEN)
+        forbidden = tuple(f"{root}.{m}" for m in spec.forbidden)
 
         def in_tree(name: str) -> str:
             """An import target as spelled -> its name in the linted tree."""
@@ -564,26 +600,26 @@ class WorkerImportClosureRule:
                     external = target.split(".")[0]
                     if _prefix_match(target, forbidden):
                         offender = target
-                    elif external in _WORKER_FORBIDDEN_EXTERNAL:
+                    elif external in _FORBIDDEN_EXTERNAL:
                         offender = external
                     else:
                         if target in by_module and target not in chains:
                             chains[target] = chains[module] + (target,)
                             queue.append(target)
                         continue
-                    if offender not in reported:
-                        reported.add(offender)
+                    if not _prefix_match(offender, sorted(reported)):
+                        reported.add(offender)      # once per subtree
                         chain = " -> ".join(chains[module] + (offender,))
                         out.append(_finding(
                             self.rule_id, sf, node,
                             f"{entry.module} imports {offender} at start-up "
-                            f"({chain}) — a crashed worker's restart time is "
-                            f"the recovery time; import from the defining "
-                            f"submodule, or list the re-export in the "
+                            f"({chain}) — {spec.why}; import from the "
+                            f"defining submodule or inside the function "
+                            f"that needs it, or list the re-export in the "
                             f"package's _LAZY map (repro/_lazy.py)"))
         return out
 
 
 FILE_CONTRACT_RULES = (JournalBeforeSendRule(),)
 CROSS_CONTRACT_RULES = (ChaosKindTotalityRule(), WireVersionRule(),
-                        ObsVocabularyRule(), WorkerImportClosureRule())
+                        ObsVocabularyRule(), ImportClosureRule())

@@ -414,3 +414,25 @@ def test_restart_fails_queued_job_of_a_kind_no_longer_served(tmp_path):
         # The server is otherwise healthy and ids stay dense.
         assert client.submit("sweep", _TINY_SWEEP)["id"] == "j0002"
         assert client.wait("j0002")["state"] == "done"
+
+
+def test_a_drained_job_stays_listed_and_attachable_after_a_restart(
+        tmp_path):
+    state = tmp_path / "state"
+    with _Harness(state, jobs=1) as h:
+        client = h.client()
+        job_id = client.submit("live-run", {"n": 3, "duration": 30.0})["id"]
+        _await_state(client, job_id, "running")
+    # The drain checkpoint-cancelled the running job; a new server on
+    # the same state dir still knows it and replays its whole stream.
+    with _Harness(state) as h:
+        client = h.client()
+        assert [j["id"] for j in client.jobs()] == [job_id]
+        record = client.job(job_id)
+        assert record["state"] == "cancelled"
+        assert record["error"] == "cancelled while running"
+        events = list(client.watch(job_id))
+        assert [e["seq"] for e in events] == list(range(len(events)))
+        states = [e["state"] for e in events if e["ev"] == "job.state"]
+        assert states == ["queued", "running", "cancelled"]
+        assert client.submit("sweep", _TINY_SWEEP)["id"] == "j0002"

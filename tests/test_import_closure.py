@@ -4,8 +4,8 @@ No timing here — the ledger's ``setup_s`` and ``live.supervisor.recovery_s``
 measure what these closures cost.  Each case starts a new interpreter,
 imports (or runs) one entry point and asserts which modules are *absent*
 from ``sys.modules`` afterwards.  ``repro verify --lint`` rule REP109 is
-the static form of the worker case; the end-of-run cases prove the cost
-is gone, not deferred to first use.
+the static form of the worker, server and client cases; the end-of-run
+cases prove the cost is gone, not deferred to first use.
 
 The light data modules ``repro.des.trace``, ``repro.des.events`` and
 ``repro.net.message`` are allowed everywhere: they import neither numpy
@@ -15,8 +15,10 @@ nor the simulator.
 from __future__ import annotations
 
 import os
+import socket
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -122,3 +124,80 @@ def test_the_supervisor_side_of_a_tcp_run_never_imported_numpy_or_networkx(
         tmp_path):
     run_fresh(_LIVE_RUN.format(transport="tcp"),
               ("numpy", "networkx", "scipy"), cwd=tmp_path)
+
+
+# -- the serve control plane -----------------------------------------------
+
+#: What neither the server nor its client loads before a sweep job runs.
+_SIMULATOR = ("numpy", "networkx", "repro.des.engine", "repro.net.network",
+              "repro.harness", "repro.metrics")
+
+
+def test_a_server_answers_get_jobs_without_the_simulator(tmp_path):
+    # The real `repro serve` entry, in this interpreter's main thread; a
+    # helper thread asks GET /jobs, then SIGTERM drains the server.
+    run_fresh("""
+import http.client, json, os, signal, socket, sys, threading, time
+from repro.cli import main
+
+with socket.socket() as sock:
+    sock.bind(("127.0.0.1", 0))
+    port = sock.getsockname()[1]
+answered = []
+
+def ask():
+    deadline = time.monotonic() + 30
+    while time.monotonic() < deadline:
+        try:
+            conn = http.client.HTTPConnection("127.0.0.1", port, timeout=5)
+            conn.request("GET", "/jobs")
+            answered.append(json.loads(conn.getresponse().read()))
+            conn.close()
+            break
+        except OSError:
+            time.sleep(0.02)
+    os.kill(os.getpid(), signal.SIGTERM)
+
+threading.Thread(target=ask, daemon=True).start()
+assert main(["serve", "--port", str(port), "--state-dir", "state"]) == 0
+assert answered == [{"jobs": []}], answered
+""", _SIMULATOR, cwd=tmp_path)
+
+
+def test_submit_and_watch_load_neither_numpy_nor_the_scheduler(tmp_path):
+    from repro.serve import ServeClient
+
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        port = sock.getsockname()[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    server = subprocess.Popen(
+        [sys.executable, "-m", "repro.cli", "serve", "--port", str(port),
+         "--state-dir", str(tmp_path / "state")],
+        env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    try:
+        client = ServeClient(port=port)
+        deadline = time.monotonic() + 30
+        while True:
+            try:
+                client.jobs()
+                break
+            except OSError:
+                assert server.poll() is None, "server exited"
+                assert time.monotonic() < deadline, "server never answered"
+                time.sleep(0.05)
+        run_fresh(f"""
+import json
+from repro.cli import main
+addr = "127.0.0.1:{port}"
+spec = {{"param": "n", "values": [3], "n": 3, "horizon": 20.0,
+         "interval": 10.0}}
+assert main(["submit", "sweep", "--server", addr, "--spec", json.dumps(spec),
+             "--wait", "--quiet"]) == 0
+assert main(["watch", "j0001", "--server", addr, "--quiet"]) == 0
+""", _SIMULATOR + ("repro.serve.scheduler", "repro.serve.server",
+                   "repro.serve.state", "repro.obs"))
+    finally:
+        server.terminate()
+        server.wait(30)

@@ -1,0 +1,2 @@
+def run_many(configs):
+    return list(configs)

@@ -45,7 +45,14 @@ BAD_EXPECT: dict[str, list[tuple[str, int, str]]] = {
     "rep109": [("__init__.py", 2,
                 "imports bad.repro.core.host at start-up "
                 "(bad.repro.live.worker -> bad.repro.core -> "
-                "bad.repro.core.host)")],
+                "bad.repro.core.host)"),
+               ("client.py", 1,
+                "imports bad.repro.serve.server at start-up "
+                "(bad.repro.serve.client -> bad.repro.serve.server)"),
+               ("scheduler.py", 3,
+                "imports bad.repro.harness at start-up "
+                "(bad.repro.serve.server -> bad.repro.serve.scheduler -> "
+                "bad.repro.harness)")],
 }
 
 RULES = sorted(BAD_EXPECT)
