@@ -24,8 +24,13 @@ Usage, in a package ``__init__``::
     __getattr__, __dir__ = lazy_exports(globals(), _LAZY)
     __all__ = ["JsonlSink", "Tracer"]
 
+A plain module may do the same to keep a heavy half importable by name
+from a light one: ``repro/harness/experiment.py`` lists
+``"run_experiment": "runner"`` and the name resolves in its sibling
+``repro.harness.runner``.
+
 ``repro verify --lint`` (REP109) reads the same ``_LAZY`` literal to know
-that these names are *not* imported with the package.
+that these names are *not* imported with the package or module.
 """
 
 from __future__ import annotations
@@ -36,21 +41,24 @@ from typing import Any, Callable, Mapping
 
 def lazy_exports(namespace: dict[str, Any], lazy: Mapping[str, str]
                  ) -> tuple[Callable[[str], Any], Callable[[], list[str]]]:
-    """Build a package's module-level ``__getattr__`` and ``__dir__``.
+    """Build a module's ``__getattr__`` and ``__dir__``.
 
-    ``namespace`` is the package's ``globals()``; ``lazy`` maps each
-    exported name to the submodule (relative to the package) defining it.
-    A resolved object is cached in ``namespace``, so ``__getattr__`` runs
-    at most once per name and the export is then an ordinary attribute —
-    the *same object* as the submodule's.
+    ``namespace`` is the module's ``globals()``; ``lazy`` maps each
+    exported name to the submodule defining it, relative to the package
+    that holds the module: for a package ``__init__`` that is the package
+    itself, for a plain module its siblings.  A resolved object is cached
+    in ``namespace``, so ``__getattr__`` runs at most once per name and
+    the export is then an ordinary attribute — the *same object* as the
+    submodule's.
     """
-    package = namespace["__name__"]
+    module = namespace["__name__"]
+    package = namespace["__package__"]
 
     def __getattr__(name: str) -> Any:
         submodule = lazy.get(name)
         if submodule is None:
             raise AttributeError(
-                f"module {package!r} has no attribute {name!r}")
+                f"module {module!r} has no attribute {name!r}")
         value = getattr(import_module(f"{package}.{submodule}"), name)
         namespace[name] = value
         return value

@@ -48,7 +48,8 @@ from ..causality.properties import (
     violations as property_violations,
 )
 from ..core.types import ControlType
-from ..harness.experiment import ExperimentConfig, run_experiment
+from ..harness.experiment import ExperimentConfig
+from ..harness.runner import run_experiment
 from ..net.message import Message
 from ..net.network import Network
 from ..recovery.partition import PartitionInjector

@@ -226,8 +226,14 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     ``--jobs`` interleaving produced the results.
     """
     from .harness import sweep
+    from .harness.experiment import check_sweep
     protocols = _parse_protocols(args.protocols)
     if protocols is None:
+        return 2
+    try:
+        check_sweep(args.param, protocols)
+    except ValueError as exc:
+        print(exc, file=sys.stderr)
         return 2
     values = [_parse_value(raw) for raw in args.values.split(",")]
     cfg = _config_from(args)

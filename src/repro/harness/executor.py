@@ -27,14 +27,19 @@ import threading
 import traceback
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence
 
 # Private alias: the canonical flat-dict adapter lives in repro.api (one
 # RunOutcome surface for every host — see docs/API.md).  The PR-4 era
 # ``repro.harness.executor.MetricsView`` re-export is retired; import it
 # from ``repro.api``.
 from ..api import MetricsView as _MetricsView
-from .experiment import ExperimentConfig, RunResult, run_experiment
+from .experiment import ExperimentConfig
+
+# Keying, caching and dispatching a batch load no simulator: the run
+# path (numpy, the DES) is imported by the first run, in _run_one.
+if TYPE_CHECKING:
+    from .runner import RunResult
 
 #: Bump to invalidate every cached summary (format or semantics change).
 CACHE_VERSION = 1
@@ -319,6 +324,7 @@ def map_jobs(fn: Callable[[Any], Any], items: Sequence[Any],
 
 def _run_one(cfg: ExperimentConfig) -> RunSummary:
     """Worker body: rebuild the simulation from the config, reduce."""
+    from .runner import run_experiment
     return RunSummary.from_result(run_experiment(cfg))
 
 

@@ -1,74 +1,56 @@
-"""Experiment configuration and single-run execution.
+"""Experiment configuration: a run named as data.
 
 One :class:`ExperimentConfig` fully determines a run — protocol, system
 size, topology, latency model, workload, checkpointing parameters, storage
-parameters, and the seed.  ``run_experiment`` builds the simulation, runs it
-to quiescence, optionally verifies global-checkpoint consistency, and
-returns a :class:`RunResult` bundling the live objects with the reduced
-:class:`~repro.metrics.collectors.RunMetrics`.
+parameters, and the seed.  This module holds the config, the protocol
+registry (:data:`PROTOCOLS`) and the checks a config passes before
+anything is built, and imports nothing of the simulator: naming, keying
+(:func:`~repro.harness.executor.config_key`) and caching a sweep of
+configs loads neither numpy nor the DES.
 
-The protocol registry (:data:`PROTOCOLS`) gives every protocol a uniform
+The run path — :func:`build_experiment`, :func:`run_experiment`,
+:class:`RunResult` and the substrate factories :data:`LATENCIES`,
+:data:`TOPOLOGIES` and :data:`FLUSH_POLICIES` — lives in
+:mod:`repro.harness.runner` and is importable from here by name: it
+loads on first use (:mod:`repro._lazy`).
+
+The registry gives every protocol a uniform
 ``build(cfg, sim, network, storage) -> runtime`` constructor plus the
 FIFO requirement flag (Chandy-Lamport), so comparisons and sweeps treat
-protocols as interchangeable values.
+protocols as interchangeable values.  A built-in entry names its builder
+by ``"module:attribute"`` path, imported on the protocol's first build —
+running the optimistic protocol never loads the baselines.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Any, Callable
+from dataclasses import dataclass, field, fields, replace
+from functools import cache
+from importlib import import_module
+from typing import TYPE_CHECKING, Any, Callable, Iterable
 
-from ..baselines import (
-    ChandyLamportRuntime,
-    PlankStaggeredRuntime,
-    CicRuntime,
-    KooTouegRuntime,
-    ManivannanSinghalRuntime,
-    StaggeredRuntime,
-    UncoordinatedRuntime,
-)
-from ..causality.consistency import ConsistencyVerifier
-from ..core import (
-    FlushAtFinalize,
-    FlushImmediately,
-    FlushOpportunistic,
-    FlushUniformDelay,
-    MachineConfig,
-    OptimisticConfig,
-    OptimisticRuntime,
-)
-from ..des.engine import Simulator
-from ..metrics.collectors import RunMetrics, collect
-from ..net import latency as latency_mod
-from ..net import topology as topology_mod
-from ..net.network import Network
-from ..storage.disk_model import DiskModel
-from ..storage.stable_storage import StableStorage
-from ..workload.generators import make as make_workload
+from .._lazy import lazy_exports
 
-# -- factories -----------------------------------------------------------------
+if TYPE_CHECKING:           # what type checkers and IDEs read
+    from .runner import (
+        FLUSH_POLICIES,
+        LATENCIES,
+        TOPOLOGIES,
+        RunResult,
+        build_experiment,
+        run_experiment,
+    )
 
-LATENCIES: dict[str, Callable[..., latency_mod.LatencyModel]] = {
-    "constant": latency_mod.ConstantLatency,
-    "uniform": latency_mod.UniformLatency,
-    "exponential": latency_mod.ExponentialLatency,
-    "lognormal": latency_mod.LogNormalLatency,
-    "bandwidth": latency_mod.BandwidthLatency,
+#: The run path, importable from here by name: name -> defining module.
+_LAZY = {
+    "FLUSH_POLICIES": "runner",
+    "LATENCIES": "runner",
+    "TOPOLOGIES": "runner",
+    "RunResult": "runner",
+    "build_experiment": "runner",
+    "run_experiment": "runner",
 }
-
-TOPOLOGIES: dict[str, Callable[..., topology_mod.Topology]] = {
-    "complete": topology_mod.complete,
-    "ring": topology_mod.ring,
-    "star": topology_mod.star,
-    "line": topology_mod.line,
-}
-
-FLUSH_POLICIES: dict[str, Callable[..., Any]] = {
-    "at_finalize": FlushAtFinalize,
-    "immediate": FlushImmediately,
-    "uniform_delay": FlushUniformDelay,
-    "opportunistic": FlushOpportunistic,
-}
+__getattr__, __dir__ = lazy_exports(globals(), _LAZY)
 
 
 @dataclass
@@ -126,140 +108,75 @@ class ExperimentConfig:
         return replace(self, **changes)
 
 
-@dataclass
-class RunResult:
-    """A finished run with the live objects and reduced metrics."""
-
-    config: ExperimentConfig
-    sim: Simulator
-    network: Network
-    storage: StableStorage
-    runtime: Any
-    metrics: RunMetrics
-    #: seq -> orphan count, when verification ran and the protocol exposes
-    #: global records (empty dict otherwise).
-    orphans: dict[int, int] = field(default_factory=dict)
-    truncated: bool = False
-
-    @property
-    def consistent(self) -> bool:
-        """Every verified global checkpoint is orphan-free."""
-        return all(v == 0 for v in self.orphans.values())
-
-    @property
-    def ok(self) -> bool:
-        """Acceptance (RunOutcome): consistent and ran to quiescence."""
-        return self.consistent and not self.truncated
-
-    def as_dict(self) -> dict[str, Any]:
-        """JSON-ready outcome record (the RunOutcome surface)."""
-        return {
-            "protocol": self.config.protocol,
-            "n": self.config.n,
-            "seed": self.config.seed,
-            "ok": self.ok,
-            "consistent": self.consistent,
-            "truncated": self.truncated,
-            "orphans": {str(k): v for k, v in sorted(self.orphans.items())},
-            "metrics": self.metrics.as_dict(),
-        }
+#: Every config field, and those holding a dict (``workload_kwargs``...).
+_FIELDS = frozenset(f.name for f in fields(ExperimentConfig))
+_DICT_FIELDS = frozenset(name for name, value in vars(ExperimentConfig())
+                         .items() if isinstance(value, dict))
 
 
 # -- protocol registry -------------------------------------------------------------
 
+#: ``build(cfg, sim, network, storage) -> runtime``.
+Builder = Callable[..., Any]
+
+
+@cache
+def _resolve(path: str) -> Builder:
+    """A ``"module:attribute"`` builder path, imported once per path."""
+    module, _, name = path.partition(":")
+    return getattr(import_module(module), name)
+
 
 @dataclass(frozen=True)
 class ProtocolSpec:
-    """Uniform protocol constructor for the harness."""
+    """Uniform protocol constructor for the harness.
+
+    ``build`` is the constructor itself or its ``"module:attribute"``
+    path; a path is imported on the protocol's first build and the
+    callable cached, so the registry costs no import until a protocol
+    runs.
+    """
 
     name: str
     needs_fifo: bool
-    build: Callable[[ExperimentConfig, Simulator, Network, StableStorage], Any]
+    build: Builder | str
+
+    @property
+    def builder(self) -> Builder:
+        """The ``build`` callable (a path resolved once, then cached)."""
+        build = self.build
+        return _resolve(build) if isinstance(build, str) else build
 
 
-def _build_optimistic(cfg: ExperimentConfig, sim: Simulator, net: Network,
-                      storage: StableStorage) -> OptimisticRuntime:
-    flush = FLUSH_POLICIES[cfg.flush](**cfg.flush_kwargs)
-    oc = OptimisticConfig(
-        checkpoint_interval=cfg.checkpoint_interval,
-        initiation_phase=cfg.initiation_phase,
-        timeout=cfg.timeout,
-        state_bytes=cfg.state_bytes,
-        flush_policy=flush,
-        machine=MachineConfig(**cfg.machine_kwargs),
-        log_all_messages=cfg.log_all_messages,
-        incremental_every=cfg.incremental_every,
-        delta_fraction=cfg.delta_fraction,
-    )
-    return OptimisticRuntime(sim, net, storage, oc, horizon=cfg.horizon)
-
-
-def _build_cl(cfg, sim, net, storage):
-    return ChandyLamportRuntime(sim, net, storage,
-                                interval=cfg.checkpoint_interval,
-                                state_bytes=cfg.state_bytes,
-                                horizon=cfg.horizon)
-
-
-def _build_kt(cfg, sim, net, storage):
-    return KooTouegRuntime(sim, net, storage,
-                           interval=cfg.checkpoint_interval,
-                           state_bytes=cfg.state_bytes, horizon=cfg.horizon)
-
-
-def _build_staggered(cfg, sim, net, storage):
-    return StaggeredRuntime(sim, net, storage,
-                            interval=cfg.checkpoint_interval,
-                            state_bytes=cfg.state_bytes, horizon=cfg.horizon)
-
-
-def _build_cic(cfg, sim, net, storage):
-    return CicRuntime(sim, net, storage, interval=cfg.checkpoint_interval,
-                      state_bytes=cfg.state_bytes,
-                      capture_time=cfg.capture_time, horizon=cfg.horizon)
-
-
-def _build_plank(cfg, sim, net, storage):
-    return PlankStaggeredRuntime(
-        sim, net, storage, interval=cfg.checkpoint_interval,
-        state_bytes=cfg.state_bytes, horizon=cfg.horizon)
-
-
-def _build_ms(cfg, sim, net, storage):
-    return ManivannanSinghalRuntime(
-        sim, net, storage, interval=cfg.checkpoint_interval,
-        state_bytes=cfg.state_bytes, capture_time=cfg.capture_time,
-        horizon=cfg.horizon)
-
-
-def _build_uncoordinated(cfg, sim, net, storage):
-    return UncoordinatedRuntime(sim, net, storage,
-                                interval=cfg.checkpoint_interval,
-                                state_bytes=cfg.state_bytes,
-                                log_messages=cfg.uncoordinated_logging,
-                                horizon=cfg.horizon)
-
+_BASELINES = "repro.harness.baseline_builders"
 
 PROTOCOLS: dict[str, ProtocolSpec] = {
-    "optimistic": ProtocolSpec("optimistic", False, _build_optimistic),
-    "chandy-lamport": ProtocolSpec("chandy-lamport", True, _build_cl),
-    "koo-toueg": ProtocolSpec("koo-toueg", False, _build_kt),
-    "staggered": ProtocolSpec("staggered", False, _build_staggered),
-    "cic-bcs": ProtocolSpec("cic-bcs", False, _build_cic),
-    "quasi-sync-ms": ProtocolSpec("quasi-sync-ms", False, _build_ms),
-    "plank-staggered": ProtocolSpec("plank-staggered", False, _build_plank),
-    "uncoordinated": ProtocolSpec("uncoordinated", False,
-                                  _build_uncoordinated),
+    "optimistic": ProtocolSpec(
+        "optimistic", False, "repro.harness.runner:build_optimistic"),
+    "chandy-lamport": ProtocolSpec(
+        "chandy-lamport", True, f"{_BASELINES}:build_chandy_lamport"),
+    "koo-toueg": ProtocolSpec(
+        "koo-toueg", False, f"{_BASELINES}:build_koo_toueg"),
+    "staggered": ProtocolSpec(
+        "staggered", False, f"{_BASELINES}:build_staggered"),
+    "cic-bcs": ProtocolSpec("cic-bcs", False, f"{_BASELINES}:build_cic"),
+    "quasi-sync-ms": ProtocolSpec(
+        "quasi-sync-ms", False, f"{_BASELINES}:build_manivannan_singhal"),
+    "plank-staggered": ProtocolSpec(
+        "plank-staggered", False, f"{_BASELINES}:build_plank"),
+    "uncoordinated": ProtocolSpec(
+        "uncoordinated", False, f"{_BASELINES}:build_uncoordinated"),
 }
 
 
 def register_protocol(spec: ProtocolSpec, *, replace: bool = False) -> None:
     """Add a protocol to the registry (extension point for new schemes).
 
-    The spec's ``build(cfg, sim, network, storage)`` must return a runtime
-    object exposing at least ``build(apps)``, ``start()`` and
-    ``global_records()`` (verification and the rounds count read it);
-    implementing the optional metric surfaces (``total_checkpoints``,
+    The spec's ``build(cfg, sim, network, storage)`` (a callable, or its
+    ``"module:attribute"`` path) must return a runtime object exposing at
+    least ``build(apps)``, ``start()`` and ``global_records()``
+    (verification and the rounds count read it); implementing the
+    optional metric surfaces (``total_checkpoints``,
     ``response_delays``, ...) unlocks the comparison columns — see
     :class:`repro.baselines.base.BaselineRuntime`, which has all of them.
     """
@@ -270,108 +187,45 @@ def register_protocol(spec: ProtocolSpec, *, replace: bool = False) -> None:
     PROTOCOLS[spec.name] = spec
 
 
-# -- execution ------------------------------------------------------------------------
+# -- checks that need no simulator --------------------------------------------------
 
 
-def build_experiment(cfg: ExperimentConfig
-                     ) -> tuple[Simulator, Network, StableStorage, Any]:
-    """Construct (but do not run) an experiment's simulation objects."""
-    try:
-        spec = PROTOCOLS[cfg.protocol]
-    except KeyError:
+def check_config(cfg: ExperimentConfig) -> None:
+    """Reject a config no build can run: an unknown protocol (KeyError),
+    or ``verify`` without ``trace_enabled`` (ValueError)."""
+    if cfg.protocol not in PROTOCOLS:
         raise KeyError(f"unknown protocol {cfg.protocol!r}; "
-                       f"choices: {sorted(PROTOCOLS)}") from None
+                       f"choices: {sorted(PROTOCOLS)}")
     if cfg.verify and not cfg.trace_enabled:
         raise ValueError("verify=True requires trace_enabled=True "
                          "(the consistency verifier reads the trace)")
-    sim = Simulator(seed=cfg.seed)
-    sim.trace.enabled = cfg.trace_enabled
-    lat = LATENCIES[cfg.latency](**cfg.latency_kwargs)
-    inner = StableStorage(
-        sim, DiskModel(seek_time=cfg.disk_seek,
-                       bandwidth=cfg.disk_bandwidth),
-        servers=cfg.storage_servers)
-    if cfg.networked_storage:
-        # One extra topology node hosts the file server; checkpoint writes
-        # travel as real messages from the writer's NIC.
-        from ..storage.networked import (
-            RemoteStorage,
-            StorageServer,
-            install_ack_shim,
-        )
-        topo = TOPOLOGIES[cfg.topology](cfg.n + 1, **cfg.topology_kwargs)
-        net = Network(sim, topo, lat, fifo=spec.needs_fifo,
-                      nic_bandwidth=cfg.nic_bandwidth,
-                      medium_bandwidth=cfg.medium_bandwidth, app_n=cfg.n)
-        server = StorageServer(cfg.n, sim, inner)
-        storage: Any = RemoteStorage(net, server)
-        runtime = spec.build(cfg, sim, net, storage)
-        apps = make_workload(cfg.workload, cfg.n, cfg.horizon,
-                             **cfg.workload_kwargs)
-        runtime.build(apps)
-        net.add_process(server)
-        for host in runtime.hosts.values():
-            install_ack_shim(host, storage)
-    else:
-        topo = TOPOLOGIES[cfg.topology](cfg.n, **cfg.topology_kwargs)
-        net = Network(sim, topo, lat, fifo=spec.needs_fifo,
-                      nic_bandwidth=cfg.nic_bandwidth,
-                      medium_bandwidth=cfg.medium_bandwidth)
-        storage = inner
-        runtime = spec.build(cfg, sim, net, storage)
-        apps = make_workload(cfg.workload, cfg.n, cfg.horizon,
-                             **cfg.workload_kwargs)
-        runtime.build(apps)
-    return sim, net, storage, runtime
 
 
-def run_experiment(cfg: ExperimentConfig,
-                   tracer: Any | None = None,
-                   before_run: Callable[[Simulator, Network, StableStorage,
-                                         Any], None] | None = None
-                   ) -> RunResult:
-    """Build, run to quiescence, collect metrics, optionally verify.
+def check_sweep(param: str, protocols: Iterable[str]) -> None:
+    """Reject (ValueError) a sweep that would fail only when it runs.
 
-    ``tracer`` (a :class:`repro.obs.Tracer`, optional) attaches the
-    observability bridge for the run: protocol-phase spans translated
-    live from the simulation trace, a whole-run span, a hot-path
-    profiler, and a final deterministic metrics snapshot.  It is a
-    keyword argument rather than a config field so that enabling
-    tracing never changes :func:`~repro.harness.executor.config_key`
-    cache identities.  ``None`` (or a disabled tracer) is the zero-cost
-    path: nothing subscribes to the trace stream.
-
-    ``before_run`` (optional) is invoked with the freshly built
-    ``(sim, network, storage, runtime)`` before ``runtime.start()`` —
-    the attachment point for interposers (fault injectors, partitions,
-    recovery managers) that must install before the first event fires.
+    Every protocol must be registered, and ``param`` must name a config
+    field or ``head.key`` into a dict field (``workload_kwargs.rate``).
     """
-    sim, net, storage, runtime = build_experiment(cfg)
-    if before_run is not None:
-        before_run(sim, net, storage, runtime)
-    bridge = None
-    if tracer is not None and tracer.enabled:
-        from ..obs import DesProfiler, attach_des_tracer
-        bridge = attach_des_tracer(sim, tracer)
-        DesProfiler(tracer).attach(sim)
-        tracer.span_start("run", f"run:{cfg.protocol}:{cfg.seed}", sim.now,
-                          protocol=cfg.protocol, n=cfg.n, seed=cfg.seed)
-    runtime.start()
-    sim.run(max_events=cfg.max_events)
-    truncated = sim.peek_time() is not None
-    orphans: dict[int, int] = {}
-    if cfg.verify:
-        verifier = ConsistencyVerifier(sim.trace)
-        results = verifier.verify_all(runtime.global_records())
-        orphans = {seq: len(o) for seq, o in results.items()}
-    metrics = collect(cfg.protocol, sim, net, storage, runtime)
-    if bridge is not None:
-        verdict = {"orphans": sum(orphans.values())} if cfg.verify else {}
-        tracer.span_end("run", f"run:{cfg.protocol}:{cfg.seed}", sim.now,
-                        truncated=truncated, **verdict)
-        bridge.finish(sim)
-        bridge.registry.gauge("run.makespan").set(metrics.makespan)
-        tracer.metrics_snapshot(bridge.registry.snapshot(), sim.now)
-    return RunResult(config=cfg, sim=sim, network=net, storage=storage,
-                     runtime=runtime, metrics=metrics, orphans=orphans,
-                     truncated=truncated)
+    unknown = [p for p in protocols if p not in PROTOCOLS]
+    if unknown:
+        raise ValueError(f"unknown protocols {unknown}; "
+                         f"choices: {sorted(PROTOCOLS)}")
+    head, dot, key = param.partition(".")
+    if head not in _FIELDS:
+        raise ValueError(f"unknown config field {head!r} in sweep param "
+                         f"{param!r}")
+    if dot and (head not in _DICT_FIELDS or not key):
+        raise ValueError(f"sweep param {param!r}: only a dict field takes "
+                         f"a key; dict fields: {sorted(_DICT_FIELDS)}")
+
+
+def set_param(cfg: ExperimentConfig, param: str,
+              value: Any) -> ExperimentConfig:
+    """Set a (possibly dotted) config field, e.g. ``workload_kwargs.rate``."""
+    if "." in param:
+        head, key = param.split(".", 1)
+        current = dict(getattr(cfg, head))
+        current[key] = value
+        return cfg.derive(**{head: current})
+    return cfg.derive(**{param: value})

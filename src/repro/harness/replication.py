@@ -22,7 +22,8 @@ from .executor import (
     raise_failures,
     run_many,
 )
-from .experiment import ExperimentConfig, RunResult, run_experiment
+from .experiment import ExperimentConfig
+from .runner import RunResult, run_experiment
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,8 @@ from .executor import (
     raise_failures,
     run_many,
 )
-from .experiment import ExperimentConfig, RunResult, run_experiment
+from .experiment import ExperimentConfig, set_param
+from .runner import RunResult, run_experiment
 
 
 @dataclass
@@ -78,17 +79,6 @@ class SweepResult:
         return t
 
 
-def _set_param(cfg: ExperimentConfig, param: str,
-               value: Any) -> ExperimentConfig:
-    """Set a (possibly dotted) config field, e.g. ``workload_kwargs.rate``."""
-    if "." in param:
-        head, key = param.split(".", 1)
-        current = dict(getattr(cfg, head))
-        current[key] = value
-        return cfg.derive(**{head: current})
-    return cfg.derive(**{param: value})
-
-
 def sweep(base: ExperimentConfig, param: str, values: Sequence[Any],
           protocols: Sequence[str] = ("optimistic",),
           reseed: bool = True, jobs: int = 1,
@@ -107,7 +97,7 @@ def sweep(base: ExperimentConfig, param: str, values: Sequence[Any],
     configs: list[ExperimentConfig] = []
     slots: list[tuple[int, str]] = []
     for i, value in enumerate(values):
-        cfg = _set_param(base, param, value)
+        cfg = set_param(base, param, value)
         if reseed and param != "seed":
             cfg = cfg.derive(seed=base.seed + i)
         result.points.append(SweepPoint(value=value))

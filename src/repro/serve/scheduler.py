@@ -354,8 +354,7 @@ class Scheduler:
     def _body_sweep(self, spec: dict[str, Any], art: Path, tracer: Tracer,
                     cancel: threading.Event) -> dict[str, Any]:
         from ..harness.executor import ResultCache, RunFailure, run_many
-        from ..harness.experiment import ExperimentConfig
-        from ..harness.sweep import _set_param
+        from ..harness.experiment import ExperimentConfig, set_param
         base = ExperimentConfig(
             n=spec["n"], seed=spec["seed"], horizon=spec["horizon"],
             checkpoint_interval=spec["interval"], verify=spec["verify"])
@@ -364,7 +363,7 @@ class Scheduler:
         # cell of the sweep without hashing its config a second time.
         labels: dict[tuple[int, str], tuple[Any, str]] = {}
         for i, value in enumerate(spec["values"]):
-            cfg = _set_param(base, spec["param"], value)
+            cfg = set_param(base, spec["param"], value)
             if spec["param"] != "seed":
                 cfg = cfg.derive(seed=base.seed + i)
             for proto in spec["protocols"]:

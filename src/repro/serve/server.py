@@ -219,6 +219,12 @@ class ServeServer:
                                       "not accepting jobs"}
             try:
                 normalized = validate_job(json.loads(body.decode("utf-8")))
+                if normalized["kind"] == "sweep":
+                    # The light config module: no simulator at start-up
+                    # or here; a bad sweep gets no job id.
+                    from ..harness.experiment import check_sweep
+                    check_sweep(normalized["spec"]["param"],
+                                normalized["spec"]["protocols"])
             except (ValueError, ProtocolError) as exc:
                 return 400, {"error": str(exc)}
             try:

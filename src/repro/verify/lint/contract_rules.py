@@ -27,8 +27,13 @@ REP108  obs vocabulary consistency — every trace point/profile name
 REP109  start-up import closures — the module-level imports reachable
         from each entry point in a table of roots (package ``__init__``s
         included, as Python executes them; ``_LAZY`` exports of
-        :mod:`repro._lazy` packages count only where a from-import names
-        them) must not reach that root's forbidden modules:
+        :mod:`repro._lazy` packages and modules count only where a
+        from-import names them) must not reach that root's forbidden
+        modules: ``harness/experiment.py`` neither numpy, networkx, the
+        DES, the network, the core, the baselines, the metrics nor its
+        heavy siblings ``harness.runner`` and
+        ``harness.baseline_builders`` — naming, keying and caching a
+        sweep of configs must not load the simulator that runs it;
         ``live/worker.py`` neither numpy, networkx, the simulator
         (``des.engine``, ``des.rng``, ``net.network``, ``core.host``),
         ``harness`` nor ``metrics`` — a crashed worker's restart time
@@ -491,6 +496,11 @@ class _ClosureRoot(NamedTuple):
 
 
 _CLOSURE_ROOTS = (
+    _ClosureRoot("harness.experiment",
+                 ("des", "net", "core", "baselines", "metrics",
+                  "harness.runner", "harness.baseline_builders"),
+                 "a config is built, keyed and cached without the "
+                 "simulator; the run path loads when a run is built"),
     _ClosureRoot("live.worker", _SIMULATOR,
                  "a crashed worker's restart time is the recovery time"),
     _ClosureRoot("serve.server", _SIMULATOR,
@@ -553,12 +563,18 @@ class ImportClosureRule:
             return name
 
         def lazy_map(module: str) -> dict[str, str]:
-            """The ``_LAZY`` literal of a :mod:`repro._lazy` package."""
+            """The ``_LAZY`` literal of a :mod:`repro._lazy` module, each
+            name mapped to its defining module: a submodule of a package,
+            a sibling of a plain module."""
             sf = by_module.get(module)
             node = None if sf is None else assignment_node(sf.tree, "_LAZY")
             items = None if node is None \
                 else dict_literal_str_items(node.value)
-            return items or {}
+            if not items:
+                return {}
+            package = module if str(sf.path).endswith("__init__.py") \
+                else module.rpartition(".")[0]
+            return {name: f"{package}.{sub}" for name, sub in items.items()}
 
         def targets(sf: SourceFile,
                     node: ast.Import | ast.ImportFrom) -> list[str]:
@@ -577,10 +593,9 @@ class ImportClosureRule:
                     if f"{base}.{a.name}" in by_module:
                         names.append(f"{base}.{a.name}")
                     elif a.name in lazy:
-                        names.append(f"{base}.{lazy[a.name]}")
+                        names.append(lazy[a.name])
                     elif a.name == "*":
-                        names.extend(f"{base}.{sub}"
-                                     for sub in sorted(set(lazy.values())))
+                        names.extend(sorted(set(lazy.values())))
             out: list[str] = []
             for name in names:
                 parts = name.split(".")

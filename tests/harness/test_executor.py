@@ -72,6 +72,43 @@ class TestRunSummary:
         assert clone.config == s.config
 
 
+class TestCacheKeyPins:
+    """Cache keys are content hashes of the config: moving or re-exporting
+    the class must not move them, or every ``.repro-cache`` entry and
+    every serve cache silently becomes a miss."""
+
+    def test_default_config_key(self):
+        assert config_key(ExperimentConfig()) == \
+            "ddccf7e4d4d4480652c8a2a52eaacbdf"
+
+    def test_serve_sweep_base_config_key(self):
+        # The base config of ledger/serve.py's sweep_configs (its SWEEP
+        # spec, verify on); each job derives one seed per value from it.
+        base = ExperimentConfig(n=16, horizon=400.0,
+                                checkpoint_interval=60.0, verify=True)
+        assert config_key(base) == "3be7f3d4d9083ed18940b38300fb1114"
+        assert config_key(base.derive(seed=100)) == \
+            "058db8210a4ca91b816740be770895a2"
+
+    def test_one_config_class_behind_every_name(self):
+        import repro.harness
+        import repro.harness.experiment
+        assert repro.harness.ExperimentConfig \
+            is repro.harness.experiment.ExperimentConfig
+        assert ExperimentConfig.__module__ == "repro.harness.experiment"
+
+    def test_a_summary_pickles_by_the_defining_modules(self):
+        import pickle
+
+        summary = RunSummary(config=small_cfg(protocol="koo-toueg"),
+                             metrics_dict={"makespan": 2.0},
+                             orphans={0: 0, 1: 0}, truncated=False)
+        blob = pickle.dumps(summary)
+        assert b"repro.harness.experiment" in blob
+        clone = pickle.loads(blob)
+        assert clone == summary and clone.config == summary.config
+
+
 class TestRunMany:
     def test_serial_preserves_order_and_matches_run_experiment(self):
         configs = [small_cfg(seed=s) for s in (1, 2, 3)]

@@ -13,6 +13,7 @@ from repro.harness import (
     run_experiment,
     sweep,
 )
+from repro.harness.experiment import check_config, check_sweep, set_param
 
 
 def small_cfg(**kw) -> ExperimentConfig:
@@ -33,10 +34,52 @@ class TestRegistry:
         with pytest.raises(KeyError, match="choices"):
             run_experiment(small_cfg(protocol="nope"))
 
+    def test_builtin_builders_are_paths_resolved_once(self):
+        for spec in PROTOCOLS.values():
+            assert isinstance(spec.build, str), spec.name
+            assert callable(spec.builder)
+            assert spec.builder is spec.builder      # cached, not re-imported
+
     def test_only_chandy_lamport_needs_fifo(self):
         assert PROTOCOLS["chandy-lamport"].needs_fifo
         assert not any(spec.needs_fifo for name, spec in PROTOCOLS.items()
                        if name != "chandy-lamport")
+
+
+class TestConfigChecks:
+    def test_check_config_needs_no_build(self):
+        check_config(small_cfg())
+        with pytest.raises(KeyError, match="choices"):
+            check_config(small_cfg(protocol="nope"))
+        with pytest.raises(ValueError, match="trace_enabled"):
+            check_config(small_cfg(verify=True, trace_enabled=False))
+
+    @pytest.mark.parametrize("param", [
+        "seed", "n", "flush", "workload_kwargs.rate",
+        "machine_kwargs.skip_ck_req"])
+    def test_sweepable_params(self, param):
+        check_sweep(param, sorted(PROTOCOLS))
+
+    @pytest.mark.parametrize("param, match", [
+        ("bogus_field", "unknown config field 'bogus_field'"),
+        ("bogus.rate", "unknown config field 'bogus'"),
+        ("n.rate", "only a dict field takes a key"),
+        ("workload_kwargs.", "only a dict field takes a key"),
+    ])
+    def test_unsweepable_params(self, param, match):
+        with pytest.raises(ValueError, match=match):
+            check_sweep(param, ["optimistic"])
+
+    def test_unknown_sweep_protocol(self):
+        with pytest.raises(ValueError, match=r"unknown protocols \['nope'\]"):
+            check_sweep("seed", ["optimistic", "nope"])
+
+    def test_set_param_sets_a_dict_key_on_a_copy(self):
+        base = small_cfg()
+        cfg = set_param(base, "workload_kwargs.rate", 3.0)
+        assert cfg.workload_kwargs == {"rate": 3.0, "msg_size": 512}
+        assert base.workload_kwargs["rate"] == 1.5
+        assert set_param(base, "n", 7).n == 7
 
 
 class TestRunExperiment:

@@ -186,6 +186,29 @@ def test_timeout_s_must_be_positive(tmp_path):
         assert "timeout_s" in str(err.value)
 
 
+@pytest.mark.parametrize("spec, error", [
+    ({"param": "seed", "values": [1], "protocols": ["nope"]},
+     "unknown protocols ['nope']"),
+    ({"param": "bogus_field", "values": [1]},
+     "unknown config field 'bogus_field'"),
+])
+def test_a_sweep_that_cannot_build_is_refused_at_submit(tmp_path, spec,
+                                                        error):
+    # validate_job accepts both (the spec is well-typed); the server's
+    # config checks refuse them before the job is queued.
+    assert validate_job({"schema": "repro.serve/1", "kind": "sweep",
+                         "spec": spec})
+    with _Harness(tmp_path / "state") as h:
+        client = h.client()
+        with pytest.raises(ServeClientError) as err:
+            client.submit("sweep", spec)
+        assert err.value.status == 400
+        assert error in str(err.value)
+        assert client.jobs() == []
+        # No job id was spent on the refused submission.
+        assert client.submit("sweep", _TINY_SWEEP)["id"] == "j0001"
+
+
 def test_artifacts_are_served_and_traversal_is_refused(tmp_path):
     with _Harness(tmp_path / "state") as h:
         client = h.client()

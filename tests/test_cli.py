@@ -126,6 +126,14 @@ class TestSweep:
                      *COMMON])
         assert code == 2
 
+    def test_sweep_unknown_param_errors(self, capsys):
+        # Regression: an unknown field used to escape from the first run
+        # as a dataclasses TypeError traceback.
+        code = main(["sweep", "--param", "bogus_field", "--values", "2",
+                     "--no-cache", *COMMON])
+        assert code == 2
+        assert "unknown config field 'bogus_field'" in capsys.readouterr().err
+
     def test_sweep_jobs_and_cache_match_serial(self, capsys, tmp_path):
         argv = ("sweep", "--param", "n", "--values", "2,3",
                 "--metric", "app_messages", "--cache-dir", str(tmp_path),

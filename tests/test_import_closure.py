@@ -103,6 +103,50 @@ assert "crash-test" in out.getvalue()
 """, ("numpy", "networkx", "repro.harness", "repro.metrics"))
 
 
+# -- configs as data -------------------------------------------------------
+
+#: What building, keying and caching configs never loads.
+_RUN_PATH = ("numpy", "networkx", "repro.des.engine", "repro.net.network",
+             "repro.baselines", "repro.metrics", "repro.harness.runner")
+
+
+def test_a_config_is_built_keyed_and_cached_without_the_simulator(tmp_path):
+    # What a sweep's control plane does before any run: name the configs,
+    # hash them and read/write their cache entries.
+    run_fresh("""
+from repro.harness import ExperimentConfig, ResultCache, RunSummary, config_key
+cfg = ExperimentConfig(n=4, horizon=50.0).derive(seed=3, protocol="koo-toueg")
+key = config_key(cfg)
+cache = ResultCache("cache")
+assert cache.load(cfg, key) is None
+cache.store(RunSummary(config=cfg, metrics_dict={"makespan": 1.5},
+                       orphans={0: 0}), key)
+hit = cache.load(cfg, key)
+assert hit.cached and hit.ok and hit.metrics_dict == {"makespan": 1.5}
+""", _RUN_PATH, cwd=tmp_path)
+
+
+def test_a_run_loads_only_the_builder_of_its_own_protocol():
+    run_fresh("""
+from repro.harness import ExperimentConfig, run_experiment
+assert run_experiment(ExperimentConfig(n=4, horizon=50)).ok
+""", ("repro.baselines", "repro.harness.baseline_builders"))
+
+
+def test_an_unknown_cli_protocol_exits_before_the_simulator():
+    run_fresh("""
+import contextlib, io
+from repro.cli import main
+with contextlib.redirect_stderr(io.StringIO()) as err:
+    try:
+        code = main(["run", "--protocol", "nope"])
+    except SystemExit as exc:
+        code = exc.code
+assert code not in (0, None), code
+assert "unknown protocol 'nope'" in err.getvalue(), err.getvalue()
+""", _RUN_PATH)
+
+
 _LIVE_RUN = """
 from repro.live.supervisor import LiveRunConfig, run_live
 report = run_live(LiveRunConfig(

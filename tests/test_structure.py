@@ -64,6 +64,20 @@ def _calls(path: Path, callee: str) -> list[int]:
     return out
 
 
+def _probes_of_inner(path: Path) -> list[int]:
+    """Line numbers of every ``getattr(self.inner, ...)`` call."""
+    out = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+                and node.func.id == "getattr" and node.args:
+            target = node.args[0]
+            if isinstance(target, ast.Attribute) and target.attr == "inner" \
+                    and isinstance(target.value, ast.Name) \
+                    and target.value.id == "self":
+                out.append(node.lineno)
+    return out
+
+
 def _files(root: Path, *subdirs: str) -> list[Path]:
     out: list[Path] = []
     for sub in subdirs:
@@ -124,11 +138,56 @@ def one_fault_run_judge(root: Path) -> list[str]:
     return out
 
 
+def no_networkx_under_src(root: Path) -> list[str]:
+    """numpy is the one runtime dependency: ``net/topology.py`` is
+    adjacency sets and a BFS, ``EventGraph`` plain dicts, and networkx is
+    a ``[dev]`` extra for the topology differential test only."""
+    return [f"{path.relative_to(root)} imports networkx"
+            for path in sorted(root.rglob("*.py"))
+            if any(name.split(".")[0] == "networkx"
+                   for name in _imports(root, path))]
+
+
+#: The one live worker body, and the endpoint wrappers around it.
+WORKER = "repro/live/worker.py"
+WRAPPERS = ("repro/live/resilience.py", "repro/chaos/live.py")
+
+
+def live_worker_loads_no_supervisor(root: Path) -> list[str]:
+    """Both transports run ``live/worker.py``'s Worker, and a worker
+    process never loads the supervisor — at module level or in a
+    function (its exit path included)."""
+    path = root / WORKER
+    if not path.is_file():
+        return [f"{WORKER} is missing"]
+    return [f"{WORKER} imports {name}"
+            for name in sorted(set(_imports(root, path)))
+            if name.split(".")[-1] == "supervisor"]
+
+
+def wrappers_forward_not_probe(root: Path) -> list[str]:
+    """The endpoint wrappers forward ``drain`` / ``set_pre_flush`` /
+    ``epoch`` through the Endpoint interface instead of probing the
+    endpoint they wrap with ``getattr(self.inner, ...)``."""
+    out = []
+    for rel in WRAPPERS:
+        path = root / rel
+        if not path.is_file():
+            out.append(f"{rel} is missing")
+            continue
+        out.extend(f"{rel}:{line} calls getattr(self.inner, ...)"
+                   for line in _probes_of_inner(path))
+    return out
+
+
 RULES: dict[str, Callable[[Path], list[str]]] = {
     "no-invariant-monitor": no_invariant_monitor,
     "judges-share-the-library": judges_share_the_library,
     "runtimes-do-not-import-verify": runtimes_do_not_import_verify,
     "one-fault-run-judge": one_fault_run_judge,
+    "no-networkx-under-src": no_networkx_under_src,
+    "live-worker-loads-no-supervisor": live_worker_loads_no_supervisor,
+    "wrappers-forward-not-probe": wrappers_forward_not_probe,
 }
 
 
@@ -143,12 +202,18 @@ def _write(root: Path, files: dict[str, str]) -> Path:
     return root
 
 
-#: A tree that keeps every rule: each judge imports the library, and
-#: chaos/des.py builds the one faulted run.
+#: A tree that keeps every rule: each judge imports the library,
+#: chaos/des.py builds the one faulted run, the worker imports no
+#: supervisor and the wrappers forward to their inner endpoint.
 CLEAN = {**{judge: "from ..causality.properties import STATE_CHECKS\n"
             for judge in JUDGES},
          "repro/chaos/des.py": "from ..causality.properties import "
-                               "STATE_CHECKS\nrun_experiment(cfg)\n"}
+                               "STATE_CHECKS\nrun_experiment(cfg)\n",
+         WORKER: "from .wire import stop_frame\n",
+         **{wrapper: "class Wrapper:\n"
+                     "    def drain(self):\n"
+                     "        return self.inner.drain()\n"
+            for wrapper in WRAPPERS}}
 
 #: Per rule, the files that break it when laid over CLEAN.
 SEEDED: dict[str, dict[str, str]] = {
@@ -168,6 +233,20 @@ SEEDED: dict[str, dict[str, str]] = {
     "one-fault-run-judge": {
         "repro/fuzz/oracle.py": "result = harness.run_experiment(cfg)\n"
                                 "rm = RecoveryManager(runtime)\n",
+    },
+    "no-networkx-under-src": {
+        "repro/net/topology.py": "import networkx as nx\n",
+    },
+    "live-worker-loads-no-supervisor": {
+        WORKER: "def finish():\n"
+                "    from .supervisor import report\n"
+                "    return report()\n",
+    },
+    "wrappers-forward-not-probe": {
+        "repro/chaos/live.py": "class Wrapper:\n"
+                               "    def drain(self):\n"
+                               "        return getattr(self.inner, 'drain',"
+                               " None)\n",
     },
 }
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import marshal
 
 from repro.causality.consistency import find_orphans
@@ -193,3 +194,35 @@ class TestBrokenConfigurations:
         entry = d["violations"][0]
         assert entry["property"] == "theorem1.convergence"
         assert any("mc.violation" in line for line in entry["trace"])
+
+
+#: The five MachineConfig switches of §3.5.1 and its fixes (the control
+#: plane itself stays on).
+_SWITCHES = ("suppress_ck_bgn", "skip_ck_req", "p0_broadcast_on_finalize",
+             "timer_escalation", "finalize_on_complete_knowledge")
+
+
+class TestSwitchTable:
+    def test_every_switch_combination_at_n2(self):
+        """All 32 combinations explored at n=2: exactly the Case-(1)
+        liveness hole fails Theorem 1 — CK_BGN suppressed with neither
+        P_0's CK_END broadcast, timer escalation nor the complete-
+        knowledge fast path to close it (``skip_ck_req`` either way)."""
+        failing = {}
+        for combo in itertools.product((False, True), repeat=5):
+            switches = dict(zip(_SWITCHES, combo))
+            result = explore(ExploreConfig(
+                n=2, machine=MachineConfig(**switches)))
+            if result.violations:
+                failing[combo] = [(v.prop, len(v.path))
+                                  for v in result.violations]
+            else:
+                assert result.ok, switches
+        hole = {"suppress_ck_bgn": True, "p0_broadcast_on_finalize": False,
+                "timer_escalation": False,
+                "finalize_on_complete_knowledge": False}
+        expected = {
+            tuple({**hole, "skip_ck_req": skip}[s] for s in _SWITCHES):
+                [("theorem1.convergence", 7)]
+            for skip in (False, True)}
+        assert failing == expected

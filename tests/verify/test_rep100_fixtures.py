@@ -46,6 +46,12 @@ BAD_EXPECT: dict[str, list[tuple[str, int, str]]] = {
                 "imports bad.repro.core.host at start-up "
                 "(bad.repro.live.worker -> bad.repro.core -> "
                 "bad.repro.core.host)"),
+               # A module-level _LAZY name resolves in the module's
+               # package: the registry's eager builder reaches the runner.
+               ("registry.py", 1,
+                "imports bad.repro.harness.runner at start-up "
+                "(bad.repro.harness.experiment -> bad.repro.harness.registry"
+                " -> bad.repro.harness.runner)"),
                ("client.py", 1,
                 "imports bad.repro.serve.server at start-up "
                 "(bad.repro.serve.client -> bad.repro.serve.server)"),
