@@ -29,13 +29,25 @@ from a light one: ``repro/harness/experiment.py`` lists
 ``"run_experiment": "runner"`` and the name resolves in its sibling
 ``repro.harness.runner``.
 
+An export may share its submodule's name (``repro.harness.sweep`` is the
+function defined in ``repro/harness/sweep.py``).  The import system binds
+every loaded submodule as an attribute of its package, which would replace
+such an export by the module object whenever the submodule is imported
+before the name is reached; the package's module class therefore declines
+that one binding, as an eager ``from .sweep import sweep`` in the
+``__init__`` used to overwrite it.  ``import_module("repro.harness.sweep")``
+and ``from repro.harness.sweep import SweepResult`` still reach the module
+through ``sys.modules``.
+
 ``repro verify --lint`` (REP109) reads the same ``_LAZY`` literal to know
 that these names are *not* imported with the package or module.
 """
 
 from __future__ import annotations
 
+import sys
 from importlib import import_module
+from types import ModuleType
 from typing import Any, Callable, Mapping
 
 
@@ -53,6 +65,8 @@ def lazy_exports(namespace: dict[str, Any], lazy: Mapping[str, str]
     """
     module = namespace["__name__"]
     package = namespace["__package__"]
+    if module == package:
+        _keep_exports_over_submodules(namespace, lazy)
 
     def __getattr__(name: str) -> Any:
         submodule = lazy.get(name)
@@ -67,3 +81,20 @@ def lazy_exports(namespace: dict[str, Any], lazy: Mapping[str, str]
         return sorted(set(namespace) | set(lazy))
 
     return __getattr__, __dir__
+
+
+def _keep_exports_over_submodules(namespace: dict[str, Any],
+                                  lazy: Mapping[str, str]) -> None:
+    """Stop the package's same-named submodules from replacing exports."""
+    shadowed = frozenset(name for name, sub in lazy.items() if name == sub)
+    package = sys.modules.get(namespace["__name__"])
+    if not shadowed or package is None or vars(package) is not namespace:
+        return
+
+    class LazyPackage(type(package)):   # type: ignore[misc]
+        def __setattr__(self, name: str, value: Any) -> None:
+            if name in shadowed and isinstance(value, ModuleType):
+                return
+            super().__setattr__(name, value)
+
+    package.__class__ = LazyPackage

@@ -39,7 +39,7 @@ if TYPE_CHECKING:           # what type checkers and IDEs read
         ProtocolSpec,
         register_protocol,
     )
-    from .replication import (
+    from .replicate import (
         MetricCI,
         confidence_interval,
         replicate,
@@ -61,7 +61,7 @@ if TYPE_CHECKING:           # what type checkers and IDEs read
         fig5_scenario,
         fig5_scenario_without_control,
     )
-    from .sweeps import SweepPoint, SweepResult, sweep
+    from .sweep import SweepPoint, SweepResult, sweep
 
 #: Lazily-resolved exports: name -> defining submodule.
 _LAZY = {
@@ -82,11 +82,11 @@ _LAZY = {
     "ExperimentConfig": "experiment",
     "ProtocolSpec": "experiment",
     "register_protocol": "experiment",
-    "MetricCI": "replication",
-    "confidence_interval": "replication",
-    "replicate": "replication",
-    "replication_summary": "replication",
-    "replication_table": "replication",
+    "MetricCI": "replicate",
+    "confidence_interval": "replicate",
+    "replicate": "replicate",
+    "replication_summary": "replicate",
+    "replication_table": "replicate",
     "LATENCIES": "runner",
     "TOPOLOGIES": "runner",
     "RunResult": "runner",
@@ -98,9 +98,9 @@ _LAZY = {
     "fig2_scenario": "scenarios",
     "fig5_scenario": "scenarios",
     "fig5_scenario_without_control": "scenarios",
-    "SweepPoint": "sweeps",
-    "SweepResult": "sweeps",
-    "sweep": "sweeps",
+    "SweepPoint": "sweep",
+    "SweepResult": "sweep",
+    "sweep": "sweep",
 }
 __getattr__, __dir__ = lazy_exports(globals(), _LAZY)
 __all__ = sorted(_LAZY)

@@ -8,7 +8,10 @@ that importing it imports nothing it does not name.
 from __future__ import annotations
 
 import importlib
+import os
 import pickle
+import subprocess
+import sys
 import types
 from pathlib import Path
 
@@ -107,3 +110,23 @@ def test_spawned_executor_workers_still_return_run_summaries():
     out = run_many(configs, jobs=2)
     assert [type(o) for o in out] == [RunSummary, RunSummary]
     assert [o.config.seed for o in out] == [1, 2]
+
+
+def test_a_submodule_imported_first_leaves_its_namesake_export_alone():
+    # repro.harness exports the functions sweep/replicate from the
+    # submodules sweep.py/replicate.py; importing a submodule by its path
+    # before the name is reached must not bind the module over the export.
+    code = (
+        "import importlib, types\n"
+        "mods = [importlib.import_module(f'repro.harness.{n}')\n"
+        "        for n in ('sweep', 'replicate')]\n"
+        "import repro.harness as h\n"
+        "from repro.harness.sweep import SweepResult\n"
+        "assert h.sweep is mods[0].sweep, h.sweep\n"
+        "assert h.replicate is mods[1].replicate, h.replicate\n"
+        "assert not isinstance(h.sweep, types.ModuleType)\n"
+        "assert SweepResult is mods[0].SweepResult\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": str(SRC.parent)})
+    assert proc.returncode == 0, proc.stderr
