@@ -35,8 +35,9 @@ from ..storage.stable_storage import StableStorage
 class BaselineRuntime:
     """Per-run context shared by a baseline's hosts."""
 
-    #: Bytes of one process's checkpointed state (every protocol sets it).
-    state_bytes: int
+    #: Bytes of one process's checkpointed state (every protocol sets it;
+    #: a protocol-less runtime captures nothing).
+    state_bytes: int = 0
 
     def __init__(self, sim: Simulator, network: Network,
                  storage: StableStorage, horizon: float | None = None) -> None:
@@ -115,6 +116,9 @@ class BaselineHost(SimProcess):
                  app: Any = None, capture_time: float = 0.0) -> None:
         super().__init__(pid, sim)
         self.runtime = runtime
+        #: The runtime's per-process state size, kept here because the
+        #: records outlive the wiring (:meth:`detach` drops ``runtime``).
+        self.state_bytes = runtime.state_bytes
         self.app = app
         self.capture_time = capture_time
         # Verification bookkeeping ------------------------------------------------
@@ -129,6 +133,12 @@ class BaselineHost(SimProcess):
         self.ctl_sent: dict[str, int] = {}
         self.checkpoints_taken = 0
         self.response_delays: list[float] = []
+
+    def detach(self) -> None:
+        """End of run: drop the network and the runtime (which owns this
+        host); the records and tallies stay."""
+        super().detach()
+        del self.runtime
 
     # -- app surface (mirrors OptimisticProcess) ----------------------------------
 
@@ -284,7 +294,6 @@ class BaselineHost(SimProcess):
                     f"P{self.pid} C_{seq} records less than the checkpoint "
                     f"before it")
             rows.append((seq, taken_at, finalized_at, now_sent - sent,
-                         now_recv - recv, self.runtime.state_bytes,
-                         log_bytes))
+                         now_recv - recv, self.state_bytes, log_bytes))
             sent, recv = now_sent, now_recv
         return chain(self.pid, rows)

@@ -121,13 +121,13 @@ class ChandyLamportHost(BaselineHost):
         self.rounds[round_id] = st
         self._next_round = max(self._next_round, round_id + 1)
         self.trace("ckpt.tentative", csn=round_id,
-                   bytes=self.runtime.state_bytes)
+                   bytes=self.state_bytes)
         # The state write hits the file server *now* — all N processes do
         # this within one marker flood, which is the contention spike.
-        self.take_checkpoint_write(self.runtime.state_bytes,
+        self.take_checkpoint_write(self.state_bytes,
                                    label=f"cl:{self.pid}:{round_id}")
         self.runtime.storage.space.retain(
-            self.pid, f"state:{round_id}", self.runtime.state_bytes,
+            self.pid, f"state:{round_id}", self.state_bytes,
             self.sim.now)
         for dst in range(self.runtime.n):
             if dst != self.pid:

@@ -130,15 +130,15 @@ class CicHost(BaselineHost):
                            smark=smark, rmark=rmark, forced=forced)
         self.checkpoints.append(ck)
         self.trace("ckpt.tentative", csn=self.index,
-                   bytes=self.runtime.state_bytes, forced=forced)
-        self.take_checkpoint_write(self.runtime.state_bytes,
+                   bytes=self.state_bytes, forced=forced)
+        self.take_checkpoint_write(self.state_bytes,
                                    label=f"cic:{self.pid}:{self.index}")
         # CIC has no local knowledge of the globally-minimal index, so no
         # checkpoint can be garbage-collected without an extra coordination
         # protocol — every checkpoint is retained (E13's footprint gap).
         self.runtime.storage.space.retain(
             self.pid, f"ckpt:{len(self.checkpoints)}",
-            self.runtime.state_bytes, self.sim.now)
+            self.state_bytes, self.sim.now)
 
     # -- piggyback -------------------------------------------------------------------------
 

@@ -94,11 +94,11 @@ class KooTouegHost(BaselineHost):
         self.tentative_marks[r] = (self.sim.now, smark, rmark)
         self._current_round = max(self._current_round, r)
         self.block_sends()
-        self.trace("ckpt.tentative", csn=r, bytes=self.runtime.state_bytes)
-        self.take_checkpoint_write(self.runtime.state_bytes,
+        self.trace("ckpt.tentative", csn=r, bytes=self.state_bytes)
+        self.take_checkpoint_write(self.state_bytes,
                                    label=f"kt:{self.pid}:{r}")
         self.runtime.storage.space.retain(
-            self.pid, f"state:{r}", self.runtime.state_bytes, self.sim.now)
+            self.pid, f"state:{r}", self.state_bytes, self.sim.now)
 
     def _commit(self, r: int) -> None:
         self.committed[r] = self.sim.now

@@ -145,14 +145,14 @@ class ManivannanSinghalHost(BaselineHost):
                           rmark=rmark, forced=forced)
         self.checkpoints.append(ck)
         self.trace("ckpt.tentative", csn=self.sn,
-                   bytes=self.runtime.state_bytes, forced=forced)
-        self.take_checkpoint_write(self.runtime.state_bytes,
+                   bytes=self.state_bytes, forced=forced)
+        self.take_checkpoint_write(self.state_bytes,
                                    label=f"ms:{self.pid}:{self.sn}")
         # Like BCS, garbage collection of old checkpoints needs a global
         # protocol MS does not run here; everything is retained.
         self.runtime.storage.space.retain(
             self.pid, f"ckpt:{len(self.checkpoints)}",
-            self.runtime.state_bytes, self.sim.now)
+            self.state_bytes, self.sim.now)
 
     # -- piggyback ---------------------------------------------------------------------------
 

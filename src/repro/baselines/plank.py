@@ -131,7 +131,7 @@ class PlankStaggeredHost(BaselineHost):
         smark, rmark = self.marks()
         self.rounds[r] = PlankRound(round_id=r, taken_at=self.sim.now,
                                     smark=smark, rmark=rmark)
-        self.trace("ckpt.tentative", csn=r, bytes=self.runtime.state_bytes,
+        self.trace("ckpt.tentative", csn=r, bytes=self.state_bytes,
                    forced=False)
 
     def _write_state(self, r: int) -> None:
@@ -140,9 +140,9 @@ class PlankStaggeredHost(BaselineHost):
             return
         st.wrote = True
         self.runtime.storage.space.retain(
-            self.pid, f"state:{r}", self.runtime.state_bytes, self.sim.now)
+            self.pid, f"state:{r}", self.state_bytes, self.sim.now)
         self.take_checkpoint_write(
-            self.runtime.state_bytes, label=f"plank:{self.pid}:{r}",
+            self.state_bytes, label=f"plank:{self.pid}:{r}",
             callback=lambda req: self._write_done(r))
 
     def _write_done(self, r: int) -> None:

@@ -112,13 +112,13 @@ class StaggeredHost(BaselineHost):
         st = StaggerRound(round_id=r, taken_at=self.sim.now,
                           smark=smark, rmark=rmark)
         self.rounds[r] = st
-        self.trace("ckpt.tentative", csn=r, bytes=self.runtime.state_bytes)
+        self.trace("ckpt.tentative", csn=r, bytes=self.state_bytes)
         self.runtime.storage.space.retain(
-            self.pid, f"state:{r}", self.runtime.state_bytes, self.sim.now)
+            self.pid, f"state:{r}", self.state_bytes, self.sim.now)
         # The defining move: forward the token only once OUR write finished,
         # so writes are serialized at the file server.
         self.take_checkpoint_write(
-            self.runtime.state_bytes, label=f"stag:{self.pid}:{r}",
+            self.state_bytes, label=f"stag:{self.pid}:{r}",
             callback=lambda req: self._write_done(r))
 
     def _write_done(self, r: int) -> None:

@@ -108,14 +108,14 @@ class UncoordinatedHost(BaselineHost):
                              taken_at=self.sim.now, smark=smark, rmark=rmark)
         self.checkpoints.append(ck)
         self.trace("ckpt.tentative", csn=ck.number,
-                   bytes=self.runtime.state_bytes)
-        self.take_checkpoint_write(self.runtime.state_bytes,
+                   bytes=self.state_bytes)
+        self.take_checkpoint_write(self.state_bytes,
                                    label=f"async:{self.pid}:{ck.number}")
         # The domino effect can roll a process back to ANY of its
         # checkpoints, so none can be safely deleted — the storage-bloat
         # cost of uncoordinated checkpointing (paper §1, E13).
         self.runtime.storage.space.retain(
-            self.pid, f"ckpt:{ck.number}", self.runtime.state_bytes,
+            self.pid, f"ckpt:{ck.number}", self.state_bytes,
             self.sim.now)
         self._arm()
 

@@ -37,6 +37,7 @@ tours (a Theorem 1 liveness bug the clean protocol must not show).
 
 from __future__ import annotations
 
+import weakref
 from collections import Counter
 from typing import Any, Callable
 
@@ -210,10 +211,16 @@ class DesChaosInjector:
         faults = self.plan.storage_faults()
         if not faults:
             return
-        inner = storage.write
+        # The wrapper becomes ``storage.write``, so it must not hold
+        # ``storage`` strongly (that is a reference cycle): it reaches it
+        # through a weak reference, which is live on every call because
+        # every call comes through ``storage`` (DESIGN.md "Who owns whom").
+        owner = weakref.ref(storage)
+        inner = type(storage).write
 
         def write(pid: int, nbytes: int, label: str = "",
                   callback: Any = None) -> Any:
+            store: Any = owner()
             now = self.sim.now
             extra = 0
             for i, fault in faults:
@@ -225,10 +232,12 @@ class DesChaosInjector:
                 self.sim.trace.record(now, "chaos.storage", pid,
                                       fault=fault.kind, label=label)
                 if fault.kind == "slow-flush":
-                    extra += int(fault.delay * storage.disk.bandwidth)
+                    extra += int(fault.delay * store.disk.bandwidth)
                 else:  # torn-write / fsync-fail: wasted first attempt
-                    inner(pid, nbytes, label=f"chaos:{fault.kind}:{label}")
-            return inner(pid, nbytes + extra, label=label, callback=callback)
+                    inner(store, pid, nbytes,
+                          label=f"chaos:{fault.kind}:{label}")
+            return inner(store, pid, nbytes + extra, label=label,
+                         callback=callback)
 
         storage.write = write
 

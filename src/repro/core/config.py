@@ -16,6 +16,7 @@ Separates three concerns the paper keeps distinct:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import TYPE_CHECKING, Callable
 
 from .state_machine import MachineConfig
@@ -112,18 +113,22 @@ class FlushOpportunistic(FlushPolicy):
         # all poll (and then write) at the same instant.
         rng = host.sim.rng.stream(f"flush.{host.pid}")
         first = float(rng.uniform(0.0, self.poll_interval))
-
-        def poll() -> None:
-            if ckpt.flushed:
-                return
-            idle = host.runtime.storage.outstanding() <= self.idle_threshold
-            if idle or host.sim.now >= deadline:
-                host.flush_tentative(ckpt)
-            else:
-                host.set_timeout(self.poll_interval, poll)
-
         # host.set_timeout so crash/rollback kills the poll chain too.
-        host.set_timeout(first, poll)
+        host.set_timeout(first, partial(self._poll, host, ckpt, deadline))
+
+    def _poll(self, host: "OptimisticProcess", ckpt: "TentativeCheckpoint",
+              deadline: float) -> None:
+        # Each look re-arms a fresh partial: a closure that re-armed itself
+        # would be a reference cycle, left behind whenever a crash or
+        # rollback stops the chain.
+        if ckpt.flushed:
+            return
+        idle = host.runtime.storage.outstanding() <= self.idle_threshold
+        if idle or host.sim.now >= deadline:
+            host.flush_tentative(ckpt)
+        else:
+            host.set_timeout(self.poll_interval,
+                             partial(self._poll, host, ckpt, deadline))
 
 
 @dataclass

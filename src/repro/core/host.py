@@ -209,6 +209,17 @@ class OptimisticProcess(SimProcess, RuntimePort):
         self.ctl_sent = driver.ctl_sent
         self.finalize_reasons = driver.finalize_reasons
 
+    def detach(self) -> None:
+        """End of run: drop every reference that points back into the run
+        — the runtime (which owns this host), the network, the driver's
+        port (this host) and the two timers (whose callbacks are this
+        host's methods).  Checkpoints, tallies and the driver's state
+        stay."""
+        super().detach()
+        del self.runtime, self._net, self._net_send
+        del self._conv_timer, self._init_timer
+        del self.driver.port
+
     @property
     def local(self) -> LocalStore:
         """The volatile store, with the message log's size settled in.

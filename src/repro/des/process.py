@@ -57,6 +57,21 @@ class SimProcess:
         """Bind this process to a network (called by ``Network.add_process``)."""
         self.network = network
 
+    def detach(self) -> None:
+        """Let go of the run's wiring once the run is over.
+
+        Called by :meth:`Network.unwire` on every process in its roster.
+        The network keeps the roster, so the process drops its way back
+        to the network, and a per-instance ``on_message`` shim
+        (:func:`repro.storage.networked.install_ack_shim`) that closes
+        over the process.  Subclasses drop their other references back
+        into the run (runtime, driver port, timers) and call this.  What
+        is left is a tree that reference counting frees (DESIGN.md "Who
+        owns whom"); the process's records stay readable.
+        """
+        self.network = None
+        self.__dict__.pop("on_message", None)
+
     def on_start(self) -> None:
         """Hook invoked at process start; default does nothing."""
 

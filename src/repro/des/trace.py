@@ -176,6 +176,13 @@ class TraceRecorder:
             for kind in kinds:
                 self._kind_subscribers.setdefault(kind, []).append(fn)
 
+    def unsubscribe_all(self) -> None:
+        """Drop every live subscriber.  The end of a traced run calls this:
+        a subscriber that holds the simulator (the profiler) would
+        otherwise keep the finished run in a reference cycle."""
+        self._subscribers = []
+        self._kind_subscribers = {}
+
     # -- the columns and the kind index --------------------------------------
 
     def _view(self, row: int) -> TraceRecord:

@@ -23,7 +23,6 @@ from .executor import (
     run_many,
 )
 from .experiment import ExperimentConfig
-from .runner import RunResult, run_experiment
 
 #: The default protocol matrix (uncoordinated excluded: its costs are only
 #: meaningful through the recovery analysis, not through round metrics).
@@ -62,6 +61,7 @@ def compare(cfg: ExperimentConfig,
     :class:`RunResult` path; a failed run raises with its traceback).
     """
     if jobs <= 1 and cache is None:
+        from .runner import run_experiment
         out: dict[str, RunOutcome] = {}
         for name in protocols:
             out[name] = run_experiment(cfg.derive(protocol=name))

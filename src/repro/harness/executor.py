@@ -188,8 +188,10 @@ class ResultCache:
         payload = {"version": CACHE_VERSION, **payload}
         path = self.path_for(key)
         tmp = path.with_suffix(".json.tmp")
-        tmp.write_text(json.dumps(payload, sort_keys=True, indent=1,
-                                  default=repr), "utf-8")
+        # No ``indent``: it selects the pure-Python encoder, whose closures
+        # are left in a reference cycle per call.
+        tmp.write_text(json.dumps(payload, sort_keys=True, default=repr),
+                       "utf-8")
         tmp.replace(path)
 
     # Run summaries -----------------------------------------------------

@@ -11,8 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
 from ..api import RunOutcome
 from ..metrics.report import Table
 from .executor import (
@@ -23,7 +21,6 @@ from .executor import (
     run_many,
 )
 from .experiment import ExperimentConfig
-from .runner import RunResult, run_experiment
 
 
 @dataclass(frozen=True)
@@ -50,6 +47,7 @@ class MetricCI:
 def confidence_interval(values: Sequence[float],
                         confidence: float = 0.95) -> MetricCI:
     """Student-t CI of the mean (half-width 0 for n<2 or zero variance)."""
+    import numpy as np
     arr = np.asarray(list(values), dtype=float)
     if arr.size == 0:
         raise ValueError("need at least one value")
@@ -88,6 +86,7 @@ def replicate(cfg: ExperimentConfig, seeds: Sequence[int],
         raise ValueError("need at least one seed")
     configs = [cfg.derive(seed=int(s)) for s in seeds]
     if jobs <= 1 and cache is None:
+        from .runner import run_experiment
         return [run_experiment(c) for c in configs]
     outcomes = run_many(configs, jobs=jobs, cache=cache, progress=progress)
     raise_failures(outcomes)

@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
+from .._collector import collector_paused
 from ..causality.consistency import ConsistencyVerifier
 from ..core import (
     FlushAtFinalize,
@@ -191,7 +192,22 @@ def run_experiment(cfg: ExperimentConfig,
     ``(sim, network, storage, runtime)`` before ``runtime.start()`` —
     the attachment point for interposers (fault injectors, partitions,
     recovery managers) that must install before the first event fires.
+
+    The whole call runs with the cyclic collector paused
+    (:func:`~repro._collector.collector_paused`), and it ends by
+    unwiring the run (:meth:`~repro.net.network.Network.unwire`): the
+    returned objects form a tree, so a dropped :class:`RunResult` is
+    freed at once by reference counting, and the collector has nothing
+    to find in a run — it would only walk the run's live graph again
+    and again.  A run cut short by ``max_events`` keeps its pending
+    events, which still reach the hosts; the collector frees it later.
     """
+    with collector_paused():
+        return _run(cfg, tracer, before_run)
+
+
+def _run(cfg: ExperimentConfig, tracer: Any | None,
+         before_run: Callable[..., None] | None) -> RunResult:
     sim, net, storage, runtime = build_experiment(cfg)
     if before_run is not None:
         before_run(sim, net, storage, runtime)
@@ -218,6 +234,8 @@ def run_experiment(cfg: ExperimentConfig,
         bridge.finish(sim)
         bridge.registry.gauge("run.makespan").set(metrics.makespan)
         tracer.metrics_snapshot(bridge.registry.snapshot(), sim.now)
+        sim.trace.unsubscribe_all()
+    net.unwire()
     return RunResult(config=cfg, sim=sim, network=net, storage=storage,
                      runtime=runtime, metrics=metrics, orphans=orphans,
                      truncated=truncated)

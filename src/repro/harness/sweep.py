@@ -30,7 +30,6 @@ from .executor import (
     run_many,
 )
 from .experiment import ExperimentConfig, set_param
-from .runner import RunResult, run_experiment
 
 
 @dataclass
@@ -105,6 +104,7 @@ def sweep(base: ExperimentConfig, param: str, values: Sequence[Any],
             configs.append(cfg.derive(protocol=name))
             slots.append((i, name))
     if jobs <= 1 and cache is None:
+        from .runner import run_experiment
         for (i, name), cfg in zip(slots, configs):
             result.points[i].results[name] = run_experiment(cfg)
     else:

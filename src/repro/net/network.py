@@ -139,6 +139,21 @@ class Network:
         for p in procs:
             self.add_process(p)
 
+    def unwire(self) -> None:
+        """End of run: drop every reference that points back into the run.
+
+        Every process in the roster detaches
+        (:meth:`~repro.des.process.SimProcess.detach`) and the delivery
+        gate goes (an interposer that holds this network, such as a fault
+        injector's bound ``_gate``).  The roster, the channels and every
+        counter stay, so the finished run stays readable, and it is a
+        tree that reference counting frees
+        (:func:`repro.harness.runner.run_experiment` calls this last).
+        """
+        for proc in self.processes.values():
+            proc.detach()
+        self._delivery_gate = None
+
     def start_all(self) -> None:
         """Invoke ``on_start`` on every process (in pid order, at t=now)."""
         for pid in sorted(self.processes):

@@ -98,15 +98,12 @@ class DesBridge:
                  registry: MetricsRegistry | None = None) -> None:
         self.tracer = tracer
         self.registry = registry if registry is not None else MetricsRegistry()
-        self._handlers: dict[str, Any] = {
-            kind: getattr(self, name)
-            for kind, name in self.HANDLED_KINDS.items()}
 
     def __call__(self, rec: Any) -> None:
         """Translate one :class:`~repro.des.trace.TraceRecord`."""
-        handler = self._handlers.get(rec.kind)
-        if handler is not None:
-            handler(rec)
+        name = self.HANDLED_KINDS.get(rec.kind)
+        if name is not None:
+            getattr(self, name)(rec)
 
     def finish(self, sim: Any) -> None:
         """Fold the run's bulk totals into the registry (call once, at end).
@@ -289,6 +286,6 @@ def attach_des_tracer(sim: Any, tracer: Tracer,
     the absence of a subscriber is the zero-cost path.
     """
     bridge = DesBridge(tracer, registry)
-    for kind, handler in bridge._handlers.items():
-        sim.trace.subscribe(handler, kinds=(kind,))
+    for kind, name in DesBridge.HANDLED_KINDS.items():
+        sim.trace.subscribe(getattr(bridge, name), kinds=(kind,))
     return bridge

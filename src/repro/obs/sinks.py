@@ -35,9 +35,10 @@ class JsonlSink:
         """Append one event as a compact sorted-key JSON line."""
         if self._fh is None:
             raise ValueError(f"sink for {self.path} is closed")
-        json.dump(encode_event(event), self._fh, sort_keys=True,
-                  separators=(",", ":"))
-        self._fh.write("\n")
+        # json.dumps, not json.dump: dump streams through the pure-Python
+        # encoder, whose closures are left in a reference cycle per call.
+        self._fh.write(json.dumps(encode_event(event), sort_keys=True,
+                                  separators=(",", ":")) + "\n")
 
     def close(self) -> None:
         """Flush and close the file (idempotent)."""

@@ -346,8 +346,10 @@ class Scheduler:
         finally:
             tracer.span_end("run", f"serve:{record.id}", 1.0)
             tracer.close()
+        # Artifacts are compact JSON: ``indent`` selects the pure-Python
+        # encoder, whose closures are left in a reference cycle per call.
         (art / "result.json").write_text(
-            json.dumps(result, indent=2, sort_keys=True, default=repr)
+            json.dumps(result, sort_keys=True, default=repr)
             + "\n", "utf-8")
         return result
 
@@ -406,7 +408,7 @@ class Scheduler:
             run_root=art / "cells", tracer=tracer, cancel_event=cancel)
         payload = report.as_dict()
         (art / "matrix.json").write_text(
-            json.dumps(payload, indent=2, sort_keys=True) + "\n", "utf-8")
+            json.dumps(payload, sort_keys=True) + "\n", "utf-8")
         return payload
 
     def _body_live_run(self, spec: dict[str, Any], art: Path,

@@ -153,8 +153,9 @@ class JobStore:
         path = self.record_path(record.id)
         path.parent.mkdir(parents=True, exist_ok=True)
         tmp = path.with_suffix(".json.tmp")
-        tmp.write_text(json.dumps(record.as_dict(), sort_keys=True,
-                                  indent=1), "utf-8")
+        # No ``indent``: it selects the pure-Python encoder, whose closures
+        # are left in a reference cycle per call.
+        tmp.write_text(json.dumps(record.as_dict(), sort_keys=True), "utf-8")
         tmp.replace(path)
 
     def load(self, job_id: str) -> JobRecord | None:

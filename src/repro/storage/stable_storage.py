@@ -156,8 +156,13 @@ class StableStorage:
             nxt = self._queue.pop(0)
             self.queue_series.append((self.sim.now, len(self._queue)))
             self._start(nxt)
-        if req.callback is not None:
-            req.callback(req)
+        # A fired callback is dropped: ``requests`` keeps every record for
+        # the run's telemetry, and a callback (a host's flush completion)
+        # kept there would tie the finished run into a reference cycle.
+        callback = req.callback
+        if callback is not None:
+            req.callback = None
+            callback(req)
 
     # -- telemetry ----------------------------------------------------------
 

@@ -39,12 +39,12 @@ supported ablation switch.
 
 from __future__ import annotations
 
-import gc
 import marshal
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable
 
+from .._collector import collector_paused
 from ..causality.consistency import CheckpointRecord, chain
 from ..causality.properties import STATE_CHECKS, TERMINAL_CHECKS
 from ..core.driver import ProtocolDriver, RuntimePort
@@ -561,13 +561,8 @@ def explore(config: ExploreConfig | None = None) -> ExploreResult:
 
     # The search allocates millions of long-lived containers and no cycles;
     # pausing the cyclic GC avoids repeated full-heap traversals.
-    gc_was_enabled = gc.isenabled()
-    gc.disable()
-    try:
+    with collector_paused():
         _search(cfg, result, parents, queue, path_to, record)
-    finally:
-        if gc_was_enabled:
-            gc.enable()
     return result
 
 

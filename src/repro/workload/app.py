@@ -106,10 +106,16 @@ class UniformRandomApp(AppBehavior):
         # the heap *in place*, so the alias stays valid for the whole run.
         heap = sim._heap
 
+        # ``fire`` and ``schedule_next`` reach each other through their
+        # closure cells, a reference cycle; whichever ends the chain
+        # empties ``fire``'s cell so that reference counting frees both
+        # (the run pauses the cyclic collector: DESIGN.md "Who owns whom").
         def schedule_next() -> None:
+            nonlocal fire
             gap = float(exponential(mean_gap))
             t = sim.now + gap
             if t >= horizon:
+                del fire
                 return
             # sim.schedule_fast inlined (gap >= 0 by construction): one
             # heap tuple per re-arm, no Event, no call frame.  Keep in
@@ -120,9 +126,11 @@ class UniformRandomApp(AppBehavior):
                 sim.peak_pending = len(heap)
 
         def fire() -> None:
+            nonlocal fire
             # Inline staleness guard (what set_timeout's wrapper checks):
             # a crashed or rolled-back process drops the old send chain.
             if host.halted or host.incarnation != inc:
+                del fire
                 return
             if n > 1:
                 dst = int(integers(0, n - 1))
@@ -167,21 +175,27 @@ class RingApp(AppBehavior):
         # version.  Guard conditions and event order are unchanged.
         period = self.period
         horizon = self.horizon
+        sim = host.sim
+        if sim.now + period >= horizon:
+            return
         n = host.network.n
         dst = (host.pid + 1) % n
         payload = ("ring", host.pid)
         size = self.msg_size
         has_peer = n > 1
-        sim = host.sim
         app_send = host.app_send
         inc = host.incarnation
         # Heap alias for the inlined re-arm below: drain_cancelled compacts
         # the heap *in place*, so the alias stays valid for the whole run.
         heap = sim._heap
 
+        # ``fire`` holds itself through its closure cell; the fire that
+        # ends the chain empties the cell, so reference counting frees it.
         def fire() -> None:
+            nonlocal fire
             # Inline staleness guard (what set_timeout's wrapper checks).
             if host.halted or host.incarnation != inc:
+                del fire
                 return
             if has_peer:
                 app_send(dst, payload, size)
@@ -193,9 +207,10 @@ class RingApp(AppBehavior):
                 heappush(heap, (t, _TIMER, seq, fire))
                 if len(heap) > sim.peak_pending:
                     sim.peak_pending = len(heap)
+            else:
+                del fire
 
-        if sim.now + period < horizon:
-            sim.schedule_fast(period, fire, _TIMER)
+        sim.schedule_fast(period, fire, _TIMER)
 
 
 class ClientServerApp(AppBehavior):

@@ -47,7 +47,7 @@ def staggered_round_record(self, r):
         self, seq=r, taken_at=st.taken_at, finalized_at=st.completed_at,
         smark=st.smark, rmark=st.rmark,
         extra_sent=tuple(st.logged_uids),
-        state_bytes=self.runtime.state_bytes, log_bytes=st.log_bytes)
+        state_bytes=self.state_bytes, log_bytes=st.log_bytes)
 
 
 def chandy_lamport_round_record(self, round_id):
@@ -57,7 +57,7 @@ def chandy_lamport_round_record(self, round_id):
         self, seq=round_id, taken_at=st.recorded_at,
         finalized_at=st.completed_at, smark=st.smark, rmark=st.rmark,
         extra_recv=tuple(st.channel_uids),
-        state_bytes=self.runtime.state_bytes,
+        state_bytes=self.state_bytes,
         log_bytes=st.channel_bytes)
 
 
@@ -67,7 +67,7 @@ def koo_toueg_round_record(self, r):
     return prefix_record(
         self, seq=r, taken_at=taken_at, finalized_at=self.committed.get(r),
         smark=smark, rmark=rmark,
-        state_bytes=self.runtime.state_bytes)
+        state_bytes=self.state_bytes)
 
 
 def cic_cut_record(self, k):
@@ -77,7 +77,7 @@ def cic_cut_record(self, k):
             return prefix_record(
                 self, seq=k, taken_at=ck.taken_at, finalized_at=ck.taken_at,
                 smark=ck.smark, rmark=ck.rmark,
-                state_bytes=self.runtime.state_bytes)
+                state_bytes=self.state_bytes)
     raise KeyError(f"P{self.pid} has no checkpoint with index >= {k}")
 
 
@@ -88,7 +88,7 @@ def ms_cut_record(self, k):
             return prefix_record(
                 self, seq=k, taken_at=ck.taken_at, finalized_at=ck.taken_at,
                 smark=ck.smark, rmark=ck.rmark,
-                state_bytes=self.runtime.state_bytes)
+                state_bytes=self.state_bytes)
     raise KeyError(f"P{self.pid} has no checkpoint with sn >= {k}")
 
 

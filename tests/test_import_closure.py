@@ -147,6 +147,33 @@ assert "unknown protocol 'nope'" in err.getvalue(), err.getvalue()
 """, _RUN_PATH)
 
 
+_CACHED_BATCHES = """
+import contextlib, io
+from repro.cli import main
+from repro.harness import ExperimentConfig, ResultCache, replicate
+common = ["--n", "3", "--horizon", "30", "--interval", "10",
+          "--cache-dir", "cache"]
+with contextlib.redirect_stdout(io.StringIO()):
+    assert main(["sweep", "--param", "n", "--values", "2,3", *common]) == 0
+    assert main(["compare", "--protocols", "optimistic,koo-toueg",
+                 *common]) == 0
+outs = replicate(ExperimentConfig(n=3, horizon=30.0), [1, 2],
+                 cache=ResultCache("cache"))
+assert all(o.ok for o in outs)
+assert {cached}, [o.cached for o in outs]
+"""
+
+
+def test_fully_cached_sweep_compare_and_replicate_load_no_simulator(tmp_path):
+    # The first pass fills the cache (and may load anything); the second,
+    # served wholly from it, must not load the run path or numpy.
+    run_fresh(_CACHED_BATCHES.format(cached="True"), (), cwd=tmp_path)
+    # Their tables need repro.metrics.report, which is stdlib only.
+    run_fresh(_CACHED_BATCHES.format(cached="all(o.cached for o in outs)"),
+              tuple(m for m in _RUN_PATH if m != "repro.metrics")
+              + ("repro.metrics.collectors",), cwd=tmp_path)
+
+
 _LIVE_RUN = """
 from repro.live.supervisor import LiveRunConfig, run_live
 report = run_live(LiveRunConfig(

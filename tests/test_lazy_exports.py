@@ -33,8 +33,8 @@ LAZY_PACKAGES = sorted(
 def test_the_packages_on_the_start_up_path_use_the_helper():
     assert LAZY_PACKAGES == [
         "repro.chaos", "repro.core", "repro.des", "repro.harness",
-        "repro.live", "repro.net", "repro.obs", "repro.serve",
-        "repro.storage"]
+        "repro.live", "repro.metrics", "repro.net", "repro.obs",
+        "repro.serve", "repro.storage"]
 
 
 def test_there_is_one_lazy_export_implementation_in_the_tree():

@@ -180,6 +180,92 @@ def wrappers_forward_not_probe(root: Path) -> list[str]:
     return out
 
 
+#: The one module that switches the cyclic collector.
+COLLECTOR = "repro/_collector.py"
+
+
+def _collector_switches(path: Path) -> list[int]:
+    """Line numbers of every ``gc.disable()`` / ``gc.enable()`` call,
+    through any alias (``import gc as g``, ``from gc import disable``)."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    modules, functions = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules.update(a.asname or a.name for a in node.names
+                           if a.name == "gc")
+        elif isinstance(node, ast.ImportFrom) and node.module == "gc":
+            functions.update(a.asname or a.name for a in node.names
+                             if a.name in ("disable", "enable"))
+    out = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if isinstance(func, ast.Attribute) \
+                and func.attr in ("disable", "enable") \
+                and isinstance(func.value, ast.Name) \
+                and func.value.id in modules:
+            out.append(node.lineno)
+        elif isinstance(func, ast.Name) and func.id in functions:
+            out.append(node.lineno)
+    return out
+
+
+def one_collector_switch(root: Path) -> list[str]:
+    """Only ``repro._collector.collector_paused`` turns the cyclic
+    collector off and on: it restores the caller's setting on every exit
+    and nests, which a hand-written ``gc.disable()`` pair need not."""
+    return [f"{path.relative_to(root)}:{line} switches the collector"
+            for path in _files(root, "repro")
+            if path.relative_to(root).as_posix() != COLLECTOR
+            for line in _collector_switches(path)]
+
+
+#: Where the protocol logs messages: the driver and the hosts over it.
+LOGGING_PATH = ("repro/core/driver.py", "repro/core/host.py",
+                "repro/live/host.py")
+
+
+def selective_log_is_columns(root: Path) -> list[str]:
+    """``ProtocolDriver`` appends to a ``LogSet``'s columns; a logged
+    message builds no ``LogEntry`` object (those are views for cold
+    readers), on the driver or the hosts over it."""
+    return [f"{rel}:{line} builds a LogEntry"
+            for rel in LOGGING_PATH if (root / rel).is_file()
+            for line in _calls(root / rel, "LogEntry")]
+
+
+#: The run-path readers of the DES trace.
+TRACE_READERS = ("repro/causality/consistency.py", "repro/chaos/des.py",
+                 "repro/obs/bridge.py")
+
+
+def _names_trace(node: ast.AST) -> bool:
+    """``trace``, ``x.trace`` or ``x.y.trace``: an expression naming a
+    trace recorder."""
+    return (isinstance(node, ast.Name) and node.id == "trace") or (
+        isinstance(node, ast.Attribute) and node.attr == "trace")
+
+
+def des_trace_is_columns(root: Path) -> list[str]:
+    """The run-path readers take kind-index rows
+    (``TraceRecorder.select``); none materialises the trace as
+    ``TraceRecord`` views, by ``trace.records`` or by iterating it."""
+    out = []
+    for rel in TRACE_READERS:
+        path = root / rel
+        if not path.is_file():
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and node.attr == "records" \
+                    and _names_trace(node.value):
+                out.append(f"{rel}:{node.lineno} reads trace.records")
+            elif isinstance(node, (ast.For, ast.comprehension)) \
+                    and _names_trace(node.iter):
+                out.append(f"{rel}:{node.iter.lineno} iterates the trace")
+    return out
+
+
 RULES: dict[str, Callable[[Path], list[str]]] = {
     "no-invariant-monitor": no_invariant_monitor,
     "judges-share-the-library": judges_share_the_library,
@@ -188,6 +274,9 @@ RULES: dict[str, Callable[[Path], list[str]]] = {
     "no-networkx-under-src": no_networkx_under_src,
     "live-worker-loads-no-supervisor": live_worker_loads_no_supervisor,
     "wrappers-forward-not-probe": wrappers_forward_not_probe,
+    "one-collector-switch": one_collector_switch,
+    "the-selective-log-is-columns": selective_log_is_columns,
+    "the-des-trace-is-columns": des_trace_is_columns,
 }
 
 
@@ -203,12 +292,21 @@ def _write(root: Path, files: dict[str, str]) -> Path:
 
 
 #: A tree that keeps every rule: each judge imports the library,
-#: chaos/des.py builds the one faulted run, the worker imports no
-#: supervisor and the wrappers forward to their inner endpoint.
+#: chaos/des.py builds the one faulted run and reads trace rows, the
+#: worker imports no supervisor, the wrappers forward to their inner
+#: endpoint, only the collector module switches the collector and the
+#: driver appends log columns.
 CLEAN = {**{judge: "from ..causality.properties import STATE_CHECKS\n"
             for judge in JUDGES},
          "repro/chaos/des.py": "from ..causality.properties import "
-                               "STATE_CHECKS\nrun_experiment(cfg)\n",
+                               "STATE_CHECKS\nrun_experiment(cfg)\n"
+                               "rows = sim.trace.select('msg.send', 'dst')"
+                               "\n",
+         COLLECTOR: "import gc\n"
+                    "def collector_paused():\n"
+                    "    gc.disable()\n"
+                    "    gc.enable()\n",
+         "repro/core/driver.py": "self.log_entries.append(uid, nbytes)\n",
          WORKER: "from .wire import stop_frame\n",
          **{wrapper: "class Wrapper:\n"
                      "    def drain(self):\n"
@@ -247,6 +345,20 @@ SEEDED: dict[str, dict[str, str]] = {
                                "    def drain(self):\n"
                                "        return getattr(self.inner, 'drain',"
                                " None)\n",
+    },
+    "one-collector-switch": {
+        "repro/verify/explore.py": "from ..causality.properties import "
+                                   "STATE_CHECKS\n"
+                                   "import gc as collector\n"
+                                   "collector.disable()\n",
+    },
+    "the-selective-log-is-columns": {
+        "repro/core/driver.py": "from . import types\n"
+                                "self.log.append(types.LogEntry(uid, n))\n",
+    },
+    "the-des-trace-is-columns": {
+        "repro/obs/bridge.py": "sends = [r for r in sim.trace "
+                               "if r.kind == 'msg.send']\n",
     },
 }
 
