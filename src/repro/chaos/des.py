@@ -3,11 +3,15 @@
 :class:`DesChaosInjector` chains onto ``Network.delivery_gate`` (the same
 idiom the failure and partition injectors use), draws every fault decision
 from a named ``sim.rng`` stream (``chaos.<kind>.<index>``), and therefore
-replays byte-identically for the same seed + plan.  Partition faults
-delegate to the existing :class:`~repro.recovery.partition.PartitionInjector`
-(park + redeliver at heal); crash faults are composed by :func:`run_plan`
-through :class:`~repro.recovery.restart.RecoveryManager`; storage faults
-wrap ``StableStorage.write``.
+replays byte-identically for the same seed + plan.  A fault that holds
+a message back (delay, reorder) or copies it (duplicate) puts it back in
+flight through :meth:`Network.redeliver`, so the network keeps owning
+it: its arrival runs the full gate chain and a rollback flushes it.
+Partition faults delegate to the existing
+:class:`~repro.recovery.partition.PartitionInjector` (held until heal);
+crash faults are composed by :func:`run_plan` through
+:class:`~repro.recovery.restart.RecoveryManager`; storage faults wrap
+``StableStorage.write``.
 
 :func:`run_plan` is the judge every faulted DES run goes through — the
 chaos matrix cell (:func:`run_des_cell`), the fuzz oracle
@@ -49,17 +53,14 @@ from ..causality.properties import (
     violations as property_violations,
 )
 from ..core.types import ControlType
+from ..des.events import Event
 from ..harness.experiment import ExperimentConfig
 from ..harness.runner import run_experiment
 from ..net.message import Message
-from ..net.network import Network
+from ..net.network import REDELIVERY_SPACING, Network
 from ..recovery.partition import PartitionInjector
 from ..recovery.restart import RecoveryManager
 from .plan import ChaosError, FaultPlan, single_fault_plan
-
-#: Spacing for duplicate/reorder/delay redeliveries (mirrors the partition
-#: injector's heal spacing: deterministic order, no zero-duration bursts).
-REDELIVERY_SPACING = 1e-6
 
 #: Crash cells: detection + restart time before system-wide rollback.
 CRASH_RECOVERY_DELAY = 5.0
@@ -78,25 +79,23 @@ class DesChaosInjector:
         self._wire = plan.wire_faults()
         self._rngs = {i: sim.rng.stream(f"chaos.{f.kind}.{i}")
                       for i, f in self._wire + plan.storage_faults()}
-        #: (src, dst) -> held message, per reorder fault index.
-        self._reorder_held: dict[int, dict[tuple[int, int], Message]] = {
+        #: (src, dst) -> (held message, its delivery entry), per reorder
+        #: fault index.  The entry arrives just after window close unless
+        #: the channel's next message comes first and swaps the order.
+        self._reorder_held: dict[int, dict[tuple[int, int],
+                                           tuple[Message, Event]]] = {
             i: {} for i, f in self._wire if f.kind == "reorder"}
-        # Partitions ride on the proven injector (park + redeliver at heal).
-        self._partitions: PartitionInjector | None = None
+        #: Partitions ride on the proven injector (held until heal).
+        self.partitions: PartitionInjector | None = None
         if plan.partition_faults():
-            self._partitions = PartitionInjector(sim, network)
+            self.partitions = PartitionInjector(sim, network)
             for _, f in plan.partition_faults():
-                self._partitions.partition(f.group_a, f.group_b,
-                                           f.start, f.end)
+                self.partitions.partition(f.group_a, f.group_b,
+                                          f.start, f.end)
         # Wire gate chains last so it runs first (innermost faults win).
         self._prev_gate = network.delivery_gate
         if self._wire:
             network.delivery_gate = self._gate
-            for i, f in self._wire:
-                if f.kind == "reorder":
-                    # Window close flushes any message still held for the
-                    # swap — nothing may stay parked into quiescence.
-                    sim.schedule_at(f.end, lambda i=i: self._flush_reorder(i))
 
     # -- bookkeeping -------------------------------------------------------
 
@@ -111,6 +110,7 @@ class DesChaosInjector:
 
     def _gate(self, msg: Message) -> bool:
         now = self.sim.now
+        network = self.network
         for i, fault in self._wire:
             if not fault.active(now) or msg.kind not in fault.frames:
                 continue
@@ -124,14 +124,14 @@ class DesChaosInjector:
                                           kind=msg.kind)
                     return False
             elif fault.kind == "duplicate":
-                # A copy is never itself duplicated: redelivery re-runs
-                # this gate (crash/partition state may have changed), and
-                # without the marker a p=1.0 window turns one message
-                # into a self-replicating chain of REDELIVERY_SPACING-
-                # spaced copies — millions of events before the window
-                # closes (found by `repro fuzz`; the meta dict is
-                # per-message whenever an injector is installed, so the
-                # stamp cannot cross-contaminate interned piggybacks).
+                # A copy is never itself duplicated: its arrival re-runs
+                # this gate, and without the marker a p=1.0 window turns
+                # one message into a self-replicating chain of
+                # REDELIVERY_SPACING-spaced copies — millions of events
+                # before the window closes (found by `repro fuzz`; the
+                # meta dict is per-message whenever a gate is installed,
+                # so the stamp cannot cross-contaminate interned
+                # piggybacks).
                 if "chaos.duplicated" not in msg.meta \
                         and rng.random() < fault.p:
                     self._count("duplicate")
@@ -139,32 +139,31 @@ class DesChaosInjector:
                     self.sim.trace.record(now, "chaos.duplicate", msg.dst,
                                           uid=msg.uid, src=msg.src,
                                           kind=msg.kind)
-                    self.sim.schedule(REDELIVERY_SPACING,
-                                      lambda m=msg: self._redeliver(m))
+                    network.redeliver(msg, REDELIVERY_SPACING, copy=True)
             elif fault.kind == "delay":
                 if rng.random() < fault.p:
                     self._count("delay")
-                    msg.meta["drop_cause"] = "chaos.delay"
                     self.sim.trace.record(now, "chaos.delay", msg.dst,
                                           uid=msg.uid, src=msg.src,
                                           kind=msg.kind, delay=fault.delay)
-                    self.sim.schedule(fault.delay,
-                                      lambda m=msg: self._redeliver(m))
+                    network.redeliver(msg, fault.delay)
                     return False
             elif fault.kind == "reorder":
                 held = self._reorder_held[i]
                 key = (msg.src, msg.dst)
-                parked = held.get(key)
-                if parked is not None:
+                parked = held.pop(key, None)
+                if parked is not None and parked[0] is not msg:
                     # The successor arrived: deliver it now (fall through)
-                    # and release the held one right after — order swapped.
-                    del held[key]
-                    self.sim.schedule(REDELIVERY_SPACING,
-                                      lambda m=parked: self._redeliver(m))
-                elif rng.random() < fault.p:
+                    # and the held one right after — order swapped.  A
+                    # rollback may have flushed the held one meanwhile.
+                    first, entry = parked
+                    if entry.active:
+                        entry.cancel()
+                        network.redeliver(first, REDELIVERY_SPACING)
+                elif parked is None and rng.random() < fault.p:
                     self._count("reorder")
-                    held[key] = msg
-                    msg.meta["drop_cause"] = "chaos.reorder"
+                    close = fault.end + REDELIVERY_SPACING
+                    held[key] = (msg, network.redeliver(msg, close - now))
                     self.sim.trace.record(now, "chaos.reorder", msg.dst,
                                           uid=msg.uid, src=msg.src,
                                           kind=msg.kind)
@@ -172,29 +171,6 @@ class DesChaosInjector:
         if self._prev_gate is not None:
             return self._prev_gate(msg)
         return True
-
-    def _redeliver(self, msg: Message) -> None:
-        """Deliver a duplicated/delayed/reordered message now.
-
-        Re-runs the *full* gate chain first — the destination may have
-        crashed or a partition begun since the message was intercepted
-        (mirrors ``PartitionInjector._redeliver``).
-        """
-        msg.meta.pop("drop_cause", None)
-        if not self.network.delivery_gate(msg):
-            return
-        msg.deliver_time = self.sim.now
-        self.sim.trace.record(self.sim.now, "msg.deliver", msg.dst,
-                              uid=msg.uid, src=msg.src, kind=msg.kind,
-                              bytes=msg.total_bytes, redelivered=True)
-        self.network.processes[msg.dst]._deliver(msg)
-
-    def _flush_reorder(self, index: int) -> None:
-        held = self._reorder_held[index]
-        for j, key in enumerate(sorted(held)):
-            self.sim.schedule((j + 1) * REDELIVERY_SPACING,
-                              lambda m=held[key]: self._redeliver(m))
-        held.clear()
 
     # -- storage faults ----------------------------------------------------
 
@@ -358,6 +334,9 @@ def run_plan(plan: FaultPlan, cfg: ExperimentConfig, *,
                                      recovery_delay=CRASH_RECOVERY_DELAY)
             holder["recovery"] = rm
         for host in runtime.hosts.values():
+            # A proven-impossible message is a finding the judge reports
+            # (the ``anomaly`` property), not an exception ending the run.
+            host.driver.strict = False
             host.driver.case_counts = {}
 
     # The property library below is the judge: the run itself does not
@@ -379,11 +358,8 @@ def run_plan(plan: FaultPlan, cfg: ExperimentConfig, *,
         ctl_sent.update(host.ctl_sent)
 
     injected = dict(injector.injected)
-    dropped_by_cause = result.network.dropped_by_cause()
-    if plan.partition_faults():
-        # Partition parks are performed by the delegated PartitionInjector;
-        # its per-cause drop counter is the injection count.
-        injected["partition"] = dropped_by_cause.get("partition", 0)
+    if injector.partitions is not None:
+        injected["partition"] = injector.partitions.holds()
     if rm is not None:
         injected["crash"] = len(rm.events)
 
@@ -448,7 +424,7 @@ def run_plan(plan: FaultPlan, cfg: ExperimentConfig, *,
         "finalize_reasons": dict(finalize_reasons),
         "ctl_sent": dict(ctl_sent),
         "injected": injected,
-        "dropped_by_cause": dropped_by_cause,
+        "dropped_by_cause": result.network.dropped_by_cause(),
         "recovered_actions": {"redelivered": redelivered,
                               "rollbacks": rollbacks},
         "rollback_depths": rollback_depths,

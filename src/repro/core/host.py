@@ -188,7 +188,7 @@ class OptimisticProcess(SimProcess, RuntimePort):
         # Interned (piggyback, meta-dict) pair: between protocol transitions
         # every outgoing app message carries the same {"pb": pb}, so the
         # dict is built once per transition — unless fault injection is in
-        # play (network._track_deliveries), where gates stamp per-message
+        # play (a network delivery gate), where gates stamp per-message
         # drop causes into meta and sharing would cross-contaminate.
         self._pb_meta: tuple[Any, Any] = (None, None)
         # App delivery callback, resolved once: None when the behaviour
@@ -290,7 +290,7 @@ class OptimisticProcess(SimProcess, RuntimePort):
                  size: int = 0) -> Message:
         """Send an application message with the protocol piggyback (§3.4.2)."""
         pb = self.machine.piggyback()
-        if self._net._track_deliveries:
+        if self._net.delivery_gate is not None:
             meta = {"pb": pb}  # faults in play: meta must be per-message
         else:
             cached = self._pb_meta

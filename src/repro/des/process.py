@@ -121,14 +121,5 @@ class SimProcess:
         if tr.enabled:
             tr.record(self.sim.now, kind, self.pid, **data)
 
-    # -- internal ----------------------------------------------------------
-
-    def _deliver(self, msg: "Message") -> None:
-        """Network-facing delivery entry point (counts, then dispatches)."""
-        if self.halted:
-            return
-        self.delivered_count += 1
-        self.on_message(msg)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}(pid={self.pid})"

@@ -22,12 +22,7 @@ protocol:
   sent at most once per round); losing a control message forever is
   exactly the ``drop-ck-req`` *protocol mutation* the fuzzer exists to
   catch, not a legal environment.  Delay/reorder/duplicate may touch
-  control frames — they never lose messages;
-* a plan with a crash fault may not also hold messages (delay, reorder,
-  partition): held copies are re-injected after recovery's global
-  rollback, which :meth:`Network.drop_in_flight` cannot see — an
-  injector artifact the real system ("channels flushed on restart")
-  rules out.
+  control frames — they never lose messages.
 """
 
 from __future__ import annotations
@@ -146,10 +141,6 @@ class FuzzInput:
         crashes = [f for f in faults if f.kind == "crash"]
         if len(crashes) > 1:
             raise ChaosError("at most one crash fault per plan")
-        if crashes and any(f.kind in ("delay", "reorder", "partition")
-                           for f in faults):
-            raise ChaosError("crash may not compose with message-holding"
-                             " faults (delay/reorder/partition)")
         for f in faults:
             self._check_fault(f, budget)
 

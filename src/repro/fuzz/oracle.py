@@ -3,9 +3,10 @@
 The verdict is :func:`repro.chaos.des.run_plan`'s, the one the chaos
 matrix and ``repro chaos --plan`` apply.  The input envelope
 (:meth:`FuzzInput.validate`) keeps every fault inside the paper's fault
-model, where anomalies are unreachable, so any violation is a protocol
-bug, not an injector artifact.  ``run_item`` is ``run_input``'s
-picklable face for ``map_jobs``.
+model, so any violation — a protocol anomaly included, which the judge
+reports rather than raises — is a protocol bug, not an injector
+artifact.  ``run_item`` is ``run_input``'s picklable face for
+``map_jobs``.
 """
 
 from __future__ import annotations

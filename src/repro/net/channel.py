@@ -37,9 +37,9 @@ class ChannelStats:
     delivered: int = 0
     dropped: int = 0
     max_in_flight: int = 0
-    #: ``dropped`` split by cause ("gate", "crashed", "partition",
-    #: "rollback", "chaos.drop", ...) — protocol-intended drops stay
-    #: distinguishable from injected ones.
+    #: ``dropped`` split by cause ("gate", "crashed", "rollback",
+    #: "chaos.drop", ...) — protocol-intended drops stay distinguishable
+    #: from injected ones.  A held message is in flight, not dropped.
     dropped_by_cause: dict[str, int] = field(default_factory=dict)
 
     def on_send(self, msg: Message) -> None:

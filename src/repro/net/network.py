@@ -11,20 +11,28 @@
 3. schedules the delivery event at the channel-computed arrival time
    (``msg.deliver`` record, then the destination's handler).
 
-A ``delivery_gate`` hook lets the failure injector suppress delivery to
-crashed processes without the network knowing anything about failures.
+The network owns every message from its send to its one delivery or
+drop.  Every delivery runs through :meth:`Network._deliver` — a first
+delivery, a message a fault held back, or a duplicate the network
+invents — and :meth:`Network.redeliver` is the only way a message goes
+back in flight.  So every message in flight is a delivery entry of this
+network on the simulator heap, and :meth:`Network.drop_in_flight` flushes
+them all in one pass.
+
+A ``delivery_gate`` hook lets the fault injectors refuse, hold or copy a
+delivery without the network knowing anything about faults.
 """
 
 from __future__ import annotations
 
 from functools import partial
-from heapq import heappush
+from heapq import heapify, heappush
 from typing import Any, Callable, Iterable
 
 from ..des.engine import Simulator
 from ..des.events import Event, EventPriority
 from ..des.process import SimProcess
-from .channel import Channel
+from .channel import Channel, ChannelStats
 from .latency import ConstantLatency, LatencyModel, UniformLatency
 from .message import Message, _next_uid
 from .topology import Topology, complete
@@ -32,6 +40,18 @@ from .topology import Topology, complete
 #: Plain int of the delivery priority band — heap tuples compare faster
 #: with ints than IntEnum members, and the value is fixed.
 _DELIVERY = int(EventPriority.DELIVERY)
+
+#: Spacing for redeliveries that follow one another (a duplicate after its
+#: original, a reordered message after its successor, partition holds in
+#: arrival order): a deterministic order and no zero-duration bursts.
+REDELIVERY_SPACING = 1e-6
+
+
+class _Copy(Message):
+    """A duplicate envelope the network invents (:meth:`Network.redeliver`
+    with ``copy=True``): the original's uid and content, counted nowhere."""
+
+    __slots__ = ()
 
 
 class Network:
@@ -105,17 +125,15 @@ class Network:
         self._const_delay = (self.latency.delay
                              if type(self.latency) is ConstantLatency
                              else None)
-        #: uid -> pending delivery event, for in-flight flushing on rollback.
-        self._pending_deliveries: dict[int, "Event"] = {}
-        #: Whether sends must create *cancellable* delivery events.  Off by
-        #: default: a failure-free run never cancels an in-flight message,
-        #: so deliveries ride the heap as bare callables (no Event object,
-        #: no pending-dict bookkeeping — measurable per message).  Flipped
-        #: on for good the moment a delivery gate is installed, which every
-        #: fault mechanism (failure/partition/chaos injectors — and thus
-        #: every ``drop_in_flight`` caller) does before the run starts.
-        self._track_deliveries = False
-        self._delivery_gate: Callable[[Message], bool] | None = None
+        #: Called before every delivery; returning False refuses it.  A
+        #: refusal is a drop, attributed to ``msg.meta["drop_cause"]``
+        #: ("gate" when unstamped), unless the gate put the message back
+        #: in flight with :meth:`redeliver` (a hold).  The failure,
+        #: partition and chaos injectors chain here.
+        self.delivery_gate: Callable[[Message], bool] | None = None
+        #: The message the last :meth:`redeliver` put back in flight; a
+        #: gated delivery clears it before asking the gate.
+        self._requeued: Message | None = None
         # Aggregate counters (per message kind).
         self.sent_by_kind: dict[str, int] = {}
         self.bytes_by_kind: dict[str, int] = {}
@@ -152,7 +170,7 @@ class Network:
         """
         for proc in self.processes.values():
             proc.detach()
-        self._delivery_gate = None
+        self.delivery_gate = None
 
     def start_all(self) -> None:
         """Invoke ``on_start`` on every process (in pid order, at t=now)."""
@@ -163,20 +181,6 @@ class Network:
     def n(self) -> int:
         """Number of application processes (see ``app_n``)."""
         return self.app_n
-
-    @property
-    def delivery_gate(self) -> Callable[[Message], bool] | None:
-        """Called before delivery; return False to silently drop (used by
-        the failure/partition/chaos injectors)."""
-        return self._delivery_gate
-
-    @delivery_gate.setter
-    def delivery_gate(self, gate: Callable[[Message], bool] | None) -> None:
-        self._delivery_gate = gate
-        if gate is not None:
-            # A gate means faults are in play: from here on every delivery
-            # must be cancellable so drop_in_flight can flush the channels.
-            self._track_deliveries = True
 
     # -- channels ----------------------------------------------------------
 
@@ -295,16 +299,8 @@ class Network:
         # (no closure cells) and a C-level call.
         sim._seq = seq = sim._seq + 1
         heap = sim._heap
-        if self._track_deliveries:
-            # Faults in play: wrap in a cancellable Event and track it so
-            # drop_in_flight can flush the channel.
-            ev = Event(arrival, _DELIVERY, seq, partial(self._deliver, msg, ch))
-            ev._owner = sim
-            heappush(heap, (arrival, _DELIVERY, seq, ev))
-            self._pending_deliveries[msg.uid] = ev
-        else:
-            heappush(heap, (arrival, _DELIVERY, seq,
-                            partial(self._deliver, msg, ch)))
+        heappush(heap, (arrival, _DELIVERY, seq,
+                        partial(self._deliver, msg, ch)))
         if len(heap) > sim.peak_pending:
             sim.peak_pending = len(heap)
         return msg
@@ -337,51 +333,82 @@ class Network:
             total += self.latency.sample(ch.rng, u, v, nbytes)
         return total
 
-    def _deliver(self, msg: Message, ch: Channel) -> None:
+    def redeliver(self, msg: Message, delay: float, *,
+                  copy: bool = False) -> Event:
+        """Put ``msg`` back in flight, arriving ``delay`` from now.
+
+        The only way a message goes back in flight.  A gate that holds
+        the message it is asked about calls this and refuses it: the
+        message stays in flight (no drop is counted) and counts as
+        delivered when it arrives.  ``copy=True`` instead sends a
+        duplicate envelope that no send, deliver or drop counter sees.
+        Either way the arrival runs :meth:`_deliver`, the full gate chain
+        included, and :meth:`drop_in_flight` flushes it.  Returns the
+        entry, which the caller may cancel to deliver the message at
+        another time (a cancelled entry and a flushed one read inactive).
+        """
+        if copy:
+            msg = _Copy(msg.src, msg.dst, msg.kind, msg.payload,
+                        dict(msg.meta), msg.size, msg.overhead_bytes,
+                        msg.send_time, None, msg.uid)
+        else:
+            self._requeued = msg
+        ch = self._chan_fast[msg.src * self._tn + msg.dst]
+        return self.sim.schedule(delay, partial(self._deliver, msg, ch, True),
+                                 priority=_DELIVERY)
+
+    def _deliver(self, msg: Message, ch: Channel, again: bool = False) -> None:
+        """The one delivery step: gate chain, counters, ``msg.deliver``
+        record, then the destination's handler.  ``again`` marks an entry
+        :meth:`redeliver` made (traced ``redelivered=True``)."""
         sim = self.sim
         now = sim.now
-        if self._track_deliveries:
-            self._pending_deliveries.pop(msg.uid, None)
-        gate = self._delivery_gate
-        if gate is not None and not gate(msg):
-            # Gates attribute their refusal by stamping meta["drop_cause"]
-            # (failure injector: "crashed"; partitions: "partition"; chaos:
-            # "chaos.*"); an unstamped refusal is a generic gate drop.
-            cause = msg.meta.get("drop_cause", "gate")
-            ch.stats.on_drop(msg, cause=cause)
-            tr = sim.trace
-            if tr.enabled:
-                tr.record(now, "msg.drop", msg.dst, uid=msg.uid,
-                          src=msg.src, kind=msg.kind, cause=cause)
-            return
-        msg.deliver_time = now
         stats = ch.stats
+        counts = self.delivered_by_kind
+        gate = self.delivery_gate
+        if gate is not None:
+            self._requeued = None
+            if not gate(msg):
+                if self._requeued is msg or msg.__class__ is _Copy:
+                    return  # held (still in flight), or an uncounted copy
+                # Gates attribute their refusal by stamping
+                # meta["drop_cause"] (failure injector: "crashed"; chaos:
+                # "chaos.drop"); an unstamped refusal is a generic gate drop.
+                cause = msg.meta.get("drop_cause", "gate")
+                stats.on_drop(msg, cause=cause)
+                tr = sim.trace
+                if tr.enabled:
+                    tr.record(now, "msg.drop", msg.dst, uid=msg.uid,
+                              src=msg.src, kind=msg.kind, cause=cause)
+                return
+            if msg.__class__ is _Copy:
+                # A message the network invents, not one it sent: its
+                # delivery counts nowhere.
+                stats, counts = ChannelStats(), {}
+        msg.deliver_time = now
         stats.in_flight -= 1
         stats.delivered += 1
         kind = msg.kind
-        counts = self.delivered_by_kind
         try:
             counts[kind] += 1
         except KeyError:
             counts[kind] = 1
         tr = sim.trace
         if tr.enabled:
-            tr.record(now, "msg.deliver", msg.dst, uid=msg.uid,
-                      src=msg.src, kind=kind,
-                      bytes=msg.size + msg.overhead_bytes)
-        # SimProcess._deliver inlined (halted check + count + dispatch):
-        # one call frame per delivered message.  Keep in sync with
-        # SimProcess._deliver, which remains the entry point for direct
-        # callers.
+            if again:
+                tr.record(now, "msg.deliver", msg.dst, uid=msg.uid,
+                          src=msg.src, kind=kind,
+                          bytes=msg.size + msg.overhead_bytes,
+                          redelivered=True)
+            else:
+                tr.record(now, "msg.deliver", msg.dst, uid=msg.uid,
+                          src=msg.src, kind=kind,
+                          bytes=msg.size + msg.overhead_bytes)
         proc = self.processes[msg.dst]
         if proc.halted:
             return
         proc.delivered_count += 1
         proc.on_message(msg)
-
-    @staticmethod
-    def _bump(counter: dict[str, int], kind: str) -> None:
-        counter[kind] = counter.get(kind, 0) + 1
 
     # -- summaries ---------------------------------------------------------
 
@@ -412,25 +439,41 @@ class Network:
 
         Used by rollback recovery: messages in the channels belong to the
         rolled-back execution and must not be delivered into the recovered
-        one (channel-flushing, the standard recovery assumption).  Each
-        dropped message is traced as ``msg.drop``.
+        one (channel-flushing, the standard recovery assumption).  Every
+        delivery entry of this network leaves the simulator heap in one
+        pass: first deliveries, held messages and copies alike.  Each
+        flushed message but a copy counts as a ``rollback`` drop and is
+        traced as ``msg.drop``, in send order.
         """
+        sim = self.sim
+        heap = sim._heap
+        deliver = self._deliver
+        keep = []
+        flushed = []
+        for entry in heap:
+            fn = ev = entry[3]
+            if ev.__class__ is Event:
+                if ev.cancelled:
+                    keep.append(entry)
+                    continue
+                fn = ev.fn
+            if fn.__class__ is partial and fn.func == deliver:
+                flushed.append((entry[2], fn.args[0], fn.args[1]))
+                if ev is not fn:
+                    ev.cancelled = True  # out of the heap: not counted
+            else:
+                keep.append(entry)
+        heap[:] = keep  # in place: the run loop holds the list
+        heapify(heap)
         dropped = 0
-        for uid, ev in list(self._pending_deliveries.items()):
-            if ev.active:
-                ev.cancel()
-                dropped += 1
-                self.sim.trace.record(self.sim.now, "msg.drop", -1,
-                                      uid=uid, reason="rollback",
-                                      cause="rollback")
-            self._pending_deliveries.pop(uid, None)
-        for ch in self._channels.values():
-            if ch.stats.in_flight:
-                ch.stats.dropped_by_cause["rollback"] = (
-                    ch.stats.dropped_by_cause.get("rollback", 0)
-                    + ch.stats.in_flight)
-            ch.stats.dropped += ch.stats.in_flight
-            ch.stats.in_flight = 0
+        flushed.sort()  # by seq, which is unique: send order
+        for _, msg, ch in flushed:
+            if msg.__class__ is _Copy:
+                continue
+            ch.stats.on_drop(msg, cause="rollback")
+            dropped += 1
+            sim.trace.record(sim.now, "msg.drop", -1, uid=msg.uid,
+                             reason="rollback", cause="rollback")
         return dropped
 
     def dropped_by_cause(self) -> dict[str, int]:

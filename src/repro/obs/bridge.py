@@ -118,9 +118,8 @@ class DesBridge:
             count = totals.get(kind, 0)
             if count:
                 self.registry.counter(name).inc(count)
-        # Per-cause drop split (gate / crashed / partition / rollback /
-        # chaos.*) and redelivered count, folded only when the run
-        # produced any.
+        # Per-cause drop split (gate / crashed / rollback / chaos.drop)
+        # and redelivered count, folded only when the run produced any.
         causes = Counter("gate" if cause is None else cause
                          for *_, cause in trace.select("msg.drop", "cause"))
         redelivered = sum(1 for *_, again in trace.select("msg.deliver",

@@ -6,25 +6,21 @@ delayed until the partition heals, but never lost.  Theorem 1 (convergence)
 must therefore survive partitions: a round started before or during one
 finalizes after the heal.
 
-:class:`PartitionInjector` installs a delivery gate that intercepts
-messages crossing the cut, parks them, and re-delivers them (in original
-arrival order, with a small spacing) once the partition heals.  Multiple
-sequential partitions are supported; overlapping ones are rejected for
-clarity.
+:class:`PartitionInjector` installs a delivery gate that holds messages
+crossing the cut: each goes back in flight (:meth:`Network.redeliver`)
+to arrive just after the heal, in original arrival order.  A held
+message stays the network's, so a rollback flushes it with the rest.
+Multiple sequential partitions are supported; overlapping ones are
+rejected for clarity.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..des.engine import Simulator
-from ..des.events import EventPriority
 from ..net.message import Message
-from ..net.network import Network
-
-#: Spacing between re-deliveries at heal time (keeps the total order
-#: deterministic and avoids a zero-duration delivery burst).
-REDELIVERY_SPACING = 1e-6
+from ..net.network import REDELIVERY_SPACING, Network
 
 
 @dataclass
@@ -35,7 +31,8 @@ class Partition:
     group_b: frozenset[int]
     start: float
     end: float
-    held: list[Message] = field(default_factory=list)
+    #: Messages this partition held (each arrives just after the heal).
+    held: int = 0
     healed: bool = False
 
     def separates(self, src: int, dst: int) -> bool:
@@ -86,30 +83,15 @@ class PartitionInjector:
         if self._active is part:
             self._active = None
         self.sim.trace.record(self.sim.now, "partition.heal", -1,
-                              released=len(part.held))
-        for i, msg in enumerate(part.held):
-            self.sim.schedule((i + 1) * REDELIVERY_SPACING,
-                              lambda m=msg: self._redeliver(m),
-                              priority=EventPriority.DELIVERY)
-        part.held = []
-
-    def _redeliver(self, msg: Message) -> None:
-        # Run the full gate chain again (the destination may have crashed,
-        # or another partition begun, in the meantime).
-        if not self._gate(msg):
-            return
-        msg.deliver_time = self.sim.now
-        self.sim.trace.record(self.sim.now, "msg.deliver", msg.dst,
-                              uid=msg.uid, src=msg.src, kind=msg.kind,
-                              bytes=msg.total_bytes, redelivered=True)
-        self.network.processes[msg.dst]._deliver(msg)
+                              released=part.held)
 
     def _gate(self, msg: Message) -> bool:
         part = self._active
         if part is not None and not part.healed \
                 and part.separates(msg.src, msg.dst):
-            part.held.append(msg)
-            msg.meta["drop_cause"] = "partition"
+            part.held += 1
+            arrival = part.end + part.held * REDELIVERY_SPACING
+            self.network.redeliver(msg, arrival - self.sim.now)
             self.sim.trace.record(self.sim.now, "msg.held", msg.dst,
                                   uid=msg.uid, src=msg.src, kind=msg.kind)
             return False
@@ -117,9 +99,13 @@ class PartitionInjector:
             return self._prev_gate(msg)
         return True
 
+    def holds(self) -> int:
+        """Messages held across every partition so far."""
+        return sum(p.held for p in self.partitions)
+
     def held_count(self) -> int:
-        """Messages currently parked across all active partitions."""
-        return sum(len(p.held) for p in self.partitions if not p.healed)
+        """Messages held by partitions that have not healed yet."""
+        return sum(p.held for p in self.partitions if not p.healed)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"PartitionInjector(partitions={len(self.partitions)}, "

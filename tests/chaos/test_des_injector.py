@@ -95,9 +95,11 @@ CELL_KEYS = ("runtime", "fault", "seed", "consistent", "recovered",
              "makespan")
 
 #: SHA-256 of the canonical JSON of every (kind, seed 0-2) cell record,
-#: restricted to CELL_KEYS.
+#: restricted to CELL_KEYS.  Re-pinned once when held messages stopped
+#: counting as drops: only the delay, reorder and partition cells'
+#: ``dropped_by_cause`` changed (their hold causes are gone).
 CELL_GOLDEN = \
-    "4bda5a0ebe37eda4e5dfc16490b3507acfda1e708e6062091e767bb0c7c9a54f"
+    "a313a4912fffc511bb7563fda090fcf0598b0943a24d14b0b64172da62e2b110"
 
 
 def test_cells_match_the_golden_digest():

@@ -266,6 +266,32 @@ def des_trace_is_columns(root: Path) -> list[str]:
     return out
 
 
+#: The one module that delivers a simulated message.
+NETWORK = "repro/net/network.py"
+
+
+def one_delivery_step(root: Path) -> list[str]:
+    """The network owns every message from its send to its one delivery
+    or drop: outside ``net/network.py`` no code records a ``msg.deliver``
+    trace event or reaches a ``_deliver`` method (a fault that holds or
+    copies a message calls ``Network.redeliver``)."""
+    out = []
+    for path in _files(root, "repro"):
+        rel = path.relative_to(root).as_posix()
+        if rel == NETWORK:
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and node.attr == "_deliver":
+                out.append(f"{rel}:{node.lineno} reaches a _deliver method")
+            elif isinstance(node, ast.Call) \
+                    and isinstance(node.func, ast.Attribute) \
+                    and node.func.attr == "record" \
+                    and any(isinstance(a, ast.Constant)
+                            and a.value == "msg.deliver" for a in node.args):
+                out.append(f"{rel}:{node.lineno} records msg.deliver")
+    return out
+
+
 RULES: dict[str, Callable[[Path], list[str]]] = {
     "no-invariant-monitor": no_invariant_monitor,
     "judges-share-the-library": judges_share_the_library,
@@ -277,6 +303,7 @@ RULES: dict[str, Callable[[Path], list[str]]] = {
     "one-collector-switch": one_collector_switch,
     "the-selective-log-is-columns": selective_log_is_columns,
     "the-des-trace-is-columns": des_trace_is_columns,
+    "one-delivery-step": one_delivery_step,
 }
 
 
@@ -294,8 +321,8 @@ def _write(root: Path, files: dict[str, str]) -> Path:
 #: A tree that keeps every rule: each judge imports the library,
 #: chaos/des.py builds the one faulted run and reads trace rows, the
 #: worker imports no supervisor, the wrappers forward to their inner
-#: endpoint, only the collector module switches the collector and the
-#: driver appends log columns.
+#: endpoint, only the collector module switches the collector, the
+#: driver appends log columns and only the network delivers.
 CLEAN = {**{judge: "from ..causality.properties import STATE_CHECKS\n"
             for judge in JUDGES},
          "repro/chaos/des.py": "from ..causality.properties import "
@@ -307,6 +334,12 @@ CLEAN = {**{judge: "from ..causality.properties import STATE_CHECKS\n"
                     "    gc.disable()\n"
                     "    gc.enable()\n",
          "repro/core/driver.py": "self.log_entries.append(uid, nbytes)\n",
+         NETWORK: "def _deliver(self, msg, ch, again=False):\n"
+                  "    tr.record(now, 'msg.deliver', msg.dst)\n"
+                  "partial(self._deliver, msg, ch)\n",
+         "repro/recovery/partition.py":
+             "def _gate(self, msg):\n"
+             "    self.network.redeliver(msg, 1.0)\n",
          WORKER: "from .wire import stop_frame\n",
          **{wrapper: "class Wrapper:\n"
                      "    def drain(self):\n"
@@ -359,6 +392,13 @@ SEEDED: dict[str, dict[str, str]] = {
     "the-des-trace-is-columns": {
         "repro/obs/bridge.py": "sends = [r for r in sim.trace "
                                "if r.kind == 'msg.send']\n",
+    },
+    "one-delivery-step": {
+        "repro/recovery/partition.py":
+            "def _redeliver(self, msg):\n"
+            "    self.sim.trace.record(self.sim.now, 'msg.deliver', "
+            "msg.dst, uid=msg.uid, redelivered=True)\n"
+            "    self.network.processes[msg.dst]._deliver(msg)\n",
     },
 }
 
