@@ -1,17 +1,18 @@
 """DES fault injection and the one judge of a faulted DES run.
 
-:class:`DesChaosInjector` chains onto ``Network.delivery_gate`` (the same
-idiom the failure and partition injectors use), draws every fault decision
-from a named ``sim.rng`` stream (``chaos.<kind>.<index>``), and therefore
-replays byte-identically for the same seed + plan.  A fault that holds
-a message back (delay, reorder) or copies it (duplicate) puts it back in
-flight through :meth:`Network.redeliver`, so the network keeps owning
-it: its arrival runs the full gate chain and a rollback flushes it.
-Partition faults delegate to the existing
-:class:`~repro.recovery.partition.PartitionInjector` (held until heal);
-crash faults are composed by :func:`run_plan` through
-:class:`~repro.recovery.restart.RecoveryManager`; storage faults wrap
-``StableStorage.write``.
+:class:`DesChaosInjector` is one gate in ``Network.gates``: it draws every
+fault decision from a named ``sim.rng`` stream (``chaos.<kind>.<index>``),
+and therefore replays byte-identically for the same seed + plan.  Its
+verdict is ``None`` (pass) or the cause of a refusal; it never writes into
+a message.  A fault that holds a message back (delay, reorder, a
+partition until its heal) or copies it (duplicate) puts it back in flight
+through :meth:`Network.redeliver`, so the network keeps owning it: its
+arrival asks every gate again and a rollback flushes it.  A partition is
+the arm asked after the wire faults; a message that crosses two
+overlapping cuts is held by each in turn.  A crashed receiver is the
+network's own refusal (``crashed``), so crash faults are composed by
+:func:`run_plan` through :class:`~repro.recovery.restart.RecoveryManager`;
+storage faults wrap ``StableStorage.write``.
 
 :func:`run_plan` is the judge every faulted DES run goes through — the
 chaos matrix cell (:func:`run_des_cell`), the fuzz oracle
@@ -43,6 +44,7 @@ from __future__ import annotations
 
 import weakref
 from collections import Counter
+from functools import partial
 from typing import Any, Callable
 
 from ..causality.consistency import ConsistencyVerifier
@@ -58,9 +60,8 @@ from ..harness.experiment import ExperimentConfig
 from ..harness.runner import run_experiment
 from ..net.message import Message
 from ..net.network import REDELIVERY_SPACING, Network
-from ..recovery.partition import PartitionInjector
 from ..recovery.restart import RecoveryManager
-from .plan import ChaosError, FaultPlan, single_fault_plan
+from .plan import ChaosError, Fault, FaultPlan, single_fault_plan
 
 #: Crash cells: detection + restart time before system-wide rollback.
 CRASH_RECOVERY_DELAY = 5.0
@@ -85,17 +86,22 @@ class DesChaosInjector:
         self._reorder_held: dict[int, dict[tuple[int, int],
                                            tuple[Message, Event]]] = {
             i: {} for i, f in self._wire if f.kind == "reorder"}
-        #: Partitions ride on the proven injector (held until heal).
-        self.partitions: PartitionInjector | None = None
-        if plan.partition_faults():
-            self.partitions = PartitionInjector(sim, network)
-            for _, f in plan.partition_faults():
-                self.partitions.partition(f.group_a, f.group_b,
-                                          f.start, f.end)
-        # Wire gate chains last so it runs first (innermost faults win).
-        self._prev_gate = network.delivery_gate
-        if self._wire:
-            network.delivery_gate = self._gate
+        #: Uids already duplicated: a copy shares its original's uid, so
+        #: neither is copied again.
+        self._duplicated: set[int] = set()
+        #: Partition cuts; the indices in ``_live`` are in force (between
+        #: their ``partition.begin`` and ``partition.heal``), and
+        #: ``_held`` counts the messages each cut has held.
+        self._cuts = plan.partition_faults()
+        self._live: set[int] = set()
+        self._held = {i: 0 for i, _ in self._cuts}
+        if self._cuts:
+            self.injected["partition"] = 0
+        for i, f in self._cuts:
+            sim.schedule_at(f.start, partial(self._begin, i, f))
+            sim.schedule_at(f.end, partial(self._heal, i))
+        if self._wire or self._cuts:
+            network.gates.append(self._gate)
 
     # -- bookkeeping -------------------------------------------------------
 
@@ -106,9 +112,21 @@ class DesChaosInjector:
         """Total number of fault injections across all kinds."""
         return sum(self.injected.values())
 
+    # -- partitions ----------------------------------------------------------
+
+    def _begin(self, i: int, fault: Fault) -> None:
+        self._live.add(i)
+        self.sim.trace.record(self.sim.now, "partition.begin", -1,
+                              a=sorted(fault.group_a), b=sorted(fault.group_b))
+
+    def _heal(self, i: int) -> None:
+        self._live.discard(i)
+        self.sim.trace.record(self.sim.now, "partition.heal", -1,
+                              released=self._held[i])
+
     # -- the delivery gate -------------------------------------------------
 
-    def _gate(self, msg: Message) -> bool:
+    def _gate(self, msg: Message) -> str | None:
         now = self.sim.now
         network = self.network
         for i, fault in self._wire:
@@ -118,24 +136,20 @@ class DesChaosInjector:
             if fault.kind == "drop":
                 if rng.random() < fault.p:
                     self._count("drop")
-                    msg.meta["drop_cause"] = "chaos.drop"
                     self.sim.trace.record(now, "chaos.drop", msg.dst,
                                           uid=msg.uid, src=msg.src,
                                           kind=msg.kind)
-                    return False
+                    return "chaos.drop"
             elif fault.kind == "duplicate":
-                # A copy is never itself duplicated: its arrival re-runs
-                # this gate, and without the marker a p=1.0 window turns
+                # A copy is never itself duplicated: its arrival asks this
+                # gate again, and without the uid set a p=1.0 window turns
                 # one message into a self-replicating chain of
                 # REDELIVERY_SPACING-spaced copies — millions of events
-                # before the window closes (found by `repro fuzz`; the
-                # meta dict is per-message whenever a gate is installed,
-                # so the stamp cannot cross-contaminate interned
-                # piggybacks).
-                if "chaos.duplicated" not in msg.meta \
+                # before the window closes (found by `repro fuzz`).
+                if msg.uid not in self._duplicated \
                         and rng.random() < fault.p:
                     self._count("duplicate")
-                    msg.meta["chaos.duplicated"] = True
+                    self._duplicated.add(msg.uid)
                     self.sim.trace.record(now, "chaos.duplicate", msg.dst,
                                           uid=msg.uid, src=msg.src,
                                           kind=msg.kind)
@@ -147,7 +161,7 @@ class DesChaosInjector:
                                           uid=msg.uid, src=msg.src,
                                           kind=msg.kind, delay=fault.delay)
                     network.redeliver(msg, fault.delay)
-                    return False
+                    return "chaos.delay"
             elif fault.kind == "reorder":
                 held = self._reorder_held[i]
                 key = (msg.src, msg.dst)
@@ -167,10 +181,22 @@ class DesChaosInjector:
                     self.sim.trace.record(now, "chaos.reorder", msg.dst,
                                           uid=msg.uid, src=msg.src,
                                           kind=msg.kind)
-                    return False
-        if self._prev_gate is not None:
-            return self._prev_gate(msg)
-        return True
+                    return "chaos.reorder"
+        for i, fault in self._cuts:
+            if i not in self._live or msg.kind not in fault.frames:
+                continue
+            a, b = fault.group_a, fault.group_b
+            src, dst = msg.src, msg.dst
+            if (src in a and dst in b) or (src in b and dst in a):
+                # Held until just after the heal, in arrival order.
+                self._held[i] = held_n = self._held[i] + 1
+                self._count("partition")
+                network.redeliver(
+                    msg, fault.end + held_n * REDELIVERY_SPACING - now)
+                self.sim.trace.record(now, "msg.held", msg.dst, uid=msg.uid,
+                                      src=msg.src, kind=msg.kind)
+                return "partition"
+        return None
 
     # -- storage faults ----------------------------------------------------
 
@@ -290,18 +316,17 @@ def cell_config(seed: int = 0) -> ExperimentConfig:
 def _install_drop_ck_req(sim: Any, net: Any, storage: Any,
                          runtime: Any) -> None:
     """The seeded protocol bug: CK_REQ messages vanish in the network."""
-    prev = net.delivery_gate
 
-    def gate(msg: Any) -> bool:
+    def gate(msg: Any) -> str | None:
         if msg.kind == "ctl" and msg.payload.ctype is ControlType.CK_REQ:
-            msg.meta["drop_cause"] = "mutation.drop-ck-req"
-            return False
-        return True if prev is None else prev(msg)
+            return "mutation.drop-ck-req"
+        return None
 
-    net.delivery_gate = gate
+    net.gates.append(gate)
 
 
-#: name -> before_run installer, applied underneath the chaos injector.
+#: name -> before_run installer, applied after the chaos injector (so its
+#: gate is asked after the injector's).
 PROTOCOL_MUTATIONS: dict[str, Callable[..., None]] = {
     "drop-ck-req": _install_drop_ck_req,
 }
@@ -322,11 +347,11 @@ def run_plan(plan: FaultPlan, cfg: ExperimentConfig, *,
     holder: dict[str, Any] = {}
 
     def before_run(sim: Any, net: Any, storage: Any, runtime: Any) -> None:
-        if mutation is not None:
-            PROTOCOL_MUTATIONS[mutation](sim, net, storage, runtime)
         injector = DesChaosInjector(sim, net, plan)
         injector.attach_storage(storage)
         holder["injector"] = injector
+        if mutation is not None:
+            PROTOCOL_MUTATIONS[mutation](sim, net, storage, runtime)
         if crashes:
             rm = RecoveryManager(runtime)
             for f in crashes:
@@ -358,8 +383,6 @@ def run_plan(plan: FaultPlan, cfg: ExperimentConfig, *,
         ctl_sent.update(host.ctl_sent)
 
     injected = dict(injector.injected)
-    if injector.partitions is not None:
-        injected["partition"] = injector.partitions.holds()
     if rm is not None:
         injected["crash"] = len(rm.events)
 

@@ -183,13 +183,11 @@ class OptimisticProcess(SimProcess, RuntimePort):
         # the piggyback wire cost and the bound network send (one attribute
         # chain less per message).
         self._pb_bytes = piggyback_bytes(runtime.n)
-        self._net = runtime.network
         self._net_send = runtime.network.send
         # Interned (piggyback, meta-dict) pair: between protocol transitions
         # every outgoing app message carries the same {"pb": pb}, so the
-        # dict is built once per transition — unless fault injection is in
-        # play (a network delivery gate), where gates stamp per-message
-        # drop causes into meta and sharing would cross-contaminate.
+        # dict is built once per transition (nothing writes into a sent
+        # message's meta: a gate's verdict is its return value).
         self._pb_meta: tuple[Any, Any] = (None, None)
         # App delivery callback, resolved once: None when the behaviour
         # inherits the base no-op (marked ``app_noop``) so per-delivery
@@ -216,7 +214,7 @@ class OptimisticProcess(SimProcess, RuntimePort):
         host's methods).  Checkpoints, tallies and the driver's state
         stay."""
         super().detach()
-        del self.runtime, self._net, self._net_send
+        del self.runtime, self._net_send
         del self._conv_timer, self._init_timer
         del self.driver.port
 
@@ -290,15 +288,12 @@ class OptimisticProcess(SimProcess, RuntimePort):
                  size: int = 0) -> Message:
         """Send an application message with the protocol piggyback (§3.4.2)."""
         pb = self.machine.piggyback()
-        if self._net.delivery_gate is not None:
-            meta = {"pb": pb}  # faults in play: meta must be per-message
+        cached = self._pb_meta
+        if cached[0] is pb:
+            meta = cached[1]
         else:
-            cached = self._pb_meta
-            if cached[0] is pb:
-                meta = cached[1]
-            else:
-                meta = {"pb": pb}
-                self._pb_meta = (pb, meta)
+            meta = {"pb": pb}
+            self._pb_meta = (pb, meta)
         msg = self._net_send(self.pid, dst, payload, size, "app",
                              meta, self._pb_bytes)
         self.driver.app_sent(msg.uid, size + self._pb_bytes)

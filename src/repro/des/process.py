@@ -44,7 +44,8 @@ class SimProcess:
         #: Count of handler invocations, useful for sanity checks in tests.
         self.delivered_count = 0
         #: Set by the failure injector: a halted (crashed) process neither
-        #: receives deliveries nor fires timers armed via ``set_timeout``.
+        #: receives deliveries (the network refuses them as ``crashed``
+        #: drops) nor fires timers armed via ``set_timeout``.
         self.halted = False
         #: Bumped on rollback recovery; timeouts armed under an older
         #: incarnation are silently dropped (their continuation chains

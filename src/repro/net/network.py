@@ -19,8 +19,12 @@ back in flight.  So every message in flight is a delivery entry of this
 network on the simulator heap, and :meth:`Network.drop_in_flight` flushes
 them all in one pass.
 
-A ``delivery_gate`` hook lets the fault injectors refuse, hold or copy a
-delivery without the network knowing anything about faults.
+The network itself refuses a delivery to a halted (crashed) process: a
+``crashed`` drop, asked before anything else.  Past that, the ``gates``
+list lets fault injectors refuse, hold or copy a delivery without the
+network knowing anything about faults.  Each gate returns a verdict —
+``None`` to pass the message, or the cause of its refusal — and the
+first verdict wins.
 """
 
 from __future__ import annotations
@@ -125,14 +129,14 @@ class Network:
         self._const_delay = (self.latency.delay
                              if type(self.latency) is ConstantLatency
                              else None)
-        #: Called before every delivery; returning False refuses it.  A
-        #: refusal is a drop, attributed to ``msg.meta["drop_cause"]``
-        #: ("gate" when unstamped), unless the gate put the message back
-        #: in flight with :meth:`redeliver` (a hold).  The failure,
-        #: partition and chaos injectors chain here.
-        self.delivery_gate: Callable[[Message], bool] | None = None
+        #: Asked in order before every delivery to a live process.  A gate
+        #: returns ``None`` to pass the message, or a string that refuses
+        #: it: a drop of that cause, unless the gate put the message back
+        #: in flight with :meth:`redeliver` (a hold).  The first refusal
+        #: wins; later gates are not asked.
+        self.gates: list[Callable[[Message], str | None]] = []
         #: The message the last :meth:`redeliver` put back in flight; a
-        #: gated delivery clears it before asking the gate.
+        #: gated delivery clears it before asking the gates.
         self._requeued: Message | None = None
         # Aggregate counters (per message kind).
         self.sent_by_kind: dict[str, int] = {}
@@ -161,8 +165,8 @@ class Network:
         """End of run: drop every reference that points back into the run.
 
         Every process in the roster detaches
-        (:meth:`~repro.des.process.SimProcess.detach`) and the delivery
-        gate goes (an interposer that holds this network, such as a fault
+        (:meth:`~repro.des.process.SimProcess.detach`) and the gates go
+        (an interposer that holds this network, such as a fault
         injector's bound ``_gate``).  The roster, the channels and every
         counter stay, so the finished run stays readable, and it is a
         tree that reference counting frees
@@ -170,7 +174,7 @@ class Network:
         """
         for proc in self.processes.values():
             proc.detach()
-        self.delivery_gate = None
+        self.gates = []
 
     def start_all(self) -> None:
         """Invoke ``on_start`` on every process (in pid order, at t=now)."""
@@ -342,14 +346,14 @@ class Network:
         message stays in flight (no drop is counted) and counts as
         delivered when it arrives.  ``copy=True`` instead sends a
         duplicate envelope that no send, deliver or drop counter sees.
-        Either way the arrival runs :meth:`_deliver`, the full gate chain
+        Either way the arrival runs :meth:`_deliver`, every gate
         included, and :meth:`drop_in_flight` flushes it.  Returns the
         entry, which the caller may cancel to deliver the message at
         another time (a cancelled entry and a flushed one read inactive).
         """
         if copy:
             msg = _Copy(msg.src, msg.dst, msg.kind, msg.payload,
-                        dict(msg.meta), msg.size, msg.overhead_bytes,
+                        msg.meta, msg.size, msg.overhead_bytes,
                         msg.send_time, None, msg.uid)
         else:
             self._requeued = msg
@@ -358,33 +362,37 @@ class Network:
                                  priority=_DELIVERY)
 
     def _deliver(self, msg: Message, ch: Channel, again: bool = False) -> None:
-        """The one delivery step: gate chain, counters, ``msg.deliver``
-        record, then the destination's handler.  ``again`` marks an entry
-        :meth:`redeliver` made (traced ``redelivered=True``)."""
+        """The one delivery step: a halted receiver's refusal, the gates,
+        counters, ``msg.deliver`` record, then the destination's handler.
+        ``again`` marks an entry :meth:`redeliver` made (traced
+        ``redelivered=True``)."""
         sim = self.sim
         now = sim.now
         stats = ch.stats
         counts = self.delivered_by_kind
-        gate = self.delivery_gate
-        if gate is not None:
+        proc = self.processes[msg.dst]
+        if proc.halted or self.gates:
             self._requeued = None
-            if not gate(msg):
-                if self._requeued is msg or msg.__class__ is _Copy:
-                    return  # held (still in flight), or an uncounted copy
-                # Gates attribute their refusal by stamping
-                # meta["drop_cause"] (failure injector: "crashed"; chaos:
-                # "chaos.drop"); an unstamped refusal is a generic gate drop.
-                cause = msg.meta.get("drop_cause", "gate")
-                stats.on_drop(msg, cause=cause)
-                tr = sim.trace
-                if tr.enabled:
-                    tr.record(now, "msg.drop", msg.dst, uid=msg.uid,
-                              src=msg.src, kind=msg.kind, cause=cause)
-                return
+            cause = "crashed" if proc.halted else None
+            if cause is None:
+                for gate in self.gates:
+                    cause = gate(msg)
+                    if cause is not None:
+                        break
             if msg.__class__ is _Copy:
+                if cause is not None:
+                    return  # an uncounted copy
                 # A message the network invents, not one it sent: its
                 # delivery counts nowhere.
                 stats, counts = ChannelStats(), {}
+            elif cause is not None:
+                if self._requeued is not msg:  # else held: still in flight
+                    stats.on_drop(msg, cause=cause)
+                    tr = sim.trace
+                    if tr.enabled:
+                        tr.record(now, "msg.drop", msg.dst, uid=msg.uid,
+                                  src=msg.src, kind=msg.kind, cause=cause)
+                return
         msg.deliver_time = now
         stats.in_flight -= 1
         stats.delivered += 1
@@ -404,9 +412,6 @@ class Network:
                 tr.record(now, "msg.deliver", msg.dst, uid=msg.uid,
                           src=msg.src, kind=kind,
                           bytes=msg.size + msg.overhead_bytes)
-        proc = self.processes[msg.dst]
-        if proc.halted:
-            return
         proc.delivered_count += 1
         proc.on_message(msg)
 

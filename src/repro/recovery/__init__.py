@@ -1,8 +1,13 @@
 """Failure injection, recovery-cost analysis (E8), and live rollback
-recovery for the optimistic protocol."""
+recovery for the optimistic protocol.
+
+A crash halts a process, and the network refuses every delivery to a
+halted one.  A network partition is not a recovery concern: it is a
+``partition`` :class:`~repro.chaos.plan.Fault`, held until its heal by
+:class:`~repro.chaos.des.DesChaosInjector`.
+"""
 
 from .failure import CrashPlan, FailureInjector
-from .partition import Partition, PartitionInjector
 from .restart import RecoveryEvent, RecoveryManager
 from .rollback import (
     NoRecoveryPoint,
@@ -18,8 +23,6 @@ __all__ = [
     "CrashPlan",
     "FailureInjector",
     "NoRecoveryPoint",
-    "Partition",
-    "PartitionInjector",
     "RecoveryEvent",
     "RecoveryManager",
     "RecoveryOutcome",

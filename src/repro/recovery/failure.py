@@ -1,7 +1,8 @@
 """Failure injection.
 
 Crashes a process at a chosen simulated time: from that instant the process
-neither receives deliveries, nor fires its timers, nor (consequently) sends
+is halted, so it neither receives deliveries (the network refuses them as
+``crashed`` drops), nor fires its timers, nor (consequently) sends
 anything new.  Messages it sent *before* the crash remain in flight and are
 delivered normally (fail-stop model with asynchronous channels).
 
@@ -20,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..des.engine import Simulator
-from ..net.message import Message
 from ..net.network import Network
 
 
@@ -34,15 +34,12 @@ class CrashPlan:
 
 
 class FailureInjector:
-    """Schedules fail-stop crashes and gates the network accordingly."""
+    """Schedules fail-stop crashes: a crash halts the process."""
 
     def __init__(self, sim: Simulator, network: Network) -> None:
         self.sim = sim
         self.network = network
         self.plans: list[CrashPlan] = []
-        self.crashed: set[int] = set()
-        self._prev_gate = network.delivery_gate
-        network.delivery_gate = self._gate
 
     def crash(self, pid: int, at: float) -> CrashPlan:
         """Schedule a fail-stop crash of ``pid`` at simulated time ``at``."""
@@ -55,23 +52,20 @@ class FailureInjector:
 
     def _execute(self, plan: CrashPlan) -> None:
         plan.executed = True
-        self.crashed.add(plan.pid)
         proc = self.network.processes[plan.pid]
         proc.halted = True
         self.sim.trace.record(self.sim.now, "failure.crash", plan.pid)
 
-    def _gate(self, msg: Message) -> bool:
-        if msg.dst in self.crashed:
-            msg.meta["drop_cause"] = "crashed"
-            return False
-        if self._prev_gate is not None:
-            return self._prev_gate(msg)
-        return True
+    @property
+    def crashed(self) -> set[int]:
+        """Pids of processes halted now (a rollback restarts them)."""
+        return {pid for pid, proc in self.network.processes.items()
+                if proc.halted}
 
     def alive(self) -> list[int]:
-        """Pids of processes that have not crashed."""
+        """Pids of processes that are not halted."""
         return [pid for pid in sorted(self.network.processes)
-                if pid not in self.crashed]
+                if not self.network.processes[pid].halted]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"FailureInjector(crashed={sorted(self.crashed)})"

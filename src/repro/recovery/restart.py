@@ -48,12 +48,10 @@ class RecoveryEvent:
 class RecoveryManager:
     """Crash a process and execute system-wide rollback recovery."""
 
-    def __init__(self, runtime: OptimisticRuntime,
-                 injector: FailureInjector | None = None) -> None:
+    def __init__(self, runtime: OptimisticRuntime) -> None:
         self.runtime = runtime
         self.sim = runtime.sim
-        self.injector = injector if injector is not None else FailureInjector(
-            self.sim, runtime.network)
+        self.injector = FailureInjector(self.sim, runtime.network)
         self.events: list[RecoveryEvent] = []
 
     def crash_and_recover(self, pid: int, at: float,
@@ -83,10 +81,10 @@ class RecoveryManager:
                  restart_app: bool) -> None:
         seq = self._durable_seq()
         dropped = self.runtime.network.drop_in_flight()
-        # Roll every process back; this also un-halts the crashed one.
+        # Roll every process back; this also un-halts the crashed one, so
+        # the network delivers to it again.
         for host in self.runtime.hosts.values():
             host.rollback_to(seq, restart_app=restart_app)
-        self.injector.crashed.discard(pid)
         self.sim.trace.record(self.sim.now, "recovery.complete", pid,
                               seq=seq, dropped=dropped)
         self.events.append(RecoveryEvent(

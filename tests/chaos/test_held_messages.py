@@ -103,12 +103,14 @@ def _install_forged_piggyback(sim, net, storage, runtime):
     def gate(msg):
         if msg.kind == "app" and not forged and sim.now >= 15.0:
             csn = net.processes[msg.dst].machine.csn + 2
-            msg.meta["pb"] = Piggyback(csn=csn, stat=Status.TENTATIVE,
-                                       tent_set=frozenset({msg.src}))
+            # A fresh dict: app sends share one interned meta dict, so a
+            # write into it would forge every later message too.
+            msg.meta = {"pb": Piggyback(csn=csn, stat=Status.TENTATIVE,
+                                        tent_set=frozenset({msg.src}))}
             forged.append(msg.uid)
-        return True
+        return None
 
-    net.delivery_gate = gate
+    net.gates.append(gate)
 
 
 def test_the_judge_reports_an_anomaly_instead_of_raising(monkeypatch):

@@ -100,6 +100,24 @@ def test_duplicate_storm_does_not_melt_the_oracle():
     assert outcome["injected"].get("duplicate", 0) >= 1
 
 
+def test_overlapping_partitions_run_clean():
+    """Two cuts in force at once are in the fuzz envelope, and the DES
+    runs them: a message crossing both is held by each in turn."""
+    from repro.chaos.plan import Fault, FaultPlan
+
+    inp = FuzzInput(plan=FaultPlan(faults=(
+        Fault("partition", start=10.0, end=35.0, group_a=(0, 1),
+              group_b=(2, 3)),
+        Fault("partition", start=20.0, end=45.0, group_a=(0,),
+              group_b=(1, 2, 3)))))
+    inp.validate()
+    outcome = run_input(inp)
+    assert outcome["violations"] == [], outcome
+    assert not outcome["truncated"]
+    assert outcome["injected"]["partition"] > 0
+    assert outcome["recovered"]
+
+
 def test_outcomes_and_signatures_match_the_golden_digests():
     outcomes = [run_input(inp, mutation=m)
                 for inp in seed_inputs() for m in (None, "drop-ck-req")]

@@ -141,12 +141,62 @@ class TestCountersAndGate:
 
     def test_delivery_gate_drops(self):
         sim, net, procs = build()
-        net.delivery_gate = lambda msg: msg.dst != 1
+        net.gates.append(lambda msg: "blocked" if msg.dst == 1 else None)
         net.send(0, 1, "blocked")
         net.send(0, 2, "ok")
         sim.run()
         assert procs[1].got == [] and len(procs[2].got) == 1
         assert sim.trace.count("msg.drop") == 1
+        assert net.dropped_by_cause() == {"blocked": 1}
+
+    def test_gates_are_asked_in_order_until_one_refuses(self):
+        sim, net, procs = build()
+        asked = []
+
+        def gate(name, refuse):
+            def ask(msg):
+                asked.append((name, msg.payload))
+                return name if msg.payload in refuse else None
+            return ask
+
+        net.gates += [gate("first", {"x"}), gate("second", {"y"})]
+        net.send(0, 1, "x")
+        sim.run()
+        net.send(0, 1, "y")
+        sim.run()
+        net.send(0, 1, "z")
+        sim.run()
+        assert asked == [("first", "x"), ("first", "y"), ("second", "y"),
+                         ("first", "z"), ("second", "z")]
+        assert net.dropped_by_cause() == {"first": 1, "second": 1}
+        assert [m.payload for m in procs[1].got] == ["z"]
+
+    def test_a_halted_receiver_is_a_crashed_drop(self):
+        sim, net, procs = build()
+        procs[1].halted = True
+        m = net.send(0, 1, "x", kind="app")
+        sim.run()
+        assert procs[1].got == [] and procs[1].delivered_count == 0
+        assert net.delivered_by_kind == {}
+        assert net.dropped_by_cause() == {"crashed": 1}
+        assert net.in_flight() == 0
+        drop = sim.trace.first("msg.drop")
+        assert drop.process == 1 and drop.data["uid"] == m.uid
+        assert drop.data["cause"] == "crashed"
+        assert sim.trace.count("msg.deliver") == 0
+
+    def test_a_copy_to_a_halted_receiver_counts_nothing(self):
+        sim, net, procs = build()
+        m = net.send(0, 1, "x")
+        sim.run()
+        procs[1].halted = True
+        net.redeliver(m, 1.0, copy=True)
+        sim.run()
+        assert [g.payload for g in procs[1].got] == ["x"]
+        assert net.dropped_by_cause() == {}
+        assert net.delivered_by_kind == {"app": 1}
+        assert net.channel(0, 1).stats.in_flight == 0
+        assert sim.trace.count("msg.drop") == 0
 
     def test_in_flight_tracks_outstanding(self):
         sim, net, procs = build()

@@ -11,11 +11,12 @@ from __future__ import annotations
 import pytest
 
 from repro.causality import ConsistencyVerifier
+from repro.chaos import DesChaosInjector, Fault, FaultPlan
 from repro.core import OptimisticConfig, OptimisticRuntime
 from repro.des import Simulator
 from repro.harness import ExperimentConfig, run_experiment
 from repro.net import Network, UniformLatency, complete
-from repro.recovery import PartitionInjector, RecoveryManager
+from repro.recovery import RecoveryManager
 from repro.storage import StableStorage
 from repro.workload import make as make_workload
 
@@ -85,8 +86,9 @@ class TestPartitionPlusBandwidth:
                                state_bytes=100_000)
         rt = OptimisticRuntime(sim, net, st, cfg, horizon=250.0)
         rt.build(make_workload("uniform", 5, 250.0, rate=1.5))
-        inj = PartitionInjector(sim, net)
-        inj.partition({0, 1}, {2, 3, 4}, start=60.0, end=130.0)
+        DesChaosInjector(sim, net, FaultPlan(faults=(Fault(
+            "partition", start=60.0, end=130.0, group_a=(0, 1),
+            group_b=(2, 3, 4)),)))
         rt.start()
         sim.run(max_events=3_000_000)
         assert sim.peek_time() is None

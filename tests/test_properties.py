@@ -134,10 +134,10 @@ def test_consistency_across_workload_shapes(seed, workload):
 }))
 def test_consistency_and_convergence_under_random_partitions(cfg):
     """Theorem 1/2 hold under an arbitrary temporary partition."""
+    from repro.chaos import DesChaosInjector, Fault, FaultPlan
     from repro.core import OptimisticConfig, OptimisticRuntime
     from repro.des import Simulator
     from repro.net import Network, UniformLatency, complete
-    from repro.recovery import PartitionInjector
     from repro.storage import StableStorage
     from repro.workload import make as make_workload
 
@@ -149,11 +149,10 @@ def test_consistency_and_convergence_under_random_partitions(cfg):
                           state_bytes=10_000)
     rt = OptimisticRuntime(sim, net, st_, oc, horizon=horizon)
     rt.build(make_workload("uniform", n, horizon, rate=1.5))
-    inj = PartitionInjector(sim, net)
-    group_a = set(range(cfg["cut"]))
-    group_b = set(range(cfg["cut"], n))
-    inj.partition(group_a, group_b, start=cfg["start"],
-                  end=cfg["start"] + cfg["length"])
+    DesChaosInjector(sim, net, FaultPlan(faults=(Fault(
+        "partition", start=cfg["start"], end=cfg["start"] + cfg["length"],
+        group_a=tuple(range(cfg["cut"])),
+        group_b=tuple(range(cfg["cut"], n))),)))
     rt.start()
     sim.run(max_events=3_000_000)
     assert sim.peek_time() is None

@@ -292,6 +292,49 @@ def one_delivery_step(root: Path) -> list[str]:
     return out
 
 
+#: The modules that build a message: the only ones that set its fields.
+MESSAGE_OWNERS = ("repro/net/message.py", NETWORK)
+#: Attributes of the hand-chained interposers ``Network.gates`` replaced.
+CHAINED_GATE_ATTRS = ("delivery_gate", "_prev_gate")
+#: dict methods that change the dict in place.
+DICT_WRITERS = ("update", "setdefault", "pop", "popitem", "clear")
+
+
+def _is_meta(node: ast.AST) -> bool:
+    return isinstance(node, ast.Attribute) and node.attr == "meta"
+
+
+def gates_are_verdicts(root: Path) -> list[str]:
+    """A delivery gate's verdict is its return value, asked in the order
+    of ``Network.gates``: outside the modules that build a message no code
+    writes into ``<expr>.meta`` or ``<expr>.meta[...]`` (app sends share
+    one interned meta dict, so a write would reach every message that
+    shares it), and no hand-chained ``delivery_gate`` / ``_prev_gate``
+    attribute appears anywhere."""
+    out = []
+    for path in _files(root, "repro"):
+        rel = path.relative_to(root).as_posix()
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) \
+                    and node.attr in CHAINED_GATE_ATTRS:
+                out.append(f"{rel}:{node.lineno} names {node.attr}")
+            if rel in MESSAGE_OWNERS:
+                continue
+            if isinstance(node, (ast.Attribute, ast.Subscript)) \
+                    and isinstance(node.ctx, (ast.Store, ast.Del)) \
+                    and (_is_meta(node) or isinstance(node, ast.Subscript)
+                         and _is_meta(node.value)):
+                out.append(f"{rel}:{node.lineno} writes into a message's "
+                           f"meta")
+            elif isinstance(node, ast.Call) \
+                    and isinstance(node.func, ast.Attribute) \
+                    and node.func.attr in DICT_WRITERS \
+                    and _is_meta(node.func.value):
+                out.append(f"{rel}:{node.lineno} changes a message's meta "
+                           f"in place")
+    return out
+
+
 RULES: dict[str, Callable[[Path], list[str]]] = {
     "no-invariant-monitor": no_invariant_monitor,
     "judges-share-the-library": judges_share_the_library,
@@ -304,6 +347,7 @@ RULES: dict[str, Callable[[Path], list[str]]] = {
     "the-selective-log-is-columns": selective_log_is_columns,
     "the-des-trace-is-columns": des_trace_is_columns,
     "one-delivery-step": one_delivery_step,
+    "gates-are-verdicts": gates_are_verdicts,
 }
 
 
@@ -322,13 +366,19 @@ def _write(root: Path, files: dict[str, str]) -> Path:
 #: chaos/des.py builds the one faulted run and reads trace rows, the
 #: worker imports no supervisor, the wrappers forward to their inner
 #: endpoint, only the collector module switches the collector, the
-#: driver appends log columns and only the network delivers.
+#: driver appends log columns, only the network delivers and builds a
+#: message, and a gate returns its verdict.
+CHAOS_DES = ("from ..causality.properties import STATE_CHECKS\n"
+             "run_experiment(cfg)\n"
+             "rows = sim.trace.select('msg.send', 'dst')\n")
 CLEAN = {**{judge: "from ..causality.properties import STATE_CHECKS\n"
             for judge in JUDGES},
-         "repro/chaos/des.py": "from ..causality.properties import "
-                               "STATE_CHECKS\nrun_experiment(cfg)\n"
-                               "rows = sim.trace.select('msg.send', 'dst')"
-                               "\n",
+         "repro/chaos/des.py": CHAOS_DES
+             + "def _gate(self, msg):\n"
+               "    if msg.meta.get('pb') is None:\n"
+               "        self.network.redeliver(msg, 1.0)\n"
+               "        return 'partition'\n"
+               "    return None\n",
          COLLECTOR: "import gc\n"
                     "def collector_paused():\n"
                     "    gc.disable()\n"
@@ -336,10 +386,8 @@ CLEAN = {**{judge: "from ..causality.properties import STATE_CHECKS\n"
          "repro/core/driver.py": "self.log_entries.append(uid, nbytes)\n",
          NETWORK: "def _deliver(self, msg, ch, again=False):\n"
                   "    tr.record(now, 'msg.deliver', msg.dst)\n"
-                  "partial(self._deliver, msg, ch)\n",
-         "repro/recovery/partition.py":
-             "def _gate(self, msg):\n"
-             "    self.network.redeliver(msg, 1.0)\n",
+                  "partial(self._deliver, msg, ch)\n"
+                  "msg.meta = {} if meta is None else meta\n",
          WORKER: "from .wire import stop_frame\n",
          **{wrapper: "class Wrapper:\n"
                      "    def drain(self):\n"
@@ -394,11 +442,17 @@ SEEDED: dict[str, dict[str, str]] = {
                                "if r.kind == 'msg.send']\n",
     },
     "one-delivery-step": {
-        "repro/recovery/partition.py":
+        "repro/recovery/restart.py":
             "def _redeliver(self, msg):\n"
             "    self.sim.trace.record(self.sim.now, 'msg.deliver', "
             "msg.dst, uid=msg.uid, redelivered=True)\n"
             "    self.network.processes[msg.dst]._deliver(msg)\n",
+    },
+    "gates-are-verdicts": {
+        "repro/chaos/des.py": CHAOS_DES
+            + "def _gate(self, msg):\n"
+              "    msg.meta['drop_cause'] = 'chaos.drop'\n"
+              "    return False\n",
     },
 }
 
